@@ -22,7 +22,8 @@ class ProtocolError(EvaluationError):
 
 
 class FitError(S4isError):
-    """Surrogate fitting failed (Cholesky failure after nugget escalation)."""
+    """Surrogate fitting failed (non-finite training data, or Cholesky failure
+    after nugget escalation)."""
 
 
 class DensitySupportError(S4isError):

@@ -4,7 +4,9 @@ wrapper for series systems.
 Inputs live in u-space; outputs are standardized internally and
 de-normalized on prediction. Hyperparameters (per-dimension lengthscales)
 maximize the concentrated log marginal likelihood with the constant trend
-and signal variance profiled out.
+and signal variance profiled out. L-BFGS-B fits the log-lengthscales with
+the analytic gradient of that likelihood, so one Cholesky factorisation
+serves both the value and the gradient.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ class GpSurrogate:
             isotropic=False):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise FitError("non-finite values in training data")
         n, d = x.shape
         self.isotropic = bool(isotropic)
         n_params = 1 if self.isotropic else d
@@ -137,55 +141,83 @@ class GpSurrogate:
         self.fitted = True
         return self
 
-    def _nll(self, log_ls, delta):
+    def _factor(self, log_ls, delta):
+        """Concentrated NLL at ``log_ls`` with the quantities prediction
+        reuses, or None when the correlation matrix is not positive
+        definite."""
         ls = np.exp(log_ls)
         if self.isotropic:
             ls = np.full(self.x.shape[1], float(ls[0]))
         n = self.x.shape[0]
-        r = np.exp(-0.5 * _sq_dists(self.x, self.x, ls))
+        sq = _sq_dists(self.x, self.x, ls)
+        r = np.exp(-0.5 * sq)
         r[np.diag_indices(n)] += delta
         try:
-            cf = cho_factor(r, lower=True)
+            cf = cho_factor(r, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
-            return _BIG, None
+            return None
         z = self._z
         ones = np.ones(n)
-        rz = cho_solve(cf, z)
-        r1 = cho_solve(cf, ones)
+        rz = cho_solve(cf, z, check_finite=False)
+        r1 = cho_solve(cf, ones, check_finite=False)
         denom = ones @ r1
         beta = (ones @ rz) / denom
         resid = z - beta
-        sigma2 = max(float(resid @ cho_solve(cf, resid)) / n, 1e-300)
+        alpha = cho_solve(cf, resid, check_finite=False)
+        sigma2 = max(float(resid @ alpha) / n, 1e-300)
         logdet = 2.0 * np.sum(np.log(np.diag(cf[0])))
         nll = 0.5 * (n * math.log(sigma2) + logdet)
-        return nll, (cf, beta, sigma2, r1, denom)
+        return nll, ls, sq, r, cf, beta, sigma2, alpha, r1, denom
+
+    def _nll(self, log_ls, delta):
+        """Concentrated NLL and its gradient with respect to ``log_ls``.
+
+        With alpha = R^-1 (z - beta) and sigma2 profiled out,
+        dNLL/dlog(l_k) = 1/2 sum_ij [(R^-1 - alpha alpha^T / sigma2) o R o D_k]_ij
+        where D_k holds the squared differences in dimension k scaled by
+        l_k^2 (Rasmussen & Williams, GPML, eq. 5.9). The trend term
+        vanishes because beta is the GLS optimum.
+        """
+        fit = self._factor(log_ls, delta)
+        if fit is None:
+            return _BIG, np.zeros_like(log_ls)
+        nll, ls, sq, r, cf, _, sigma2, alpha, _, _ = fit
+        w = cho_solve(cf, np.eye(r.shape[0]), check_finite=False)
+        w -= np.outer(alpha, alpha) / sigma2
+        w *= r  # the nugget on the diagonal meets D_k[i, i] = 0
+        if self.isotropic:
+            return nll, np.array([0.5 * np.sum(w * sq)])
+        # One dimension at a time: the (n, n, d) difference tensor is never built.
+        grad = np.empty(len(ls))
+        for k, col in enumerate(self.x.T):
+            diff = np.subtract.outer(col, col)
+            grad[k] = 0.5 * np.sum(w * (diff * diff)) / ls[k] ** 2
+        return nll, grad
 
     def _optimize(self, starts, lo, hi, delta):
-        best = (math.inf, None, None)
+        best = (math.inf, None)
         self.nll_history = []
         for s in starts:
             res = optimize.minimize(
-                lambda p: self._nll(p, delta)[0], s, method="L-BFGS-B",
+                self._nll, s, args=(delta,), jac=True, method="L-BFGS-B",
                 bounds=[(lo, hi)] * len(s), options={"maxiter": 60},
             )
             if res.fun < best[0]:
-                best = (res.fun, res.x, None)
+                best = (res.fun, res.x)
             self.nll_history.append(best[0])
         if not math.isfinite(best[0]) or best[1] is None:
             raise np.linalg.LinAlgError("no feasible hyperparameters")
-        nll, aux = self._nll(best[1], delta)
-        if aux is None:
+        fit = self._factor(best[1], delta)
+        if fit is None:
             raise np.linalg.LinAlgError("Cholesky failed at optimum")
-        cf, beta, sigma2, r1, denom = aux
-        self.lengthscales = np.exp(best[1])
-        if self.isotropic:
-            self.lengthscales = np.full(self.x.shape[1], float(self.lengthscales[0]))
+        _, ls, _, _, cf, beta, sigma2, alpha, r1, denom = fit
+        self.lengthscales = ls
         self.trend = beta
         self.signal_variance = sigma2
         self._delta = delta
         self.nugget = delta * sigma2 * self._y_sd**2
         self._cf = cf
-        self._alpha = cho_solve(cf, self._z - beta)
+        self._alpha = alpha
         self._rinv1 = r1
         self._one_rinv_one = denom
 
@@ -227,7 +259,7 @@ class GpSurrogate:
             out = np.zeros(uq.shape[0])
         else:
             k = np.exp(-0.5 * _sq_dists(uq, self.x, self.lengthscales))
-            v = cho_solve(self._cf, k.T)
+            v = cho_solve(self._cf, k.T, check_finite=False)
             var = 1.0 - np.sum(k.T * v, axis=0)
             u_term = 1.0 - k @ self._rinv1
             var = self.signal_variance * (var + u_term**2 / self._one_rinv_one)
@@ -260,10 +292,11 @@ class CompositeMinSurrogate:
             raise ValueError("need at least one component model")
 
     @classmethod
-    def fit(cls, x, component_y, n_restarts=5, seed=0):
+    def fit(cls, x, component_y, n_restarts=5, seed=0, isotropic=False):
         models = []
         for j in range(component_y.shape[1]):
-            models.append(GpSurrogate().fit(x, component_y[:, j], n_restarts=n_restarts, seed=seed + j))
+            models.append(GpSurrogate().fit(x, component_y[:, j], n_restarts=n_restarts,
+                                            seed=seed + j, isotropic=isotropic))
         return cls(models)
 
     def update(self, u_new, theta_new, component_y_new, n_restarts=5, seed=0, warm=False):
@@ -274,6 +307,10 @@ class CompositeMinSurrogate:
     @property
     def fitted(self):
         return all(m.fitted for m in self.models)
+
+    @property
+    def isotropic(self):
+        return all(m.isotropic for m in self.models)
 
     def _stack_means(self, u):
         return np.stack([np.atleast_1d(m.predict_mean(np.atleast_2d(u))) for m in self.models], axis=1)
@@ -308,7 +345,8 @@ def fit_surrogate(points: SupportPointSet, composite=False, n_restarts=5, seed=0
         if points.component_outputs is None:
             raise ValueError("composite surrogate needs per-component outputs")
         return CompositeMinSurrogate.fit(x, points.component_outputs,
-                                         n_restarts=n_restarts, seed=seed)
+                                         n_restarts=n_restarts, seed=seed,
+                                         isotropic=isotropic)
     return GpSurrogate().fit(x, points.outputs, n_restarts=n_restarts, seed=seed,
                              isotropic=isotropic)
 
@@ -317,12 +355,13 @@ def update_surrogate(model, points: SupportPointSet, n_restarts=5, seed=0, warm=
                      feature_fn=None):
     """Refit the surrogate after a point was appended to ``points``."""
     x = training_inputs(points, feature_fn)
+    iso = model.isotropic
     if isinstance(model, CompositeMinSurrogate):
         if not warm:
             return CompositeMinSurrogate.fit(x, points.component_outputs,
-                                             n_restarts=n_restarts, seed=seed)
+                                             n_restarts=n_restarts, seed=seed,
+                                             isotropic=iso)
         return _warm_composite(model, x, points.component_outputs, n_restarts, seed)
-    iso = getattr(model, "isotropic", False)
     if warm and not model._constant:
         return GpSurrogate().fit(x, points.outputs, n_restarts=min(n_restarts, 3),
                                  seed=seed, init_lengthscales=model.lengthscales,
@@ -336,9 +375,11 @@ def _warm_composite(model, x, component_outputs, n_restarts, seed):
     for j, m in enumerate(model.models):
         if m._constant:
             models.append(GpSurrogate().fit(x, component_outputs[:, j],
-                                            n_restarts=n_restarts, seed=seed + j))
+                                            n_restarts=n_restarts, seed=seed + j,
+                                            isotropic=m.isotropic))
         else:
             models.append(GpSurrogate().fit(x, component_outputs[:, j],
                                             n_restarts=min(n_restarts, 3), seed=seed + j,
-                                            init_lengthscales=m.lengthscales))
+                                            init_lengthscales=m.lengthscales,
+                                            isotropic=m.isotropic))
     return CompositeMinSurrogate(models)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import s4is.surrogate
+from s4is.errors import FitError
 from s4is.surrogate import (CompositeMinSurrogate, GpSurrogate,
-                            SupportPointSet, fit_surrogate, training_inputs)
+                            SupportPointSet, fit_surrogate, training_inputs,
+                            update_surrogate)
 
 
 def _training_data(n=20, d=2, seed=0):
@@ -110,3 +113,92 @@ def test_fit_surrogate_feature_map():
                                atol=1e-12)
     pred = model.predict_mean(feat(pts.inputs_theta))
     np.testing.assert_allclose(pred, pts.outputs, atol=1e-3)
+
+
+@pytest.mark.parametrize("part, bad", [("x", np.nan), ("x", np.inf),
+                                       ("y", np.nan), ("y", -np.inf)])
+def test_non_finite_training_data_raises_fit_error(monkeypatch, part, bad):
+    x, y = _training_data()
+    (x if part == "x" else y)[3] = bad
+
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("optimizer called on non-finite data")
+
+    monkeypatch.setattr(s4is.surrogate.optimize, "minimize", no_optimizer)
+    with pytest.raises(FitError, match="non-finite"):
+        GpSurrogate().fit(x, y)
+
+
+@pytest.mark.parametrize("n, d, isotropic, ls_range", [
+    (20, 2, False, (1.0, 4.0)),
+    (40, 6, False, (1.0, 4.0)),
+    (60, 10, False, (1.0, 4.0)),
+    (50, 25, True, (3.0, 12.0)),
+])
+def test_nll_gradient_matches_central_differences(n, d, isotropic, ls_range):
+    rng = np.random.default_rng(n + d)
+    x = rng.uniform(-3, 3, size=(n, d))
+    y = np.sin(x).sum(axis=1) + 0.1 * (x ** 2).sum(axis=1)
+    model = GpSurrogate().fit(x, y, n_restarts=1, isotropic=isotropic)
+    h = 1e-4  # smaller steps drown in round-off once R is ill-conditioned
+    for _ in range(3):
+        p = rng.uniform(*np.log(ls_range), size=1 if isotropic else d)
+        _, grad = model._nll(p, model._delta)
+        fd = np.array([(model._nll(p + h * e, model._delta)[0]
+                        - model._nll(p - h * e, model._delta)[0]) / (2 * h)
+                       for e in np.eye(p.size)])
+        assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+# (n, d, best NLL) of fits with finite-difference gradients on the datasets
+# built by _recorded_dataset(i), with GpSurrogate().fit(x, y, seed=i).
+_RECORDED_FITS = (
+    (12, 2, -10.707199025647625), (15, 3, -27.99193540675889),
+    (18, 4, -17.292329766546324), (20, 2, -40.893159530614284),
+    (24, 5, -15.834051842786803), (28, 6, -26.043219702694916),
+    (30, 3, -35.74375300033753), (35, 8, -23.289741971320826),
+    (40, 10, -36.59210644435287), (45, 2, -236.73841274428005),
+    (50, 4, -61.27108827207641), (55, 6, -52.62127464580094),
+    (60, 10, -42.745421006992615), (64, 3, -29.263299659310405),
+    (70, 5, -130.3518263939739), (80, 8, -55.58451450438503),
+    (90, 2, -644.0072959264188), (100, 6, -59.64154137254298),
+    (110, 4, -63.39484126301318), (120, 10, -82.32102054528251),
+    (120, 2, -1055.9245594844697),
+)
+
+
+def _recorded_dataset(i):
+    n, d, _ = _RECORDED_FITS[i]
+    rng = np.random.default_rng([31, i])
+    x = rng.uniform(-3.0, 3.0, size=(n, d))
+    a = rng.normal(size=d)
+    y = np.sin(x @ a) + 0.3 * np.sum(x ** 2, axis=1) / d - x[:, 0]
+    return x, y
+
+
+def test_recorded_fits_reach_recorded_likelihood():
+    best = [GpSurrogate().fit(*_recorded_dataset(i), seed=i).nll_history[-1]
+            for i in range(len(_RECORDED_FITS))]
+    assert sum(best) <= sum(nll for _, _, nll in _RECORDED_FITS)
+
+
+def test_composite_honours_isotropic_through_updates():
+    rng = np.random.default_rng(9)
+    u = rng.uniform(-3, 3, size=(15, 3))
+    comps = lambda v: np.column_stack([v[:, 0] + 0.5 * v[:, 1] ** 2 + 2.0,
+                                       np.full(len(v), 1.5)])
+    pts = SupportPointSet(u, u, comps(u).min(axis=1), comps(u))
+
+    def assert_isotropic(model):
+        assert isinstance(model, CompositeMinSurrogate)
+        for m in model.models:
+            assert m.isotropic
+            np.testing.assert_array_equal(m.lengthscales, m.lengthscales[0])
+
+    model = fit_surrogate(pts, composite=True, isotropic=True)
+    assert_isotropic(model)
+    for warm in (True, False):
+        v = rng.uniform(-3, 3, size=(1, 3))
+        pts.append(v[0], v[0], comps(v).min(), comps(v)[0])
+        model = update_surrogate(model, pts, warm=warm)
+        assert_isotropic(model)
