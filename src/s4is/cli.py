@@ -117,6 +117,10 @@ def validate_config(raw):
         raise ConfigError(f"invalid config: {e.message}") from e
     if raw["method"] == "mcs" and "mcs" not in raw:
         raise ConfigError("method 'mcs' requires an 'mcs' block with 'n'")
+    try:
+        S4isConfig(**raw.get("s4is", {}))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid s4is block: {e}") from e
 
 
 def _build_problem(cfg):

@@ -7,7 +7,7 @@ is returned with its CoV flagged undefined rather than raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class ReliabilityEstimate:
     cov: float  # NaN when undefined (pf == 0)
     n_eval: int = 0
     n_samples: int = 0
-    stage_history: list = field(default_factory=list)
 
     @property
     def cov_defined(self):
@@ -95,11 +94,6 @@ def is_estimate(indicators, p_values, q_values):
     q = np.asarray(q_values, dtype=float)
     with np.errstate(divide="ignore"):
         return is_estimate_from_log(indicators, np.log(p), np.log(q))
-
-
-def surrogate_indicator(model, u):
-    """Failure indicator from the surrogate mean: 1 iff predicted g <= 0."""
-    return (np.asarray(model.predict_mean(u)) <= 0.0).astype(int)
 
 
 def relative_error(reference_pf, pf):

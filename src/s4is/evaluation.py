@@ -105,15 +105,13 @@ class Evaluator:
     def g(self, theta):
         return float(self.problem.aggregate(self.components_at(theta)))
 
-    def g_batch(self, thetas, cache=False):
+    def g_batch(self, thetas):
         """Vectorized evaluation for cheap analytic g (MCS references).
 
-        Increments the ledger count per point but skips the point cache
-        unless asked, to keep million-sample runs light.
+        Increments the ledger count per point but skips the point cache, to
+        keep million-sample runs light.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        if cache:
-            return np.array([self.g(t) for t in thetas])
         per_comp = np.stack([np.asarray(c(thetas), dtype=float) for c in self.problem.components], axis=-1)
         if not np.all(np.isfinite(per_comp)):
             raise EvaluationError("non-finite performance value in batch")

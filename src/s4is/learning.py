@@ -1,19 +1,16 @@
-"""Learning functions and candidate selection.
+"""Candidate pools, the stage learning functions and candidate selection.
 
-Candidate scoring is vectorized; ``select_next`` takes the argmin over the
-not-yet-selected candidates with a lowest-index tie-break so results do not
-depend on evaluation order.
+Scores are computed for the whole pool at once; ``select_next`` takes the
+argmin over the not-yet-selected candidates with a lowest-index tie-break
+so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy import integrate, stats
 from scipy.spatial.distance import cdist
 
-from .errors import DomainError, S4isError
+from .errors import S4isError
 
 
 class PoolExhausted(S4isError):
@@ -40,87 +37,34 @@ class CandidatePool:
         return int(np.count_nonzero(~self.selected))
 
 
-def euclidean_distance(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DomainError("points must share a dimension")
-    return float(np.linalg.norm(a - b))
-
-
-def min_distance(u, points):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] == 0:
-        raise ValueError("support set is empty")
-    return float(np.min(np.linalg.norm(points - np.asarray(u, dtype=float), axis=1)))
-
-
 def min_distances(points, support):
     """Per-point minimum Euclidean distance to the support set (vectorized)."""
     return cdist(np.atleast_2d(points), np.atleast_2d(support)).min(axis=1)
 
 
-def lf1(model, u, support_inputs_u, scale=1.0):
-    """Stage-1 score: |predicted g| / scale minus distance to existing
-    support points. Lower is better."""
-    mean = float(np.asarray(model.predict_mean(np.atleast_2d(u)))[0])
-    return abs(mean) / scale - min_distance(u, support_inputs_u)
-
-
 def lf1_scores(abs_means, dmin, scale=1.0):
+    """Stage-1 score: |predicted g| / scale minus the distance to the nearest
+    support point. Lower is better."""
     return np.asarray(abs_means) / scale - np.asarray(dmin)
 
 
-def lf2(model, u, support_inputs_u, scale, p_n_value, q2_value):
-    """Stage-2 score: the stage-1 terms minus the log likelihood ratio,
-    favoring failure mass that weighs most in the IS estimator."""
-    if not q2_value > 0:
-        raise DomainError("instrumental density must be positive")
-    return lf1(model, u, support_inputs_u, scale) - math.log(p_n_value / q2_value)
-
-
 def lf2_scores(abs_means, dmin, log_pn, log_q2, scale=1.0):
+    """Stage-2 score: the stage-1 terms minus the log likelihood ratio
+    log(p_n / q2), favoring failure mass that weighs most in the IS
+    estimator."""
     return lf1_scores(abs_means, dmin, scale) - (np.asarray(log_pn) - np.asarray(log_q2))
 
 
-def select_next(pool: CandidatePool, scorer):
+def select_next(pool: CandidatePool, scores):
     """Pick the argmin-scoring unselected candidate and mark it selected.
 
-    ``scorer`` is either a callable mapping an (n, d) array of candidate
-    points to scores, or a precomputed score array covering the whole pool;
-    ties break to the lowest candidate index.
+    ``scores`` covers the whole pool; ties break to the lowest candidate
+    index.
     """
     unselected = np.flatnonzero(~pool.selected)
     if unselected.size == 0:
         raise PoolExhausted("no unselected candidates remain")
-    if callable(scorer):
-        scores = np.asarray(scorer(pool.points[unselected]), dtype=float)
-    else:
-        scores = np.asarray(scorer, dtype=float)[unselected]
+    scores = np.asarray(scores, dtype=float)[unselected]
     winner = int(unselected[int(np.argmin(scores))])
     pool.selected[winner] = True
     return winner
-
-
-def u_function(mean, sd):
-    """|mean| / sd; infinite when certain, zero at maximal sign uncertainty."""
-    if sd == 0:
-        return 0.0 if mean == 0 else math.inf
-    return abs(mean) / sd
-
-
-def eff(mean, sd, epsilon=None):
-    """Expected feasibility of the limit state within +/- epsilon.
-
-    Evaluated by adaptive quadrature of (eps - |t|) against the Gaussian
-    predictive density; epsilon defaults to 2 sd.
-    """
-    if sd == 0:
-        return 0.0
-    if epsilon is None:
-        epsilon = 2.0 * sd
-    val, _ = integrate.quad(
-        lambda t: (epsilon - abs(t)) * stats.norm.pdf(t, loc=mean, scale=sd),
-        -epsilon, epsilon, points=[0.0], epsabs=1e-9,
-    )
-    return max(val, 0.0)

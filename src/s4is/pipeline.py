@@ -1,17 +1,18 @@
 """Two-stage orchestration: exploratory coarse surrogate, Gaussian-mixture
 importance sampling with adaptive refinement, and the single-MPP
-importance-sampling baseline.
+importance-sampling baseline. Both stages and the baseline share one
+refinement loop, :func:`_refine`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clustering import build_gm, kmeans, mpp_per_cluster
-from .errors import BaselineError, StageFailureError, StationaryPointError
+from .errors import StageFailureError, StationaryPointError
 from .estimators import ReliabilityEstimate, is_estimate_from_log, mcs_estimate
 from .evaluation import Evaluator, ProblemSpec
 from .form import form_pf, hlrf_search, multi_start_mpps
@@ -42,7 +43,6 @@ class S4isConfig:
     highdim_form_seed: bool | None = None  # None: auto when d >= 10
     lf_scale_mode: str = "normalized"      # "normalized" | "raw"
     composite: bool | None = None          # None: composite for systems
-    strict_candidate_sizing: bool = False
     form_starts: int = 1
     gp_isotropic: bool | None = None  # None: auto when d >= 20
     gp_restarts: int = 5
@@ -62,8 +62,6 @@ class S4isConfig:
             return self.n_c1
         cap = 10_000
         raw = 10**d if d < 5 else cap
-        if self.strict_candidate_sizing:
-            return min(cap, raw)
         return min(cap, max(1_000, raw))
 
     def initial_support(self, d):
@@ -187,6 +185,60 @@ def _window_converged(history, window, tol):
     return abs(history[-1] - mean) / mean <= tol
 
 
+def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
+            config, max_iter, window=None):
+    """The adaptive loop shared by both stages and AK-IS.
+
+    Each iteration scores the pool with ``score(model, means, dmin)`` (None
+    stops the loop), evaluates the true g at the best unselected candidate,
+    refits the surrogate, predicts the pool once and takes the IS estimate
+    against ``log_q``; ``window`` = (length, tolerance) adds the trailing
+    window stopping rule.
+
+    Returns (model, pool means, initial pf, report): the report holds the
+    last estimate, the per-iteration histories and the termination reason.
+    """
+    rv = evaluator.problem.marginals
+    feat = _feature_map(rv)
+    cands = pool.points
+
+    def estimate(means):
+        est = is_estimate_from_log(means <= 0, log_pn, log_q)
+        est.n_eval = evaluator.ledger.count
+        return est
+
+    means = model.predict_mean(x_cands)
+    est = estimate(means)
+    initial_pf = est.pf
+    dmin = min_distances(cands, support.inputs_u)
+    pf_hist, cov_hist, ne_hist = [], [], []
+    termination = "max_iterations"
+    for _ in range(max_iter):
+        scores = score(model, means, dmin)
+        if scores is None:
+            termination = "converged"
+            break
+        try:
+            idx = select_next(pool, scores)
+        except PoolExhausted:
+            termination = "pool_exhausted"
+            break
+        _append_support(evaluator, rv, support, cands[idx])
+        model = update_surrogate(model, support, n_restarts=config.gp_restarts,
+                                 warm=config.gp_warm_updates, feature_fn=feat)
+        dmin = np.minimum(dmin, np.linalg.norm(cands - cands[idx], axis=1))
+        means = model.predict_mean(x_cands)
+        est = estimate(means)
+        pf_hist.append(est.pf)
+        cov_hist.append(est.cov)
+        ne_hist.append(est.n_eval)
+        if window is not None and _window_converged(pf_hist, *window):
+            termination = "converged"
+            break
+    report = StageReport(pf_hist, cov_hist, ne_hist, est, len(support), termination)
+    return model, means, initial_pf, report
+
+
 def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     """Exploration stage: uniform candidates on [-5, 5]^d, space-filling
     initial design, distance-aware refinement, coarse estimator.
@@ -211,43 +263,16 @@ def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     model = fit_surrogate(support, composite=composite, n_restarts=config.gp_restarts,
                           feature_fn=feat, isotropic=config.wants_isotropic_gp(d))
 
-    log_pn = log_std_normal_pdf(cands)
-    log_q1 = np.log(hypercube_density(cands))
-    dmin = min_distances(cands, support.inputs_u)
+    def score(model, means, dmin):
+        return lf1_scores(np.abs(means), dmin,
+                          _scale(support.outputs, config.lf_scale_mode))
 
-    pf_hist, cov_hist, ne_hist = [], [], []
-    termination = "max_iterations"
-    means = None
-    for _ in range(config.max_iter1):
-        means = model.predict_mean(x_cands)
-        scale = _scale(support.outputs, config.lf_scale_mode)
-        scores = lf1_scores(np.abs(means), dmin, scale)
-        try:
-            idx = select_next(pool, scores)
-        except PoolExhausted:
-            termination = "pool_exhausted"
-            break
-        _append_support(evaluator, rv, support, cands[idx])
-        model = update_surrogate(model, support, n_restarts=config.gp_restarts,
-                                 warm=config.gp_warm_updates, feature_fn=feat)
-        dmin = np.minimum(dmin, np.linalg.norm(cands - cands[idx], axis=1))
-
-        means = model.predict_mean(x_cands)
-        est = is_estimate_from_log(means <= 0, log_pn, log_q1)
-        est.n_eval = evaluator.ledger.count
-        pf_hist.append(est.pf)
-        cov_hist.append(est.cov)
-        ne_hist.append(evaluator.ledger.count)
-        if _window_converged(pf_hist, config.a1, config.eps1):
-            termination = "converged"
-            break
-
-    final = is_estimate_from_log(means <= 0, log_pn, log_q1)
-    final.n_eval = evaluator.ledger.count
-    final.stage_history = list(pf_hist)
+    model, means, _, report = _refine(
+        evaluator, model, support, pool, x_cands, log_std_normal_pdf(cands),
+        np.log(hypercube_density(cands)), score, config, config.max_iter1,
+        (config.a1, config.eps1))
+    report.coarse = True
     failure_u = cands[means <= 0]
-    report = StageReport(pf_hist, cov_hist, ne_hist, final, len(support),
-                         termination, coarse=True)
     if failure_u.shape[0] == 0:
         raise StageFailureError(
             "stage 1 classified no candidate as failed; enable the FORM-seeded "
@@ -275,38 +300,19 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
     log_pn = log_std_normal_pdf(cands)
     log_q2 = gm.logpdf(cands)
 
-    means = model.predict_mean(x_cands)
-    initial = is_estimate_from_log(means <= 0, log_pn, log_q2)
-    dmin = min_distances(cands, support.inputs_u)
+    def score(model, means, dmin):
+        return lf2_scores(np.abs(means), dmin, log_pn, log_q2,
+                          _scale(support.outputs, config.lf_scale_mode))
 
-    pf_hist, cov_hist, ne_hist = [], [], []
-    termination = "max_iterations"
-    est = initial
-    for _ in range(config.max_iter2):
-        scale = _scale(support.outputs, config.lf_scale_mode)
-        scores = lf2_scores(np.abs(means), dmin, log_pn, log_q2, scale)
-        try:
-            idx = select_next(pool, scores)
-        except PoolExhausted:
-            termination = "pool_exhausted"
-            break
-        _append_support(evaluator, rv, support, cands[idx])
-        model = update_surrogate(model, support, n_restarts=config.gp_restarts,
-                                 warm=config.gp_warm_updates, feature_fn=feat)
-        dmin = np.minimum(dmin, np.linalg.norm(cands - cands[idx], axis=1))
-
-        means = model.predict_mean(x_cands)
-        est = is_estimate_from_log(means <= 0, log_pn, log_q2)
-        est.n_eval = evaluator.ledger.count
-        pf_hist.append(est.pf)
-        cov_hist.append(est.cov)
-        ne_hist.append(evaluator.ledger.count)
-        if _window_converged(pf_hist, config.a2, config.eps2):
-            termination = "converged"
-            break
+    model, means, initial_pf, report = _refine(
+        evaluator, model, support, pool, x_cands, log_pn, log_q2, score, config,
+        config.max_iter2, (config.a2, config.eps2))
+    report.initial_pf = initial_pf
+    report.notes = notes
 
     # CoV control: enlarge the candidate pool at surrogate-only cost until
     # the estimator variance target is met or the growth cap is reached.
+    est = report.final
     grown = 0
     while (not est.cov_defined or est.cov > config.cov_target) and \
             len(pool) < config.pool_growth_limit * config.n_c2:
@@ -320,13 +326,10 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
         grown += 1
     if grown:
         notes["pool_enlargements"] = grown
-        pf_hist.append(est.pf)
-        cov_hist.append(est.cov)
-        ne_hist.append(evaluator.ledger.count)
-
-    est.stage_history = list(pf_hist)
-    report = StageReport(pf_hist, cov_hist, ne_hist, est, len(support),
-                         termination, initial_pf=initial.pf, notes=notes)
+        report.final = est
+        report.pf_history.append(est.pf)
+        report.cov_history.append(est.cov)
+        report.n_eval_history.append(est.n_eval)
     return report, model
 
 
@@ -342,8 +345,7 @@ def _thin_trace(trace_u, trace_g, trace_components, min_sep=0.05, max_points=300
         if all(np.linalg.norm(trace_u[i] - trace_u[j]) >= min_sep for j in keep):
             keep.append(int(i))
     keep.sort()
-    comps = trace_components[keep] if trace_components is not None else None
-    return trace_u[keep], trace_g[keep], comps
+    return trace_u[keep], trace_g[keep], trace_components[keep]
 
 
 def _form_seed(problem, config, rng, evaluator):
@@ -388,9 +390,7 @@ def run_s4is(problem: ProblemSpec, config: S4isConfig, rng):
         s1_report, model, support, failure_u = stage1(problem, config, rng, evaluator)
         s2_report, model = stage2(problem, config, rng, evaluator, model, support,
                                   failure_u=failure_u)
-    final = s2_report.final
-    final.n_eval = evaluator.ledger.count
-    return S4isResult(estimate=final, stage1=s1_report, stage2=s2_report)
+    return S4isResult(estimate=s2_report.final, stage1=s1_report, stage2=s2_report)
 
 
 def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
@@ -420,8 +420,6 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     cands = gm.sample(config.n_c2, rng)
     pool = CandidatePool(cands)
     x_cands = feat(rv.from_standard_normal(cands))
-    log_pn = log_std_normal_pdf(cands)
-    log_q = gm.logpdf(cands)
 
     thin_u, thin_g, thin_c = _thin_trace(res.trace_u, res.trace_g, res.trace_components)
     support = SupportPointSet(thin_u, np.atleast_2d(rv.from_standard_normal(thin_u)), thin_g, thin_c)
@@ -432,25 +430,22 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     model = fit_surrogate(support, composite=False, n_restarts=config.gp_restarts,
                           feature_fn=feat)
 
-    for _ in range(config.max_iter2):
-        means, sds = model.predict(x_cands)
+    def score(model, means, dmin):
+        sds = model.predict_sd(x_cands)
         with np.errstate(divide="ignore", invalid="ignore"):
             u_scores = np.where(sds > 0, np.abs(means) / sds,
                                 np.where(means == 0, 0.0, np.inf))
-        unselected = np.flatnonzero(~pool.selected)
-        if unselected.size == 0 or float(np.min(u_scores[unselected])) >= 2.0:
-            break
-        idx = select_next(pool, u_scores)
-        _append_support(evaluator, rv, support, cands[idx])
-        model = update_surrogate(model, support, n_restarts=config.gp_restarts,
-                                 warm=config.gp_warm_updates, feature_fn=feat)
+        unselected = u_scores[~pool.selected]
+        if unselected.size and float(np.min(unselected)) >= 2.0:
+            return None
+        return u_scores
 
     # Fixed-size IS estimate: the single shifted Gaussian cannot reach other
     # failure branches anyway, so growing the pool only adds weight variance.
-    means = model.predict_mean(x_cands)
-    est = is_estimate_from_log(means <= 0, log_pn, log_q)
-    est.n_eval = evaluator.ledger.count
-    return est
+    *_, report = _refine(evaluator, model, support, pool, x_cands,
+                         log_std_normal_pdf(cands), gm.logpdf(cands), score, config,
+                         config.max_iter2)
+    return report.final
 
 
 def run_mcs_baseline(problem: ProblemSpec, n: int, rng):

@@ -8,7 +8,7 @@ u_i = Phi^-1(F_i(theta_i)); only independent marginals are supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -152,11 +152,6 @@ def sample_hypercube(d, n, rng, half_width=5.0):
     return rng.uniform(-half_width, half_width, size=(n, d))
 
 
-def sample_std_normal(d, n, rng):
-    """n i.i.d. standard-normal draws in d dimensions."""
-    return rng.standard_normal(size=(n, d))
-
-
 @dataclass(frozen=True)
 class GaussianMixture:
     """Equal-weight, identity-covariance Gaussian mixture in u-space."""
@@ -191,11 +186,3 @@ class GaussianMixture:
         """n i.i.d. draws; component picked uniformly, then a unit-normal jitter."""
         idx = rng.integers(0, self.n_components, size=n)
         return self.centers[idx] + rng.standard_normal(size=(n, self.dim))
-
-
-def sample_gm(gm, n, rng):
-    return gm.sample(n, rng)
-
-
-def gm_pdf(gm, u):
-    return gm.pdf(u)

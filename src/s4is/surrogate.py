@@ -12,7 +12,7 @@ serves both the value and the gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -221,22 +221,6 @@ class GpSurrogate:
         self._rinv1 = r1
         self._one_rinv_one = denom
 
-    def update(self, u_new, theta_new, y_new, n_restarts=5, seed=0, warm=False):
-        """Refit on the augmented dataset; ``warm`` seeds one restart at the
-        current lengthscales and trims the random restarts."""
-        u_new = np.asarray(u_new, dtype=float)
-        if np.any(np.all(self.x == u_new, axis=1)):
-            raise ValueError("duplicate support input")
-        x = np.vstack([self.x, u_new])
-        y = np.append(self.y, np.asarray(y_new, dtype=float).ravel())
-        model = GpSurrogate()
-        if warm and not self._constant:
-            model.fit(x, y, n_restarts=min(n_restarts, 3), seed=seed,
-                      init_lengthscales=self.lengthscales, isotropic=self.isotropic)
-        else:
-            model.fit(x, y, n_restarts=n_restarts, seed=seed, isotropic=self.isotropic)
-        return model
-
     # -- prediction --------------------------------------------------------
 
     def _check(self, u):
@@ -269,17 +253,6 @@ class GpSurrogate:
     def predict(self, u):
         return self.predict_mean(u), self.predict_sd(u)
 
-    def to_dict(self):
-        """JSON-ready dump of hyperparameters and training data."""
-        return {
-            "lengthscales": self.lengthscales.tolist(),
-            "signal_variance": self.signal_variance,
-            "trend": self.trend,
-            "nugget": self.nugget,
-            "x": self.x.tolist(),
-            "y": self.y.tolist(),
-        }
-
 
 class CompositeMinSurrogate:
     """Per-component GPs for a series system; the prediction is the minimum
@@ -298,11 +271,6 @@ class CompositeMinSurrogate:
             models.append(GpSurrogate().fit(x, component_y[:, j], n_restarts=n_restarts,
                                             seed=seed + j, isotropic=isotropic))
         return cls(models)
-
-    def update(self, u_new, theta_new, component_y_new, n_restarts=5, seed=0, warm=False):
-        models = [m.update(u_new, theta_new, yj, n_restarts=n_restarts, seed=seed + j, warm=warm)
-                  for j, (m, yj) in enumerate(zip(self.models, np.asarray(component_y_new, dtype=float)))]
-        return CompositeMinSurrogate(models)
 
     @property
     def fitted(self):
@@ -351,35 +319,23 @@ def fit_surrogate(points: SupportPointSet, composite=False, n_restarts=5, seed=0
                              isotropic=isotropic)
 
 
+def _refit(gp, x, y, n_restarts, seed, warm):
+    """Fit a fresh GP on grown data with ``gp``'s kernel form; a warm refit
+    seeds one restart at ``gp``'s lengthscales and trims the random ones."""
+    if warm and not gp._constant:
+        return GpSurrogate().fit(x, y, n_restarts=min(n_restarts, 3), seed=seed,
+                                 init_lengthscales=gp.lengthscales,
+                                 isotropic=gp.isotropic)
+    return GpSurrogate().fit(x, y, n_restarts=n_restarts, seed=seed,
+                             isotropic=gp.isotropic)
+
+
 def update_surrogate(model, points: SupportPointSet, n_restarts=5, seed=0, warm=True,
                      feature_fn=None):
     """Refit the surrogate after a point was appended to ``points``."""
     x = training_inputs(points, feature_fn)
-    iso = model.isotropic
     if isinstance(model, CompositeMinSurrogate):
-        if not warm:
-            return CompositeMinSurrogate.fit(x, points.component_outputs,
-                                             n_restarts=n_restarts, seed=seed,
-                                             isotropic=iso)
-        return _warm_composite(model, x, points.component_outputs, n_restarts, seed)
-    if warm and not model._constant:
-        return GpSurrogate().fit(x, points.outputs, n_restarts=min(n_restarts, 3),
-                                 seed=seed, init_lengthscales=model.lengthscales,
-                                 isotropic=iso)
-    return GpSurrogate().fit(x, points.outputs, n_restarts=n_restarts, seed=seed,
-                             isotropic=iso)
-
-
-def _warm_composite(model, x, component_outputs, n_restarts, seed):
-    models = []
-    for j, m in enumerate(model.models):
-        if m._constant:
-            models.append(GpSurrogate().fit(x, component_outputs[:, j],
-                                            n_restarts=n_restarts, seed=seed + j,
-                                            isotropic=m.isotropic))
-        else:
-            models.append(GpSurrogate().fit(x, component_outputs[:, j],
-                                            n_restarts=min(n_restarts, 3), seed=seed + j,
-                                            init_lengthscales=m.lengthscales,
-                                            isotropic=m.isotropic))
-    return CompositeMinSurrogate(models)
+        return CompositeMinSurrogate(
+            _refit(m, x, points.component_outputs[:, j], n_restarts, seed + j, warm)
+            for j, m in enumerate(model.models))
+    return _refit(model, x, points.outputs, n_restarts, seed, warm)

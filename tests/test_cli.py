@@ -51,6 +51,24 @@ def test_unknown_key_exits_2_without_evaluation(tmp_path, capsys):
     assert not sentinel.exists()
 
 
+@pytest.mark.parametrize("block", [{"eps1": -1}, {"a2": 0},
+                                   {"strict_candidate_sizing": True}])
+def test_bad_s4is_block_exits_2_without_evaluation(tmp_path, capsys, block):
+    sentinel = tmp_path / "touched"
+    payload = {
+        "problem": {"external": {
+            "command": [sys.executable, "-c",
+                        f"open({str(sentinel)!r}, 'w').close()"],
+            "marginals": [{"kind": "normal", "mean": 0, "sd": 1}],
+        }},
+        "method": "s4is",
+        "s4is": block,
+    }
+    assert main(["run", "--config", _config(tmp_path, payload)]) == 2
+    assert "invalid" in capsys.readouterr().err
+    assert not sentinel.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

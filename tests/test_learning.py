@@ -1,27 +1,14 @@
-"""Candidate pools, learning functions and acquisition helpers."""
-
-import math
+"""Candidate pools, the stage learning functions and candidate selection."""
 
 import numpy as np
 import pytest
 
-from s4is.errors import DomainError
-from s4is.learning import (CandidatePool, PoolExhausted, eff, lf1_scores,
-                           lf2_scores, min_distance, min_distances,
-                           select_next, u_function)
-
-
-class ConstantModel:
-    def __init__(self, value):
-        self.value = value
-
-    def predict_mean(self, u):
-        return np.full(np.atleast_2d(u).shape[0], self.value)
+from s4is.learning import (CandidatePool, PoolExhausted, lf1_scores,
+                           lf2_scores, min_distances, select_next)
 
 
 def test_min_distance_helpers():
     support = np.array([[0.0, 0.0], [2.0, 0.0]])
-    assert min_distance(np.array([1.0, 0.0]), support) == pytest.approx(1.0)
     d = min_distances(np.array([[3.0, 0.0], [-1.0, 0.0]]), support)
     np.testing.assert_allclose(d, [1.0, 1.0])
 
@@ -67,12 +54,6 @@ def test_select_next_tie_breaks_to_lowest_index():
     assert select_next(pool, np.array([1.0, 1.0, 1.0])) == 0
 
 
-def test_select_next_with_callable_scorer():
-    pool = CandidatePool(np.array([[0.0], [5.0], [1.0]]))
-    idx = select_next(pool, lambda pts: np.abs(pts[:, 0] - 4.9))
-    assert idx == 1
-
-
 def test_pool_exhaustion():
     pool = CandidatePool(np.array([[0.0]]))
     select_next(pool, np.array([0.0]))
@@ -87,24 +68,3 @@ def test_pool_extend():
     pool.extend(np.array([[2.0]]))
     assert len(pool) == 3
     assert pool.n_unselected == 2
-
-
-def test_u_function_conventions():
-    assert u_function(2.0, 1.0) == 2.0
-    assert u_function(-3.0, 2.0) == 1.5
-    assert u_function(1.0, 0.0) == math.inf
-    assert u_function(0.0, 0.0) == 0.0
-
-
-def test_eff_reference_value():
-    # zero mean, unit sd, epsilon = 2
-    assert eff(0.0, 1.0, 2.0) == pytest.approx(1.2190968, abs=1e-6)
-    assert eff(0.0, 1.0) == pytest.approx(1.2190968, abs=1e-6)  # default eps
-    assert eff(5.0, 0.0) == 0.0
-
-
-def test_eff_decays_away_from_limit_state():
-    near = eff(0.0, 1.0)
-    far = eff(10.0, 1.0)
-    assert near > far
-    assert far == pytest.approx(0.0, abs=1e-9)

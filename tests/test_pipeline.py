@@ -43,7 +43,7 @@ def test_run_s4is_report_shape():
     res = run_s4is(builtin_problem("example1"), S4isConfig(),
                    np.random.default_rng(5))
     assert res.stage1.coarse and not res.stage2.coarse
-    assert res.stage1.termination in ("converged", "max_iter", "pool_exhausted")
+    assert res.stage1.termination in ("converged", "max_iterations", "pool_exhausted")
     assert len(res.stage1.pf_history) == len(res.stage1.cov_history)
     assert res.estimate.pf == res.stage2.final.pf
     assert res.estimate.n_eval >= res.stage2.support_size

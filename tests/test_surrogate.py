@@ -70,8 +70,10 @@ def test_update_matches_fresh_fit():
     y_new = x_new[:, 0] ** 2 - x_new[:, 1] + np.sin(x_new.sum(axis=1))
 
     fresh = GpSurrogate().fit(np.vstack([x, x_new]), np.append(y, y_new))
-    updated = GpSurrogate().fit(x, y)
-    updated = updated.update(x_new, x_new, y_new)
+    pts = SupportPointSet(x, x, y)
+    updated = fit_surrogate(pts)
+    pts.append(x_new[0], x_new[0], y_new[0])
+    updated = update_surrogate(updated, pts, warm=False)
 
     grid = rng.uniform(-3, 3, size=(20, 2))
     np.testing.assert_allclose(updated.predict_mean(grid),
