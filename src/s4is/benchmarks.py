@@ -304,15 +304,18 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _run_method(method, exp, config, rng):
+def run_method(method, problem, config, rng, mcs_n=None):
+    """One run of ``method`` on ``problem``: (estimate, the two-stage result
+    for s4is or None)."""
     if method == "mcs":
-        return run_mcs_baseline(exp.problem, exp.mcs_n, rng)
+        return run_mcs_baseline(problem, mcs_n, rng), None
     if method == "form":
-        return run_form_baseline(exp.problem, rng)
+        return run_form_baseline(problem, rng), None
     if method == "akis":
-        return run_akis_baseline(exp.problem, config, rng)
+        return run_akis_baseline(problem, config, rng), None
     if method == "s4is":
-        return run_s4is(exp.problem, config, rng).estimate
+        result = run_s4is(problem, config, rng)
+        return result.estimate, result
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -332,7 +335,7 @@ def run_experiment(exp: ExperimentDef, rng, config=None, reference_pf=None):
     for method in exp.methods:
         reps = exp.replicates if method in ("akis", "s4is") else 1
         try:
-            estimates[method] = [_run_method(method, exp, config, rng)
+            estimates[method] = [run_method(method, exp.problem, config, rng, exp.mcs_n)[0]
                                  for _ in range(reps)]
         except Exception as e:  # deliberate: report the row as failed
             errors[method] = f"{type(e).__name__}: {e}"

@@ -19,8 +19,7 @@ from . import benchmarks
 from .errors import ConfigError, S4isError
 from .evaluation import builtin_problem, external_problem
 from .probability import Marginal, RandomVector
-from .pipeline import (S4isConfig, run_akis_baseline, run_form_baseline,
-                       run_mcs_baseline, run_s4is)
+from .pipeline import S4isConfig
 
 _S4IS_FIELDS = {f.name for f in dataclasses.fields(S4isConfig)}
 
@@ -134,33 +133,30 @@ def _build_problem(cfg):
     return external_problem(ext["command"], marginals.dim, marginals)
 
 
-def _run_one(problem, method, cfg, rng):
-    if method == "mcs":
-        return run_mcs_baseline(problem, cfg["mcs"]["n"], rng), None
-    if method == "form":
-        return run_form_baseline(problem, rng), None
-    s4cfg = S4isConfig(**cfg.get("s4is", {}))
-    if method == "akis":
-        return run_akis_baseline(problem, s4cfg, rng), None
-    result = run_s4is(problem, s4cfg, rng)
-    return result.estimate, result
-
-
 def build_report(cfg):
-    """Execute the configured analysis and assemble the JSON-ready report."""
-    problem = _build_problem(cfg)
+    """Execute the configured analysis and assemble the JSON-ready report.
+    Every problem component with a ``close`` method (an external evaluator)
+    is closed before this returns or raises."""
     method = cfg["method"]
     seed = cfg.get("seed", 0)
     n_rep = cfg.get("replicates", 1)
     rng = np.random.default_rng(seed)
+    s4cfg = S4isConfig(**cfg.get("s4is", {}))
+    mcs_n = cfg.get("mcs", {}).get("n")
     replicates = []
-    for i in range(n_rep):
-        est, result = _run_one(problem, method, cfg, rng)
-        entry = {"replicate": i, **est.to_dict()}
-        if result is not None:
-            entry["stages"] = {"stage1": result.stage1.to_dict(),
-                               "stage2": result.stage2.to_dict()}
-        replicates.append(entry)
+    problem = _build_problem(cfg)
+    try:
+        for i in range(n_rep):
+            est, result = benchmarks.run_method(method, problem, s4cfg, rng, mcs_n)
+            entry = {"replicate": i, **est.to_dict()}
+            if result is not None:
+                entry["stages"] = {"stage1": result.stage1.to_dict(),
+                                   "stage2": result.stage2.to_dict()}
+            replicates.append(entry)
+    finally:
+        for component in problem.components:
+            if hasattr(component, "close"):
+                component.close()
     mean_pf = float(np.mean([r["pf"] for r in replicates]))
     covs = [r["cov"] for r in replicates if r["cov"] is not None]
     aggregate = {

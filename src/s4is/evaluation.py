@@ -20,6 +20,7 @@ from .errors import ConfigError, EvaluationError, ProtocolError
 from .probability import Marginal, RandomVector
 
 AGGREGATIONS = ("single", "series_min", "parallel_max")
+_CLOSE_GRACE_S = 10.0  # how long a closed external evaluator may take to exit
 
 
 @dataclass(frozen=True)
@@ -238,20 +239,27 @@ class ExternalEvaluator:
     """
 
     def __init__(self, command, dim):
+        if isinstance(command, str):
+            raise ConfigError("external command must be a list of arguments, not a string")
         self.command = command
         self.dim = dim
         self._next_id = 1
         self._lock = threading.Lock()
         self._proc = subprocess.Popen(
-            command, shell=isinstance(command, str),
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             text=True, bufsize=1,
         )
 
     def close(self):
+        """Close the child's stdin and wait for it to exit; kill it if it
+        is still running after the grace period."""
         if self._proc.poll() is None:
             self._proc.stdin.close()
-            self._proc.wait(timeout=10)
+            try:
+                self._proc.wait(timeout=_CLOSE_GRACE_S)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
 
     def __call__(self, thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))

@@ -7,6 +7,7 @@ refinement loop, :func:`_refine`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +24,17 @@ from .surrogate import SupportPointSet, fit_surrogate, update_surrogate
 
 HIGHDIM_THRESHOLD = 10
 
+# S4isConfig fields that count something (int >= 1) or cap iterations (int >= 0).
+_COUNTS = ("n_c1", "n_s1_0", "n_c2", "k_clusters", "a1", "a2", "pool_growth_limit")
+_CAPS = ("max_iter1", "max_iter2")
+
 
 @dataclass
 class S4isConfig:
-    """Tuning knobs for the two-stage run; defaults follow the reference
-    settings (trailing window 5, tolerances 0.01 / 0.001)."""
+    """The run parameters of the two-stage method; defaults follow the
+    reference settings (trailing window 5, tolerances 0.01 / 0.001).
+    Everything else (FORM-seeded exploration, isotropic kernels, the
+    composite surrogate) is decided by the problem."""
 
     n_c1: int | None = None        # None: min(1e4, max(1e3, 10^d))
     n_s1_0: int | None = None      # None: max(12, (d+1)(d+2)/2)
@@ -40,22 +47,23 @@ class S4isConfig:
     max_iter1: int = 300
     max_iter2: int = 300
     cov_target: float = 0.05
-    highdim_form_seed: bool | None = None  # None: auto when d >= 10
-    lf_scale_mode: str = "normalized"      # "normalized" | "raw"
-    composite: bool | None = None          # None: composite for systems
-    form_starts: int = 1
-    gp_isotropic: bool | None = None  # None: auto when d >= 20
-    gp_restarts: int = 5
-    gp_warm_updates: bool = True
     pool_growth_limit: int = 10
 
     def __post_init__(self):
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ValueError("stopping tolerances must be positive")
-        if self.a1 < 1 or self.a2 < 1:
-            raise ValueError("trailing windows must cover >= 1 iteration")
-        if self.lf_scale_mode not in ("normalized", "raw"):
-            raise ValueError("lf_scale_mode must be 'normalized' or 'raw'")
+        # bool is an int subclass; a switch is never a valid count.
+        for name in _COUNTS + _CAPS:
+            value = getattr(self, name)
+            if value is None and name in ("n_c1", "n_s1_0"):
+                continue
+            lowest = 1 if name in _COUNTS else 0
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < lowest:
+                raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
+        for name in ("eps1", "eps2", "cov_target"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not value > 0:
+                raise ValueError(f"{name} must be a number > 0, got {value!r}")
 
     def candidates_stage1(self, d):
         if self.n_c1 is not None:
@@ -70,15 +78,11 @@ class S4isConfig:
         return max(12, (d + 1) * (d + 2) // 2)
 
     def wants_form_seed(self, d):
-        if self.highdim_form_seed is not None:
-            return self.highdim_form_seed
         return d >= HIGHDIM_THRESHOLD
 
     def wants_isotropic_gp(self, d):
         # Per-input lengthscales stop being identifiable once their count
         # rivals the support size; fall back to one shared lengthscale.
-        if self.gp_isotropic is not None:
-            return self.gp_isotropic
         return d >= 20
 
 
@@ -122,31 +126,25 @@ class S4isResult:
         }
 
 
-def _feature_map(rv):
+def _feature_map(rv, thetas):
     """GP training coordinates: original-space inputs standardized by the
     marginal moments. Affine in theta, so e.g. a limit state linear in the
     physical variables stays linear; identical to u-space for normal
     marginals."""
     means = np.array([m.mean for m in rv.marginals])
     sds = np.array([m.sd for m in rv.marginals])
-
-    def feat(thetas):
-        return (np.atleast_2d(np.asarray(thetas, dtype=float)) - means) / sds
-
-    return feat
+    return (np.atleast_2d(np.asarray(thetas, dtype=float)) - means) / sds
 
 
-def _scale(outputs, mode):
-    if mode == "raw":
-        return 1.0
+def _scale(outputs):
     s = float(np.std(outputs))
     return s if s > 1e-12 else 1.0
 
 
-def _use_composite(problem: ProblemSpec, config: S4isConfig):
-    if config.composite is not None:
-        return config.composite and problem.n_components > 1
-    return problem.aggregation != "single"
+def _system_rule(problem: ProblemSpec):
+    """The rule a composite surrogate combines component means with, or None
+    when g has a single component."""
+    return None if problem.aggregation == "single" else problem.aggregate
 
 
 def _maximin_indices(points, n_pick):
@@ -162,18 +160,20 @@ def _maximin_indices(points, n_pick):
     return chosen
 
 
-def _evaluate_support(evaluator, rv, us):
+def _evaluate_support(evaluator, us):
+    rv = evaluator.problem.marginals
     thetas = np.atleast_2d(rv.from_standard_normal(us))
     comps = np.array([evaluator.components_at(t) for t in thetas])
     ys = evaluator.problem.aggregate(comps)
-    return thetas, np.atleast_1d(ys), comps
+    return SupportPointSet(us, _feature_map(rv, thetas), np.atleast_1d(ys), comps)
 
 
-def _append_support(evaluator, rv, support, u):
+def _append_support(evaluator, support, u):
+    rv = evaluator.problem.marginals
     theta = rv.from_standard_normal(u)
     comps = evaluator.components_at(np.asarray(theta, dtype=float))
     y = float(evaluator.problem.aggregate(comps))
-    support.append(u, theta, y, comps)
+    support.append(u, _feature_map(rv, theta)[0], y, comps)
 
 
 def _window_converged(history, window, tol):
@@ -186,7 +186,7 @@ def _window_converged(history, window, tol):
 
 
 def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
-            config, max_iter, window=None):
+            max_iter, window=None):
     """The adaptive loop shared by both stages and AK-IS.
 
     Each iteration scores the pool with ``score(model, means, dmin)`` (None
@@ -198,8 +198,6 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
     Returns (model, pool means, initial pf, report): the report holds the
     last estimate, the per-iteration histories and the termination reason.
     """
-    rv = evaluator.problem.marginals
-    feat = _feature_map(rv)
     cands = pool.points
 
     def estimate(means):
@@ -223,9 +221,8 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
         except PoolExhausted:
             termination = "pool_exhausted"
             break
-        _append_support(evaluator, rv, support, cands[idx])
-        model = update_surrogate(model, support, n_restarts=config.gp_restarts,
-                                 warm=config.gp_warm_updates, feature_fn=feat)
+        _append_support(evaluator, support, cands[idx])
+        model = update_surrogate(model, support)
         dmin = np.minimum(dmin, np.linalg.norm(cands - cands[idx], axis=1))
         means = model.predict_mean(x_cands)
         est = estimate(means)
@@ -247,29 +244,22 @@ def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     """
     rv = problem.marginals
     d = problem.dim
-    composite = _use_composite(problem, config)
     n_c1 = config.candidates_stage1(d)
     cands = sample_hypercube(d, n_c1, rng)
     pool = CandidatePool(cands)
-
-    feat = _feature_map(rv)
-    x_cands = feat(rv.from_standard_normal(cands))
+    x_cands = _feature_map(rv, rv.from_standard_normal(cands))
 
     init_idx = _maximin_indices(cands, config.initial_support(d))
     pool.selected[init_idx] = True
-    us = cands[init_idx]
-    thetas, ys, comps = _evaluate_support(evaluator, rv, us)
-    support = SupportPointSet(us, thetas, ys, comps)
-    model = fit_surrogate(support, composite=composite, n_restarts=config.gp_restarts,
-                          feature_fn=feat, isotropic=config.wants_isotropic_gp(d))
+    support = _evaluate_support(evaluator, cands[init_idx])
+    model = fit_surrogate(support, _system_rule(problem), config.wants_isotropic_gp(d))
 
     def score(model, means, dmin):
-        return lf1_scores(np.abs(means), dmin,
-                          _scale(support.outputs, config.lf_scale_mode))
+        return lf1_scores(np.abs(means), dmin, _scale(support.outputs))
 
     model, means, _, report = _refine(
         evaluator, model, support, pool, x_cands, log_std_normal_pdf(cands),
-        np.log(hypercube_density(cands)), score, config, config.max_iter1,
+        np.log(hypercube_density(cands)), score, config.max_iter1,
         (config.a1, config.eps1))
     report.coarse = True
     failure_u = cands[means <= 0]
@@ -293,19 +283,17 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
     gm = build_gm(mpps)
     notes["n_mixture_components"] = int(gm.n_components)
 
-    feat = _feature_map(rv)
     cands = gm.sample(config.n_c2, rng)
     pool = CandidatePool(cands)
-    x_cands = feat(rv.from_standard_normal(cands))
+    x_cands = _feature_map(rv, rv.from_standard_normal(cands))
     log_pn = log_std_normal_pdf(cands)
     log_q2 = gm.logpdf(cands)
 
     def score(model, means, dmin):
-        return lf2_scores(np.abs(means), dmin, log_pn, log_q2,
-                          _scale(support.outputs, config.lf_scale_mode))
+        return lf2_scores(np.abs(means), dmin, log_pn, log_q2, _scale(support.outputs))
 
     model, means, initial_pf, report = _refine(
-        evaluator, model, support, pool, x_cands, log_pn, log_q2, score, config,
+        evaluator, model, support, pool, x_cands, log_pn, log_q2, score,
         config.max_iter2, (config.a2, config.eps2))
     report.initial_pf = initial_pf
     report.notes = notes
@@ -320,7 +308,8 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
         pool.extend(extra)
         log_pn = np.concatenate([log_pn, log_std_normal_pdf(extra)])
         log_q2 = np.concatenate([log_q2, gm.logpdf(extra)])
-        means = np.concatenate([means, model.predict_mean(feat(rv.from_standard_normal(extra)))])
+        x_extra = _feature_map(rv, rv.from_standard_normal(extra))
+        means = np.concatenate([means, model.predict_mean(x_extra)])
         est = is_estimate_from_log(means <= 0, log_pn, log_q2)
         est.n_eval = evaluator.ledger.count
         grown += 1
@@ -333,10 +322,11 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
     return report, model
 
 
-def _thin_trace(trace_u, trace_g, trace_components, min_sep=0.05, max_points=300):
-    """Subset of trace points with pairwise separation; finite-difference
-    probe points sit within the step of their iterate and would otherwise
-    ill-condition the kernel matrix. Points near the limit state first."""
+def _thin_trace(rv, trace_u, trace_g, trace_components, min_sep=0.05, max_points=300):
+    """Support set of the trace points with pairwise separation;
+    finite-difference probe points sit within the step of their iterate and
+    would otherwise ill-condition the kernel matrix. Points near the limit
+    state first."""
     order = np.argsort(np.abs(trace_g), kind="stable")
     keep = []
     for i in order:
@@ -345,7 +335,8 @@ def _thin_trace(trace_u, trace_g, trace_components, min_sep=0.05, max_points=300
         if all(np.linalg.norm(trace_u[i] - trace_u[j]) >= min_sep for j in keep):
             keep.append(int(i))
     keep.sort()
-    return trace_u[keep], trace_g[keep], trace_components[keep]
+    return SupportPointSet(trace_u[keep], _feature_map(rv, rv.from_standard_normal(trace_u[keep])),
+                           trace_g[keep], trace_components[keep])
 
 
 def _form_seed(problem, config, rng, evaluator):
@@ -355,19 +346,14 @@ def _form_seed(problem, config, rng, evaluator):
     # Past ~20 inputs, central-difference gradients dominate the evaluation
     # budget; forward differences halve the per-iteration cost.
     fd = "forward" if problem.dim >= 20 else "central"
-    distinct, all_results = multi_start_mpps(evaluator, config.form_starts, rng,
-                                             fd_scheme=fd)
+    distinct, all_results = multi_start_mpps(evaluator, 1, rng, fd_scheme=fd)
     trace_u = np.vstack([r.trace_u for r in all_results])
     trace_g = np.concatenate([r.trace_g for r in all_results])
     trace_c = np.vstack([r.trace_components for r in all_results])
     # Keep every converged MPP in the training set.
-    thin_u, thin_g, thin_c = _thin_trace(trace_u, trace_g, trace_c)
-    thetas = np.atleast_2d(rv.from_standard_normal(thin_u))
-    support = SupportPointSet(thin_u, thetas, thin_g, thin_c)
-    composite = _use_composite(problem, config)
-    model = fit_surrogate(support, composite=composite, n_restarts=config.gp_restarts,
-                          feature_fn=_feature_map(rv),
-                          isotropic=config.wants_isotropic_gp(problem.dim))
+    support = _thin_trace(rv, trace_u, trace_g, trace_c)
+    model = fit_surrogate(support, _system_rule(problem),
+                          config.wants_isotropic_gp(problem.dim))
     mpps = np.array([r.u_star for r in distinct])
     beta_min = distinct[0].beta
     pf_form = form_pf(beta_min)
@@ -415,20 +401,17 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     if res is None:
         distinct, _ = multi_start_mpps(evaluator, 10, rng)
         res = distinct[0]
-    feat = _feature_map(rv)
     gm = GaussianMixture(res.u_star[None, :])
     cands = gm.sample(config.n_c2, rng)
     pool = CandidatePool(cands)
-    x_cands = feat(rv.from_standard_normal(cands))
+    x_cands = _feature_map(rv, rv.from_standard_normal(cands))
 
-    thin_u, thin_g, thin_c = _thin_trace(res.trace_u, res.trace_g, res.trace_components)
-    support = SupportPointSet(thin_u, np.atleast_2d(rv.from_standard_normal(thin_u)), thin_g, thin_c)
+    support = _thin_trace(rv, res.trace_u, res.trace_g, res.trace_components)
     doe_idx = _maximin_indices(cands - res.u_star, 12)
     pool.selected[doe_idx] = True
     for i in doe_idx:
-        _append_support(evaluator, rv, support, cands[i])
-    model = fit_surrogate(support, composite=False, n_restarts=config.gp_restarts,
-                          feature_fn=feat)
+        _append_support(evaluator, support, cands[i])
+    model = fit_surrogate(support)
 
     def score(model, means, dmin):
         sds = model.predict_sd(x_cands)
@@ -443,7 +426,7 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     # Fixed-size IS estimate: the single shifted Gaussian cannot reach other
     # failure branches anyway, so growing the pool only adds weight variance.
     *_, report = _refine(evaluator, model, support, pool, x_cands,
-                         log_std_normal_pdf(cands), gm.logpdf(cands), score, config,
+                         log_std_normal_pdf(cands), gm.logpdf(cands), score,
                          config.max_iter2)
     return report.final
 

@@ -1,7 +1,8 @@
-"""Gaussian-process surrogate (ordinary kriging) and the composite-min
-wrapper for series systems.
+"""Gaussian-process surrogate (ordinary kriging) and the per-component
+composite for series and parallel systems.
 
-Inputs live in u-space; outputs are standardized internally and
+Inputs are the training coordinates a ``SupportPointSet`` stores in
+``x``; outputs are standardized internally and
 de-normalized on prediction. Hyperparameters (per-dimension lengthscales)
 maximize the concentrated log marginal likelihood with the constant trend
 and signal variance profiled out. L-BFGS-B fits the log-lengthscales with
@@ -29,34 +30,34 @@ _BIG = 1e25
 
 @dataclass
 class SupportPointSet:
-    """Append-only dataset of evaluated points: u-space inputs, the matching
-    original-space inputs, aggregated outputs and optional per-component
-    outputs."""
+    """Append-only dataset of evaluated points: u-space inputs, the GP's
+    training coordinates of the same points, aggregated outputs and optional
+    per-component outputs."""
 
     inputs_u: np.ndarray
-    inputs_theta: np.ndarray
+    x: np.ndarray
     outputs: np.ndarray
     component_outputs: np.ndarray | None = None  # (n, n_components)
 
     def __post_init__(self):
         self.inputs_u = np.atleast_2d(np.asarray(self.inputs_u, dtype=float))
-        self.inputs_theta = np.atleast_2d(np.asarray(self.inputs_theta, dtype=float))
+        self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         self.outputs = np.asarray(self.outputs, dtype=float)
         if self.component_outputs is not None:
             self.component_outputs = np.atleast_2d(np.asarray(self.component_outputs, dtype=float))
         n = self.inputs_u.shape[0]
-        if self.inputs_theta.shape[0] != n or self.outputs.shape[0] != n:
+        if self.x.shape[0] != n or self.outputs.shape[0] != n:
             raise ValueError("support point arrays must have equal lengths")
 
     def __len__(self):
         return self.inputs_u.shape[0]
 
-    def append(self, u, theta, y, components=None):
+    def append(self, u, x, y, components=None):
         u = np.asarray(u, dtype=float)
         if np.any(np.all(np.isclose(self.inputs_u, u, rtol=0, atol=0), axis=1)):
             raise ValueError("duplicate support input")
         self.inputs_u = np.vstack([self.inputs_u, u])
-        self.inputs_theta = np.vstack([self.inputs_theta, np.asarray(theta, dtype=float)])
+        self.x = np.vstack([self.x, np.asarray(x, dtype=float)])
         self.outputs = np.append(self.outputs, float(y))
         if self.component_outputs is not None:
             self.component_outputs = np.vstack([self.component_outputs, np.asarray(components, dtype=float)])
@@ -254,88 +255,78 @@ class GpSurrogate:
         return self.predict_mean(u), self.predict_sd(u)
 
 
-class CompositeMinSurrogate:
-    """Per-component GPs for a series system; the prediction is the minimum
-    over component means. The predictive sd reported is that of the
-    minimizing component."""
+def _series_min(values):
+    return np.min(values, axis=-1)
 
-    def __init__(self, models):
+
+class CompositeMinSurrogate:
+    """Per-component GPs for a system. The prediction combines the component
+    means with the system's rule ``aggregate`` (the minimum, for a series
+    system, unless given); the predictive sd reported is that of the
+    component the rule picks."""
+
+    def __init__(self, models, aggregate=_series_min):
         self.models = list(models)
         if not self.models:
             raise ValueError("need at least one component model")
+        self.aggregate = aggregate
 
     @classmethod
-    def fit(cls, x, component_y, n_restarts=5, seed=0, isotropic=False):
+    def fit(cls, x, component_y, aggregate=_series_min, isotropic=False):
         models = []
         for j in range(component_y.shape[1]):
-            models.append(GpSurrogate().fit(x, component_y[:, j], n_restarts=n_restarts,
-                                            seed=seed + j, isotropic=isotropic))
-        return cls(models)
+            models.append(GpSurrogate().fit(x, component_y[:, j], seed=j,
+                                            isotropic=isotropic))
+        return cls(models, aggregate)
 
     @property
     def fitted(self):
         return all(m.fitted for m in self.models)
 
-    @property
-    def isotropic(self):
-        return all(m.isotropic for m in self.models)
-
     def _stack_means(self, u):
         return np.stack([np.atleast_1d(m.predict_mean(np.atleast_2d(u))) for m in self.models], axis=1)
 
     def predict_mean(self, u):
-        means = self._stack_means(u).min(axis=1)
+        means = self.aggregate(self._stack_means(u))
         return means[0] if np.asarray(u).ndim == 1 else means
 
     def predict_sd(self, u):
         means = self._stack_means(u)
         sds = np.stack([np.atleast_1d(m.predict_sd(np.atleast_2d(u))) for m in self.models], axis=1)
-        picked = sds[np.arange(means.shape[0]), means.argmin(axis=1)]
+        # The first component whose mean is the system's value.
+        rule = (means == self.aggregate(means)[:, None]).argmax(axis=1)
+        picked = sds[np.arange(means.shape[0]), rule]
         return picked[0] if np.asarray(u).ndim == 1 else picked
 
     def predict(self, u):
         return self.predict_mean(u), self.predict_sd(u)
 
 
-def training_inputs(points: SupportPointSet, feature_fn=None):
-    """Training coordinates: u-space by default, or a caller-supplied
-    featurization of the original-space inputs."""
-    if feature_fn is None:
-        return points.inputs_u
-    return np.atleast_2d(feature_fn(points.inputs_theta))
-
-
-def fit_surrogate(points: SupportPointSet, composite=False, n_restarts=5, seed=0,
-                  feature_fn=None, isotropic=False):
-    """Fit the configured surrogate on a support point set."""
-    x = training_inputs(points, feature_fn)
-    if composite:
+def fit_surrogate(points: SupportPointSet, aggregate=None, isotropic=False):
+    """Fit one GP on the outputs of a support point set, or, given the
+    system's rule ``aggregate``, one GP per component combined by it."""
+    if aggregate is not None:
         if points.component_outputs is None:
             raise ValueError("composite surrogate needs per-component outputs")
-        return CompositeMinSurrogate.fit(x, points.component_outputs,
-                                         n_restarts=n_restarts, seed=seed,
-                                         isotropic=isotropic)
-    return GpSurrogate().fit(x, points.outputs, n_restarts=n_restarts, seed=seed,
-                             isotropic=isotropic)
+        return CompositeMinSurrogate.fit(points.x, points.component_outputs, aggregate,
+                                         isotropic)
+    return GpSurrogate().fit(points.x, points.outputs, isotropic=isotropic)
 
 
-def _refit(gp, x, y, n_restarts, seed, warm):
-    """Fit a fresh GP on grown data with ``gp``'s kernel form; a warm refit
-    seeds one restart at ``gp``'s lengthscales and trims the random ones."""
-    if warm and not gp._constant:
-        return GpSurrogate().fit(x, y, n_restarts=min(n_restarts, 3), seed=seed,
-                                 init_lengthscales=gp.lengthscales,
-                                 isotropic=gp.isotropic)
-    return GpSurrogate().fit(x, y, n_restarts=n_restarts, seed=seed,
-                             isotropic=gp.isotropic)
+def _refit(gp, x, y, seed):
+    """Fit a fresh GP on grown data with ``gp``'s kernel form, one of three
+    restarts seeded at ``gp``'s lengthscales; a constant GP has none and
+    gets a full fresh fit."""
+    if gp._constant:
+        return GpSurrogate().fit(x, y, seed=seed, isotropic=gp.isotropic)
+    return GpSurrogate().fit(x, y, n_restarts=3, seed=seed,
+                             init_lengthscales=gp.lengthscales, isotropic=gp.isotropic)
 
 
-def update_surrogate(model, points: SupportPointSet, n_restarts=5, seed=0, warm=True,
-                     feature_fn=None):
+def update_surrogate(model, points: SupportPointSet):
     """Refit the surrogate after a point was appended to ``points``."""
-    x = training_inputs(points, feature_fn)
     if isinstance(model, CompositeMinSurrogate):
         return CompositeMinSurrogate(
-            _refit(m, x, points.component_outputs[:, j], n_restarts, seed + j, warm)
-            for j, m in enumerate(model.models))
-    return _refit(model, x, points.outputs, n_restarts, seed, warm)
+            (_refit(m, points.x, points.component_outputs[:, j], j)
+             for j, m in enumerate(model.models)), model.aggregate)
+    return _refit(model, points.x, points.outputs, 0)

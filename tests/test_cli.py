@@ -1,6 +1,7 @@
 """Command-line interface: config validation, reports, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -11,6 +12,7 @@ import pytest
 from s4is.cli import (CONFIG_SCHEMA, build_report, history_rows, main,
                       report_csv_rows, report_json, validate_config)
 from s4is.errors import ConfigError
+from s4is.pipeline import S4isConfig
 
 
 def _config(tmp_path, payload):
@@ -52,7 +54,10 @@ def test_unknown_key_exits_2_without_evaluation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("block", [{"eps1": -1}, {"a2": 0},
-                                   {"strict_candidate_sizing": True}])
+                                   {"strict_candidate_sizing": True},
+                                   {"n_c2": "abc"}, {"k_clusters": 0},
+                                   {"max_iter1": 2.5}, {"n_c1": True},
+                                   {"gp_warm_updates": False}])
 def test_bad_s4is_block_exits_2_without_evaluation(tmp_path, capsys, block):
     sentinel = tmp_path / "touched"
     payload = {
@@ -67,6 +72,40 @@ def test_bad_s4is_block_exits_2_without_evaluation(tmp_path, capsys, block):
     assert main(["run", "--config", _config(tmp_path, payload)]) == 2
     assert "invalid" in capsys.readouterr().err
     assert not sentinel.exists()
+
+
+def test_s4is_block_takes_exactly_the_run_parameters():
+    # A new S4isConfig field is a new user-facing knob: add it here on purpose.
+    params = ["n_c1", "n_s1_0", "n_c2", "k_clusters", "eps1", "a1", "eps2", "a2",
+              "max_iter1", "max_iter2", "cov_target", "pool_growth_limit"]
+    assert [f.name for f in dataclasses.fields(S4isConfig)] == params
+    assert sorted(CONFIG_SCHEMA["properties"]["s4is"]["properties"]) == sorted(params)
+
+
+def test_external_evaluator_closed_when_run_returns(tmp_path):
+    # The child writes the sentinel 0.2 s after its stdin reaches EOF, so it
+    # exists on return only if the run closed the child and waited for it.
+    sentinel = tmp_path / "closed"
+    child = tmp_path / "child.py"
+    child.write_text(
+        "import json, sys, time\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    t1, t2 = req['theta']\n"
+        "    print(json.dumps({'id': req['id'], 'g': 3.0 - t1 - t2}), flush=True)\n"
+        "time.sleep(0.2)\n"
+        f"open({str(sentinel)!r}, 'w').close()\n")
+    payload = {
+        "problem": {"external": {
+            "command": [sys.executable, str(child)],
+            "marginals": [{"kind": "normal", "mean": 0, "sd": 1},
+                          {"kind": "normal", "mean": 0, "sd": 1}],
+        }},
+        "method": "form",
+    }
+    assert main(["run", "--config", _config(tmp_path, payload),
+                 "--output", str(tmp_path / "report.json")]) == 0
+    assert sentinel.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -6,6 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import s4is.evaluation
 from s4is.errors import ConfigError, EvaluationError, ProtocolError
 from s4is.evaluation import Evaluator, external_problem
 from s4is.probability import Marginal, RandomVector
@@ -109,3 +110,26 @@ print(json.dumps({"id": req["id"], "g": float("inf")}), flush=True)
 def test_dim_mismatch_rejected(tmp_path):
     with pytest.raises(ConfigError):
         external_problem([sys.executable, "-c", "pass"], 3, TWO_NORMALS)
+
+
+def test_string_command_rejected():
+    # A string would need a shell to split it; only argument lists are run.
+    with pytest.raises(ConfigError):
+        external_problem(f"{sys.executable} -c pass", 2, TWO_NORMALS)
+
+
+def test_close_kills_a_child_that_ignores_eof(tmp_path, monkeypatch):
+    monkeypatch.setattr(s4is.evaluation, "_CLOSE_GRACE_S", 0.2)
+    script = tmp_path / "stubborn.py"
+    script.write_text(textwrap.dedent("""\
+        import json, sys, time
+        for line in sys.stdin:
+            req = json.loads(line)
+            print(json.dumps({"id": req["id"], "g": 1.0}), flush=True)
+        time.sleep(30)
+    """))
+    problem = external_problem([sys.executable, str(script)], 2, TWO_NORMALS)
+    child = problem.components[0]
+    assert Evaluator(problem).g(np.zeros(2)) == 1.0
+    child.close()
+    assert child._proc.poll() is not None

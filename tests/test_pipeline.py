@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from s4is.errors import StageFailureError
 from s4is.evaluation import ProblemSpec, builtin_problem
@@ -26,8 +27,6 @@ def test_config_validation():
         S4isConfig(eps1=-1.0)
     with pytest.raises(ValueError):
         S4isConfig(a2=0)
-    with pytest.raises(ValueError):
-        S4isConfig(lf_scale_mode="bogus")
 
 
 def test_run_s4is_deterministic():
@@ -76,6 +75,17 @@ def test_safe_problem_raises_stage_failure():
     problem = ProblemSpec("always_safe", rv, (comp,), "single")
     with pytest.raises(StageFailureError):
         run_s4is(problem, S4isConfig(max_iter1=20), np.random.default_rng(0))
+
+
+def test_parallel_system_combines_components_by_max():
+    # Failure needs both components <= 0, so pf = Phi(-2)^2 = 5.18e-4; the
+    # minimum of the component surrogates would instead give about Phi(-2) * 2.
+    rv = RandomVector((Marginal("normal", 0, 1), Marginal("normal", 0, 1)))
+    problem = ProblemSpec("parallel", rv, (lambda t: 2.0 - t[:, 0],
+                                           lambda t: 2.0 - t[:, 1]), "parallel_max")
+    res = run_s4is(problem, S4isConfig(), np.random.default_rng(1))
+    assert res.estimate.pf == pytest.approx(norm.cdf(-2.0) ** 2, rel=0.10)
+    assert res.estimate.n_eval <= 40
 
 
 def test_mcs_baseline():

@@ -4,8 +4,8 @@ behaviour must reproduce them.
 Each case is a run config; its report is stored under ``tests/data/``.
 Strings, integers, booleans and nulls must match exactly, floats to a
 relative 1e-9. The small ``s4is`` blocks force the rarer paths of the
-refinement loop: CoV-driven pool growth, ``max_iterations`` with cold
-composite updates, and ``pool_exhausted``.
+refinement loop: CoV-driven pool growth, ``max_iterations`` in both
+stages, and ``pool_exhausted``.
 
 Regenerate the fixtures (only for an intended change of behaviour) with
 ``PYTHONPATH=src python tests/test_reports.py``.
@@ -35,9 +35,8 @@ CASES = {
     "s4is_example5_d10": _cfg("s4is", {"name": "example5", "d": 10}),
     "s4is_pool_growth": _cfg("s4is", {"name": "example4", "c": 5},
                              n_c2=200, max_iter2=4, pool_growth_limit=5),
-    "s4is_cold_max_iterations": _cfg("s4is", {"name": "example1"},
-                                     gp_warm_updates=False, max_iter1=5,
-                                     max_iter2=5),
+    "s4is_max_iterations": _cfg("s4is", {"name": "example1"},
+                                max_iter1=5, max_iter2=5),
     "s4is_pool_exhausted": _cfg("s4is", {"name": "example3"},
                                 n_c1=16, n_s1_0=12, n_c2=5),
 }
@@ -79,9 +78,9 @@ def test_recordings_cover_the_rare_loop_paths():
 
     assert stages("s4is_example5_d10")["stage1"]["termination"] == "form_seed"
     assert stages("s4is_pool_growth")["stage2"]["notes"]["pool_enlargements"] > 0
-    cold = stages("s4is_cold_max_iterations")
-    assert cold["stage1"]["termination"] == "max_iterations"
-    assert cold["stage2"]["termination"] == "max_iterations"
+    capped = stages("s4is_max_iterations")
+    assert capped["stage1"]["termination"] == "max_iterations"
+    assert capped["stage2"]["termination"] == "max_iterations"
     exhausted = stages("s4is_pool_exhausted")
     assert exhausted["stage1"]["termination"] == "pool_exhausted"
     assert exhausted["stage2"]["termination"] == "pool_exhausted"

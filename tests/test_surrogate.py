@@ -6,8 +6,7 @@ import pytest
 import s4is.surrogate
 from s4is.errors import FitError
 from s4is.surrogate import (CompositeMinSurrogate, GpSurrogate,
-                            SupportPointSet, fit_surrogate, training_inputs,
-                            update_surrogate)
+                            SupportPointSet, fit_surrogate, update_surrogate)
 
 
 def _training_data(n=20, d=2, seed=0):
@@ -73,11 +72,15 @@ def test_update_matches_fresh_fit():
     pts = SupportPointSet(x, x, y)
     updated = fit_surrogate(pts)
     pts.append(x_new[0], x_new[0], y_new[0])
-    updated = update_surrogate(updated, pts, warm=False)
+    updated = update_surrogate(updated, pts)
 
+    # The refit starts at the old lengthscales, not at the fresh fit's
+    # starts, so both reach the same optimum only to optimizer tolerance
+    # (the means differ by about 7e-7 here).
+    assert updated.nll_history[-1] <= fresh.nll_history[-1] + 1e-8
     grid = rng.uniform(-3, 3, size=(20, 2))
     np.testing.assert_allclose(updated.predict_mean(grid),
-                               fresh.predict_mean(grid), atol=1e-8)
+                               fresh.predict_mean(grid), atol=1e-5)
 
 
 def test_composite_min_of_component_means():
@@ -92,6 +95,20 @@ def test_composite_min_of_component_means():
     assert np.all(model.predict_sd(np.array([[10.0, 10.0]])) > 0)
 
 
+def test_composite_applies_the_system_rule():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3, 3, size=(25, 2))
+    comp = np.column_stack([x[:, 0] + 2.0, -x[:, 0] + 2.0 + 0.5 * np.sin(3 * x[:, 1])])
+    model = CompositeMinSurrogate.fit(x, comp, lambda v: np.max(v, axis=-1))
+    grid = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(model.predict_mean(grid), [4.0, 4.0, 2.0], atol=1e-2)
+    # sd comes from the component the max picks; the two sds differ here
+    out = np.array([[3.5, 3.5], [-3.5, -3.5]])
+    sds = [m.predict_sd(out) for m in model.models]
+    assert sds[0][0] != sds[1][0] and sds[0][1] != sds[1][1]
+    np.testing.assert_array_equal(model.predict_sd(out), [sds[0][0], sds[1][1]])
+
+
 def test_support_point_set_append_and_duplicates():
     pts = SupportPointSet(np.zeros((1, 2)), np.zeros((1, 2)), np.array([1.0]),
                           np.array([[1.0, 2.0]]))
@@ -101,20 +118,6 @@ def test_support_point_set_append_and_duplicates():
     with pytest.raises(ValueError):
         pts.append(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5,
                    np.array([0.5, 0.7]))
-
-
-def test_fit_surrogate_feature_map():
-    pts = SupportPointSet(np.empty((0, 1)), np.empty((0, 1)), np.empty(0),
-                          np.empty((0, 1)))
-    for v in np.linspace(-2, 2, 8):
-        pts.append(np.array([v]), np.array([2.0 * v + 1.0]),
-                   float(v ** 2), np.array([v ** 2]))
-    feat = lambda theta: (np.atleast_2d(theta) - 1.0) / 2.0
-    model = fit_surrogate(pts, composite=False, feature_fn=feat)
-    np.testing.assert_allclose(training_inputs(pts, feat), pts.inputs_u,
-                               atol=1e-12)
-    pred = model.predict_mean(feat(pts.inputs_theta))
-    np.testing.assert_allclose(pred, pts.outputs, atol=1e-3)
 
 
 @pytest.mark.parametrize("part, bad", [("x", np.nan), ("x", np.inf),
@@ -197,10 +200,9 @@ def test_composite_honours_isotropic_through_updates():
             assert m.isotropic
             np.testing.assert_array_equal(m.lengthscales, m.lengthscales[0])
 
-    model = fit_surrogate(pts, composite=True, isotropic=True)
+    model = fit_surrogate(pts, lambda v: np.min(v, axis=-1), isotropic=True)
     assert_isotropic(model)
-    for warm in (True, False):
-        v = rng.uniform(-3, 3, size=(1, 3))
-        pts.append(v[0], v[0], comps(v).min(), comps(v)[0])
-        model = update_surrogate(model, pts, warm=warm)
-        assert_isotropic(model)
+    v = rng.uniform(-3, 3, size=(1, 3))
+    pts.append(v[0], v[0], comps(v).min(), comps(v)[0])
+    model = update_surrogate(model, pts)
+    assert_isotropic(model)
