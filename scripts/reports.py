@@ -1,0 +1,59 @@
+"""Write the 20 fixed-seed CLI reports that a behaviour-preserving change
+must leave byte-identical.
+
+    python3 scripts/reports.py OUTDIR
+
+Runs ``s4is run --seed 7`` for each of mcs (n = 1e6), form, akis and s4is
+on example1, example2, example3, example4 (c = 5) and example5 (d = 10),
+one fresh interpreter per report, with the package imported from this
+checkout's ``src/``. Each report lands in ``OUTDIR/<method>_<problem>.json``.
+To check a change, run the script from both checkouts and compare the two
+directories with ``diff -r``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SEED = 7
+MCS_N = 1_000_000
+METHODS = ("mcs", "form", "akis", "s4is")
+PROBLEMS = (
+    ("example1", {"name": "example1"}),
+    ("example2", {"name": "example2"}),
+    ("example3", {"name": "example3"}),
+    ("example4_c5", {"name": "example4", "c": 5}),
+    ("example5_d10", {"name": "example5", "d": 10}),
+)
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, builtin in PROBLEMS:
+            for method in METHODS:
+                cfg = {"problem": {"builtin": builtin}, "method": method}
+                if method == "mcs":
+                    cfg["mcs"] = {"n": MCS_N}
+                cfg_path = Path(tmp) / f"{method}_{label}.json"
+                cfg_path.write_text(json.dumps(cfg))
+                report = out / f"{method}_{label}.json"
+                subprocess.run([sys.executable, "-m", "s4is.cli", "run",
+                                "--config", str(cfg_path), "--seed", str(SEED),
+                                "--output", str(report)], env=env, check=True)
+                print(report, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,7 +7,8 @@ from .benchmarks import (Band, ExperimentDef, ExperimentReport,
                          oracle_is_reference, reference_table, run_experiment)
 from .errors import (BaselineError, ConfigError, DensitySupportError,
                      DomainError, EvaluationError, FitError, ProtocolError,
-                     S4isError, StageFailureError, StationaryPointError)
+                     S4isError, StageFailureError, StationaryPointError,
+                     SupportPointError)
 from .estimators import (ReliabilityEstimate, is_estimate,
                          is_estimate_from_log, mcs_estimate, relative_error)
 from .evaluation import (EvaluationLedger, Evaluator, ExternalEvaluator,
@@ -28,9 +29,10 @@ __all__ = [
     "Marginal", "MppResult", "ProblemSpec", "ProtocolError",
     "RandomVector", "ReliabilityEstimate", "S4isConfig", "S4isError",
     "S4isResult", "StageFailureError", "StageReport",
-    "StationaryPointError", "builtin_problem", "external_problem",
-    "form_pf", "hlrf_search", "is_estimate", "is_estimate_from_log",
-    "mcs_estimate", "multi_start_mpps", "oracle_is_reference",
-    "reference_table", "relative_error", "run_akis_baseline",
-    "run_experiment", "run_form_baseline", "run_mcs_baseline", "run_s4is",
+    "StationaryPointError", "SupportPointError", "builtin_problem",
+    "external_problem", "form_pf", "hlrf_search", "is_estimate",
+    "is_estimate_from_log", "mcs_estimate", "multi_start_mpps",
+    "oracle_is_reference", "reference_table", "relative_error",
+    "run_akis_baseline", "run_experiment", "run_form_baseline",
+    "run_mcs_baseline", "run_s4is",
 ]

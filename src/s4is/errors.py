@@ -26,6 +26,11 @@ class FitError(S4isError):
     after nugget escalation)."""
 
 
+class SupportPointError(S4isError, ValueError):
+    """Invalid support points or GP training data: duplicate inputs,
+    arrays of unequal lengths or fewer than two points."""
+
+
 class DensitySupportError(S4isError):
     """Importance density is zero at a failure sample."""
 

@@ -8,6 +8,7 @@ one point per request over a newline-delimited JSON stdio protocol.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import subprocess
@@ -21,6 +22,8 @@ from .probability import Marginal, RandomVector
 
 AGGREGATIONS = ("single", "series_min", "parallel_max")
 _CLOSE_GRACE_S = 10.0  # how long a closed external evaluator may take to exit
+_STDERR_TAIL_LINES = 20  # stderr lines of an external evaluator kept for errors
+_STDERR_WAIT_S = 1.0  # how long a failed evaluator's stderr may take to end
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,9 @@ class ExternalEvaluator:
 
     Requests are ``{"id": n, "theta": [...]}``; responses must echo the id
     with either a ``g`` value or an ``error`` message. One request is in
-    flight at a time; any protocol violation aborts the run.
+    flight at a time; any protocol violation aborts the run. A daemon thread
+    drains the child's stderr, so a chatty child never blocks on a full
+    pipe, and keeps its last lines for the error raised if the child dies.
     """
 
     def __init__(self, command, dim):
@@ -247,12 +252,34 @@ class ExternalEvaluator:
         self._lock = threading.Lock()
         self._proc = subprocess.Popen(
             command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1,
+            stderr=subprocess.PIPE, text=True, bufsize=1,
         )
+        self._stderr_tail = collections.deque(maxlen=_STDERR_TAIL_LINES)
+        self._stderr_lock = threading.Lock()
+        self._stderr_reader = threading.Thread(target=self._drain_stderr, daemon=True)
+        self._stderr_reader.start()
+
+    def _drain_stderr(self):
+        # Bytes, decoded leniently: a child's diagnostics need not be UTF-8.
+        for raw in self._proc.stderr.buffer:
+            line = raw.decode(errors="replace").rstrip("\r\n")
+            with self._stderr_lock:
+                self._stderr_tail.append(line)
+
+    def _died(self, what):
+        """The error for a child that exited or closed its output, with the
+        tail of its stderr."""
+        self._stderr_reader.join(timeout=_STDERR_WAIT_S)
+        with self._stderr_lock:
+            tail = list(self._stderr_tail)
+        if tail:
+            what += "; last stderr lines:\n" + "\n".join(tail)
+        return EvaluationError(what)
 
     def close(self):
         """Close the child's stdin and wait for it to exit; kill it if it
-        is still running after the grace period."""
+        is still running after the grace period. Then close its output
+        pipes (stderr once the drain thread has reached its end)."""
         if self._proc.poll() is None:
             self._proc.stdin.close()
             try:
@@ -260,6 +287,10 @@ class ExternalEvaluator:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+        self._proc.stdout.close()
+        self._stderr_reader.join(timeout=_STDERR_WAIT_S)
+        if not self._stderr_reader.is_alive():
+            self._proc.stderr.close()
 
     def __call__(self, thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -275,9 +306,9 @@ class ExternalEvaluator:
                 self._proc.stdin.flush()
                 reply = self._proc.stdout.readline()
             except (BrokenPipeError, ValueError) as exc:
-                raise EvaluationError(f"external evaluator died: {exc}") from exc
+                raise self._died(f"external evaluator died: {exc}") from exc
             if not reply:
-                raise EvaluationError("external evaluator closed its output")
+                raise self._died("external evaluator closed its output")
             try:
                 msg = json.loads(reply)
             except json.JSONDecodeError as exc:

@@ -133,3 +133,35 @@ def test_close_kills_a_child_that_ignores_eof(tmp_path, monkeypatch):
     assert Evaluator(problem).g(np.zeros(2)) == 1.0
     child.close()
     assert child._proc.poll() is not None
+
+
+def test_child_stderr_tail_in_error(tmp_path):
+    cmd = _child(tmp_path, """\
+for i in range(100):
+    print(f"warning {i}", file=sys.stderr)
+sys.exit(3)
+""")
+    problem = external_problem(cmd, 2, TWO_NORMALS)
+    try:
+        with pytest.raises(EvaluationError, match="closed its output") as info:
+            Evaluator(problem).g(np.zeros(2))
+    finally:
+        problem.components[0].close()
+    lines = str(info.value).splitlines()
+    assert lines[-20:] == [f"warning {i}" for i in range(80, 100)]
+    assert "warning 79" not in lines
+
+
+def test_chatty_child_does_not_block(tmp_path):
+    # Far more than a pipe buffer holds: undrained, the child would block
+    # on stderr and never reply.
+    cmd = _child(tmp_path, """\
+sys.stderr.write(("x" * 99 + "\\n") * 5000)
+sys.stderr.flush()
+print(json.dumps({"id": req["id"], "g": 1.0}), flush=True)
+""")
+    problem = external_problem(cmd, 2, TWO_NORMALS)
+    try:
+        assert Evaluator(problem).g(np.zeros(2)) == 1.0
+    finally:
+        problem.components[0].close()

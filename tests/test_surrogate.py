@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
 import s4is.surrogate
-from s4is.errors import FitError
+from s4is.errors import FitError, S4isError, SupportPointError
 from s4is.surrogate import (CompositeMinSurrogate, GpSurrogate,
                             SupportPointSet, fit_surrogate, update_surrogate)
 
@@ -206,3 +208,120 @@ def test_composite_honours_isotropic_through_updates():
     pts.append(v[0], v[0], comps(v).min(), comps(v)[0])
     model = update_surrogate(model, pts)
     assert_isotropic(model)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SupportPointSet(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(2)),
+    lambda: SupportPointSet(np.zeros((1, 2)), np.zeros((1, 2)),
+                            np.zeros(1)).append(np.zeros(2), np.zeros(2), 0.0),
+    lambda: GpSurrogate().fit(np.zeros((1, 2)), np.zeros(1)),
+    lambda: GpSurrogate().fit(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
+                              np.array([1.0, 1.0, 2.0])),
+])
+def test_bad_support_points_raise_a_typed_error(make):
+    # An S4isError makes the CLI exit 3; it stays a ValueError for callers
+    # that catch that.
+    with pytest.raises(SupportPointError) as info:
+        make()
+    assert isinstance(info.value, S4isError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_duplicate_check_is_exact_equality():
+    pts = SupportPointSet(np.array([[0.0, np.inf]]), np.zeros((1, 2)), np.zeros(1))
+    pts.append(np.array([0.0, 1e-300]), np.zeros(2), 0.0)  # near is not equal
+    with pytest.raises(SupportPointError):
+        pts.append(np.array([0.0, np.inf]), np.zeros(2), 0.0)
+    pts.append(np.array([np.nan, 0.0]), np.zeros(2), 0.0)
+    pts.append(np.array([np.nan, 0.0]), np.zeros(2), 0.0)  # NaN equals nothing
+    assert len(pts) == 4
+
+
+def _reference_factor(model, ls, delta):
+    """The likelihood kernel written with scipy's cho_factor/cho_solve, in
+    the same floating-point order as GpSurrogate."""
+    x, z = model.x, model._z
+    n = x.shape[0]
+    sq = cdist(x / ls, x / ls, "sqeuclidean")
+    r = np.exp(-0.5 * sq)
+    r[np.diag_indices(n)] += delta
+    cf = cho_factor(r, lower=True, check_finite=False)
+    ones = np.ones(n)
+    rz = cho_solve(cf, z, check_finite=False)
+    r1 = cho_solve(cf, ones, check_finite=False)
+    denom = ones @ r1
+    beta = (ones @ rz) / denom
+    resid = z - beta
+    alpha = cho_solve(cf, resid, check_finite=False)
+    sigma2 = max(float(resid @ alpha) / n, 1e-300)
+    logdet = 2.0 * np.sum(np.log(np.diag(cf[0])))
+    nll = 0.5 * (n * np.log(sigma2) + logdet)
+    w = cho_solve(cf, np.eye(n), check_finite=False)
+    w -= np.outer(alpha, alpha) / sigma2
+    w *= r
+    if model.isotropic:
+        grad = np.array([0.5 * np.sum(w * sq)])
+    else:
+        grad = np.empty(len(ls))
+        for k, col in enumerate(x.T):
+            diff = np.subtract.outer(col, col)
+            grad[k] = 0.5 * np.sum(w * (diff * diff)) / ls[k] ** 2
+    return nll, grad, cf, r1, denom, sigma2
+
+
+def _reference_sd(model, u):
+    ls = model.lengthscales
+    _, _, cf, r1, denom, sigma2 = _reference_factor(model, ls, model._delta)
+    k = np.exp(-0.5 * cdist(u / ls, model.x / ls, "sqeuclidean"))
+    v = cho_solve(cf, k.T, check_finite=False)
+    var = 1.0 - np.sum(k.T * v, axis=0)
+    u_term = 1.0 - k @ r1
+    var = sigma2 * (var + u_term**2 / denom)
+    return model._y_sd * np.sqrt(np.clip(var, 0.0, None))
+
+
+@pytest.mark.parametrize("n, d, isotropic", [(20, 2, False), (60, 6, False),
+                                              (40, 25, True)])
+def test_likelihood_kernel_equals_the_cho_solve_reference(n, d, isotropic):
+    rng = np.random.default_rng([n, d])
+    x = rng.uniform(-3, 3, size=(n, d))
+    y = np.sin(x).sum(axis=1) + 0.1 * (x ** 2).sum(axis=1)
+    model = GpSurrogate().fit(x, y, n_restarts=2, isotropic=isotropic)
+    n_params = 1 if isotropic else d
+    points = [rng.uniform(np.log(0.3), np.log(30.0), size=n_params)
+              for _ in range(3)]
+    for p in points + [np.log(model.lengthscales[:n_params])]:
+        ls = np.exp(p)
+        if isotropic:
+            ls = np.full(d, float(ls[0]))
+        nll, grad = model._nll(p, model._delta)
+        ref_nll, ref_grad, *_ = _reference_factor(model, ls, model._delta)
+        assert nll == ref_nll
+        assert np.array_equal(grad, ref_grad)
+    u = rng.uniform(-4, 4, size=(50, d))
+    assert np.array_equal(model.predict_sd(u), _reference_sd(model, u))
+
+
+def test_rank_deficient_correlation_gives_big_and_zero_gradient():
+    x, y = _training_data()
+    x[1] = x[0] + 1e-9
+    model = GpSurrogate().fit(x, y)
+    log_ls = np.full(2, np.log(s4is.surrogate._LS_BOUNDS[1]))
+    # Without a nugget the two rows of R are equal, so R is singular.
+    nll, grad = model._nll(log_ls, 0.0)
+    assert nll == s4is.surrogate._BIG
+    np.testing.assert_array_equal(grad, np.zeros(2))
+
+
+def test_fit_escalates_the_nugget_then_raises_fit_error(monkeypatch):
+    nuggets = []
+
+    def never_positive_definite(r, lower, clean):
+        nuggets.append(r[0, 0] - 1.0)  # R[0, 0] = 1 + delta
+        return r, 1
+
+    monkeypatch.setattr(s4is.surrogate, "dpotrf", never_positive_definite)
+    with pytest.raises(FitError, match="nugget escalation"):
+        GpSurrogate().fit(*_training_data())
+    levels = sorted({float(f"{v:.1e}") for v in nuggets})
+    assert levels == [1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4]
