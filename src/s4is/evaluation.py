@@ -280,8 +280,13 @@ class ExternalEvaluator:
         """Close the child's stdin and wait for it to exit; kill it if it
         is still running after the grace period. Then close its output
         pipes (stderr once the drain thread has reached its end)."""
-        if self._proc.poll() is None:
+        try:
             self._proc.stdin.close()
+        except BrokenPipeError:
+            # Flushing a buffered request to a child that has exited; the
+            # pipe is closed all the same.
+            pass
+        if self._proc.poll() is None:
             try:
                 self._proc.wait(timeout=_CLOSE_GRACE_S)
             except subprocess.TimeoutExpired:

@@ -191,9 +191,15 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
 
     Each iteration scores the pool with ``score(model, means, dmin)`` (None
     stops the loop), evaluates the true g at the best unselected candidate,
-    refits the surrogate, predicts the pool once and takes the IS estimate
+    updates the surrogate, predicts the pool once and takes the IS estimate
     against ``log_q``; ``window`` = (length, tolerance) adds the trailing
     window stopping rule.
+
+    Most updates append the new point at fixed hyperparameters. A stopping
+    rule is only taken on a fully optimised model: when one fires on a
+    model that carries appended points, the model is re-optimised, the
+    last estimate replaced and the rule tested again. The model returned
+    is fully optimised under every termination.
 
     Returns (model, pool means, initial pf, report): the report holds the
     last estimate, the per-iteration histories and the termination reason.
@@ -210,9 +216,22 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
     initial_pf = est.pf
     dmin = min_distances(cands, support.inputs_u)
     pf_hist, cov_hist, ne_hist = [], [], []
+
+    def reoptimise():
+        # update_surrogate with no new point re-optimises; the last entry
+        # of the history is then this model's estimate.
+        nonlocal model, means, est
+        model = update_surrogate(model, support)
+        means = model.predict_mean(x_cands)
+        est = estimate(means)
+        pf_hist[-1], cov_hist[-1] = est.pf, est.cov
+
     termination = "max_iterations"
     for _ in range(max_iter):
         scores = score(model, means, dmin)
+        if scores is None and model.n_appended:
+            reoptimise()
+            scores = score(model, means, dmin)
         if scores is None:
             termination = "converged"
             break
@@ -230,8 +249,13 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
         cov_hist.append(est.cov)
         ne_hist.append(est.n_eval)
         if window is not None and _window_converged(pf_hist, *window):
-            termination = "converged"
-            break
+            if model.n_appended:
+                reoptimise()
+            if _window_converged(pf_hist, *window):
+                termination = "converged"
+                break
+    if model.n_appended:
+        reoptimise()
     report = StageReport(pf_hist, cov_hist, ne_hist, est, len(support), termination)
     return model, means, initial_pf, report
 
@@ -265,8 +289,9 @@ def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     failure_u = cands[means <= 0]
     if failure_u.shape[0] == 0:
         raise StageFailureError(
-            "stage 1 classified no candidate as failed; enable the FORM-seeded "
-            "exploration or enlarge the candidate pool")
+            f"stage 1 classified no candidate of [-5, 5]^{d} as failed; enlarge "
+            f"its candidate pool (n_c1, {n_c1} here); FORM-seeded exploration, "
+            f"which needs no failed candidate, is used from d = {HIGHDIM_THRESHOLD} on")
     return report, model, support, failure_u
 
 

@@ -15,6 +15,20 @@ whose per-call overhead exceeds the arithmetic at these sizes (n up to a
 few hundred). Everything that depends on the training inputs alone (the
 ones vector, the identity and the per-dimension squared differences of
 the gradient) is built once per fit, not once per evaluation.
+
+The refinement loop adds one support point per step, and
+``update_surrogate`` takes it one of two ways. Most points are appended
+at fixed lengthscales and nugget: one factorization of the grown
+correlation matrix, with the trend and signal variance re-profiled, and
+no likelihood search (DiceKriging's ``update`` with ``cov.reestim =
+FALSE``). Every third point since the last full fit (``_REFIT_EVERY``),
+an output more than three predictive standard deviations from the
+model's mean (``_SURPRISE_SD``), constant outputs, a constant GP and a
+grown matrix that is not positive definite take the full warm refit
+instead: three L-BFGS-B starts, one at the previous lengthscales. A call
+with no new point re-optimises every GP that carries appended points;
+the pipeline makes it before it accepts any stop, so every stage ends on
+a re-optimised model.
 """
 
 from __future__ import annotations
@@ -33,6 +47,12 @@ _LS_BOUNDS = (1e-2, 1e3)
 _NUGGET_START = 1e-10
 _NUGGET_MAX = 1e-4
 _BIG = 1e25
+# Points added by update_surrogate between full fits: two are appended at
+# fixed hyperparameters, the third re-optimises them.
+_REFIT_EVERY = 3
+# A new output more than this many predictive standard deviations from
+# the model's mean is a sign of stale hyperparameters and re-optimises them.
+_SURPRISE_SD = 3.0
 
 
 @dataclass
@@ -92,18 +112,18 @@ class GpSurrogate:
         self.nugget = None           # absolute output-space noise variance
         self.isotropic = False       # one shared lengthscale across inputs
         self.nll_history = []        # best objective after each accepted restart
+        self.n_appended = 0          # points appended since the last full fit
 
     # -- fitting -----------------------------------------------------------
 
-    def fit(self, x, y, n_restarts=5, seed=0, init_lengthscales=None,
-            isotropic=False):
+    def _set_data(self, x, y):
+        """Validate and store the training data and its standardized
+        outputs; False when the outputs are constant."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise FitError("non-finite values in training data")
-        n, d = x.shape
-        self.isotropic = bool(isotropic)
-        n_params = 1 if self.isotropic else d
+        n = x.shape[0]
         if n < 2:
             raise SupportPointError("need at least 2 support points")
         if np.unique(x, axis=0).shape[0] != n:
@@ -112,27 +132,33 @@ class GpSurrogate:
         self.y = y
         self._y_mean = float(y.mean())
         self._y_sd = float(y.std())
-        if self._y_sd < 1e-12 * (abs(self._y_mean) + 1.0):
+        self._constant = self._y_sd < 1e-12 * (abs(self._y_mean) + 1.0)
+        if not self._constant:
+            self._z = (y - self._y_mean) / self._y_sd
+            self._ones = np.ones(n)
+        return not self._constant
+
+    def fit(self, x, y, n_restarts=5, seed=0, init_lengthscales=None,
+            isotropic=False):
+        self.isotropic = bool(isotropic)
+        if not self._set_data(x, y):
             # Degenerate constant data: the trend absorbs everything.
-            self._constant = True
-            self.lengthscales = np.ones(d)
+            self.lengthscales = np.ones(self.x.shape[1])
             self.signal_variance = 0.0
             self.trend = 0.0
             self.nugget = 0.0
             self.fitted = True
             return self
-        self._constant = False
-        z = (y - self._y_mean) / self._y_sd
-        self._z = z
+        n, d = self.x.shape
+        n_params = 1 if self.isotropic else d
         # Terms of the likelihood that depend on x alone, shared by every
-        # evaluation of this fit. The squared differences take d n^2
-        # doubles; the pipeline fits isotropic GPs, which use the total
-        # distance instead, from d = 20 on.
-        self._ones = np.ones(n)
+        # evaluation of this fit (the ones vector comes with the data).
+        # The squared differences take d n^2 doubles; the pipeline fits
+        # isotropic GPs, which use the total distance instead, from d = 20 on.
         self._eye = np.eye(n)
         self._sq_diffs = []
         if not self.isotropic:
-            for col in x.T:
+            for col in self.x.T:
                 diff = np.subtract.outer(col, col)
                 self._sq_diffs.append(diff * diff)
 
@@ -227,7 +253,10 @@ class GpSurrogate:
         fit = self._factor(best[1], delta)
         if fit is None:
             raise np.linalg.LinAlgError("Cholesky failed at optimum")
-        _, ls, _, _, chol, beta, sigma2, alpha, r1, denom = fit
+        _, ls, _, _, chol, *profile = fit
+        self._adopt(ls, delta, chol, *profile)
+
+    def _adopt(self, ls, delta, chol, beta, sigma2, alpha, r1, denom):
         self.lengthscales = ls
         self.trend = beta
         self.signal_variance = sigma2
@@ -237,6 +266,26 @@ class GpSurrogate:
         self._alpha = alpha
         self._rinv1 = r1
         self._one_rinv_one = denom
+
+    def _append(self, x_new, y_new):
+        """This GP grown by one training point at its lengthscales and
+        relative nugget delta, with the outputs re-standardized and beta,
+        sigma2, alpha and R^-1 1 re-profiled; None when the point needs a
+        full fit: the grown outputs are constant, or R is not positive
+        definite (the new point is numerically a copy of the old ones).
+        """
+        grown = GpSurrogate()
+        grown.isotropic = self.isotropic
+        if not grown._set_data(np.vstack([self.x, x_new]), np.append(self.y, y_new)):
+            return None
+        fit = grown._factor(np.log(self.lengthscales), self._delta)
+        if fit is None:
+            return None
+        _, ls, _, _, chol, *profile = fit
+        grown._adopt(ls, self._delta, chol, *profile)
+        grown.n_appended = self.n_appended + 1
+        grown.fitted = True
+        return grown
 
     # -- prediction --------------------------------------------------------
 
@@ -299,6 +348,10 @@ class CompositeMinSurrogate:
     def fitted(self):
         return all(m.fitted for m in self.models)
 
+    @property
+    def n_appended(self):
+        return max(m.n_appended for m in self.models)
+
     def _stack_means(self, u):
         return np.stack([np.atleast_1d(m.predict_mean(np.atleast_2d(u))) for m in self.models], axis=1)
 
@@ -339,10 +392,33 @@ def _refit(gp, x, y, seed):
                              init_lengthscales=gp.lengthscales, isotropic=gp.isotropic)
 
 
+def _update(gp, x, y, seed):
+    n = gp.x.shape[0]
+    if x.shape[0] == n and gp.n_appended == 0:
+        return gp
+    if x.shape[0] == n + 1 and not gp._constant and gp.n_appended + 1 < _REFIT_EVERY:
+        mean, sd = gp.predict(x[n])
+        if abs(y[n] - mean) <= _SURPRISE_SD * sd:
+            grown = gp._append(x[n], y[n])
+            if grown is not None:
+                return grown
+    return _refit(gp, x, y, seed)
+
+
 def update_surrogate(model, points: SupportPointSet):
-    """Refit the surrogate after a point was appended to ``points``."""
+    """Bring the surrogate up to date with ``points``.
+
+    One point more than the model has is appended at fixed lengthscales
+    (``GpSurrogate._append``). The full warm refit is taken instead on
+    every ``_REFIT_EVERY``-th point since the last full fit, for an
+    output more than ``_SURPRISE_SD`` predictive standard deviations from
+    the model's mean, for constant outputs or a constant GP, and when the
+    grown correlation matrix is not positive definite. A call with no new
+    point re-optimises every GP that carries appended points, so the
+    model is fully optimised afterwards.
+    """
     if isinstance(model, CompositeMinSurrogate):
         return CompositeMinSurrogate(
-            (_refit(m, points.x, points.component_outputs[:, j], j)
+            (_update(m, points.x, points.component_outputs[:, j], j)
              for j, m in enumerate(model.models)), model.aggregate)
-    return _refit(model, points.x, points.outputs, 0)
+    return _update(model, points.x, points.outputs, 0)

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from s4is.cli import (CONFIG_SCHEMA, build_report, history_rows, main,
                       report_csv_rows, report_json, validate_config)
 from s4is.errors import ConfigError
+from s4is.evaluation import ExternalEvaluator
 from s4is.pipeline import S4isConfig
 
 
@@ -123,6 +126,27 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     }
     assert main(["run", "--config", _config(tmp_path, payload)]) == 3
     assert "analysis failed" in capsys.readouterr().err
+
+
+def test_runtime_failure_closes_every_pipe(tmp_path, capsys, monkeypatch):
+    # The child exits at once; close() sees it exited before it closes the
+    # pipes (without the wait, that depends on timing).
+    close = ExternalEvaluator.close
+
+    def close_after_exit(self):
+        self._proc.wait()
+        close(self)
+
+    monkeypatch.setattr(ExternalEvaluator, "close", close_after_exit)
+    # A pipe left to the garbage collector warns in its finalizer, where a
+    # warning turned into an error reaches sys.unraisablehook.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        test_runtime_failure_exits_3(tmp_path, capsys)
+        gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []
 
 
 def test_method_mcs_requires_block():

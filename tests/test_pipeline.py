@@ -1,9 +1,14 @@
 """Two-stage pipeline orchestration and the method baselines."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from s4is import pipeline
+from s4is.benchmarks import reference_table
 from s4is.errors import StageFailureError
 from s4is.evaluation import ProblemSpec, builtin_problem
 from s4is.pipeline import (S4isConfig, run_akis_baseline, run_form_baseline,
@@ -73,8 +78,92 @@ def test_safe_problem_raises_stage_failure():
 
     rv = RandomVector((Marginal("normal", 0, 1), Marginal("normal", 0, 1)))
     problem = ProblemSpec("always_safe", rv, (comp,), "single")
-    with pytest.raises(StageFailureError):
+    with pytest.raises(StageFailureError) as info:
         run_s4is(problem, S4isConfig(max_iter1=20), np.random.default_rng(0))
+    # The advice names only knobs that exist: every snake_case word in it
+    # is an S4isConfig field, and n_c1 is one of them.
+    message = str(info.value)
+    fields = {f.name for f in dataclasses.fields(S4isConfig)}
+    named = set(re.findall(r"\b[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b", message))
+    assert "n_c1" in named and named <= fields, message
+    for stale in ("highdim_form_seed", "gp_isotropic", "composite", "lf_scale_mode",
+                  "form_starts", "gp_restarts", "gp_warm_updates", "enable"):
+        assert stale not in message
+
+
+@pytest.mark.parametrize("method, config, stops", [
+    ("s4is", S4isConfig(), ["converged", "converged"]),
+    ("s4is", S4isConfig(max_iter1=4, max_iter2=4), ["max_iterations"] * 2),
+    ("akis", S4isConfig(), ["converged"]),
+])
+def test_every_stop_is_taken_on_a_fully_optimised_model(monkeypatch, method, config,
+                                                        stops):
+    # events: ("update", support size, appended points after the update),
+    # ("stop", fired) for each test of a stopping rule.
+    events, terminations, appended, reoptimised = [], [], [], []
+    update, refine, window = (pipeline.update_surrogate, pipeline._refine,
+                              pipeline._window_converged)
+
+    def logged_update(model, support):
+        model = update(model, support)
+        events.append(("update", len(support), model.n_appended))
+        return model
+
+    def logged_window(*args):
+        fired = window(*args)
+        events.append(("stop", fired))
+        return fired
+
+    def checked_refine(*args):
+        score = args[7]
+
+        def logged_score(*score_args):
+            scores = score(*score_args)
+            events.append(("stop", scores is None))
+            return scores
+
+        del events[:]
+        model, means, initial_pf, report = refine(*args[:7], logged_score, *args[8:])
+        # A stop is accepted only after a test on the final, fully
+        # optimised model: no update follows the test that fired.
+        if report.termination == "converged":
+            assert events[-1] == ("stop", True)
+            updates = [e for e in events if e[0] == "update"]
+            assert not updates or updates[-1][2] == 0
+        assert model.n_appended == 0
+        assert np.array_equal(means, model.predict_mean(args[4]))
+        if report.pf_history:
+            assert report.pf_history[-1] == report.final.pf
+        terminations.append(report.termination)
+        sizes = [e[1] for e in events if e[0] == "update"]
+        appended.append(any(e[0] == "update" and e[2] > 0 for e in events))
+        reoptimised.append(any(a == b for a, b in zip(sizes, sizes[1:])))
+        return model, means, initial_pf, report
+
+    monkeypatch.setattr(pipeline, "update_surrogate", logged_update)
+    monkeypatch.setattr(pipeline, "_window_converged", logged_window)
+    monkeypatch.setattr(pipeline, "_refine", checked_refine)
+    problem = builtin_problem("example2")
+    if method == "s4is":
+        run_s4is(problem, config, np.random.default_rng(5))
+    else:
+        run_akis_baseline(problem, config, np.random.default_rng(7))
+    assert terminations == stops
+    # Points were appended, and a stop re-optimised them: an update without
+    # a new support point.
+    assert any(appended) and any(reoptimised)
+
+
+def test_surprising_output_does_not_leave_stale_lengthscales():
+    # The first stage-1 output of this generator lies 81 predictive
+    # standard deviations from the initial fit's mean. Appended at that
+    # fit's lengthscales, with the next point too, it led to a stage 1
+    # that stopped early and a stage 2 of 52 iterations, n_eval 71. With a
+    # full refit on every point, the largest n_eval over the 320 solves of
+    # `scripts/sweep.py s4is_solve` is 34.
+    problem = reference_table("example4_c5").problem
+    res = run_s4is(problem, S4isConfig(), np.random.default_rng([17, 1, 1]))
+    assert res.estimate.n_eval <= 34
 
 
 def test_parallel_system_combines_components_by_max():

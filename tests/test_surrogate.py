@@ -75,6 +75,10 @@ def test_update_matches_fresh_fit():
     updated = fit_surrogate(pts)
     pts.append(x_new[0], x_new[0], y_new[0])
     updated = update_surrogate(updated, pts)
+    assert updated.n_appended == 1 and updated.nll_history == []
+    # With no new point, the update re-optimises the appended model.
+    updated = update_surrogate(updated, pts)
+    assert updated.n_appended == 0
 
     # The refit starts at the old lengthscales, not at the fresh fit's
     # starts, so both reach the same optimum only to optimizer tolerance
@@ -83,6 +87,127 @@ def test_update_matches_fresh_fit():
     grid = rng.uniform(-3, 3, size=(20, 2))
     np.testing.assert_allclose(updated.predict_mean(grid),
                                fresh.predict_mean(grid), atol=1e-5)
+
+
+def _fixed_hyperparameter_fit(model, x, y):
+    """A GP on (x, y) at ``model``'s lengthscales and relative nugget, from
+    one full ``_factor``."""
+    ref = GpSurrogate()
+    ref.isotropic = model.isotropic
+    assert ref._set_data(x, y)
+    log_ls = np.log(model.lengthscales[:1] if model.isotropic else model.lengthscales)
+    _, ls, _, _, chol, *profile = ref._factor(log_ls, model._delta)
+    ref._adopt(ls, model._delta, chol, *profile)
+    ref.fitted = True
+    return ref
+
+
+@pytest.mark.parametrize("n, d, isotropic", [(20, 2, False), (40, 6, False),
+                                              (40, 25, True)])
+def test_append_matches_a_full_factor_at_fixed_hyperparameters(n, d, isotropic):
+    rng = np.random.default_rng([n, d, 1])
+    x = rng.uniform(-3, 3, size=(n, d))
+    y = np.sin(x).sum(axis=1) + 0.1 * (x ** 2).sum(axis=1)
+    pts = SupportPointSet(x[:-2], x[:-2], y[:-2])
+    model = fit_surrogate(pts, isotropic=isotropic)
+    for i in (n - 2, n - 1):
+        pts.append(x[i], x[i], y[i])
+        model = update_surrogate(model, pts)
+        assert model.n_appended == i - n + 3
+        ref = _fixed_hyperparameter_fit(model, x[:i + 1], y[:i + 1])
+        tol = 1e-6 * ref._y_sd
+        assert model.trend == pytest.approx(ref.trend, abs=1e-6)
+        assert model.signal_variance == pytest.approx(ref.signal_variance, rel=1e-6)
+        assert model.nugget == pytest.approx(ref.nugget, rel=1e-6)
+        u = rng.uniform(-4, 4, size=(50, d))
+        np.testing.assert_allclose(model.predict_mean(u), ref.predict_mean(u),
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(model.predict_sd(u), ref.predict_sd(u),
+                                   rtol=0, atol=tol)
+
+
+def _grown(x, y, x_new, y_new):
+    return SupportPointSet(np.vstack([x, x_new]), np.vstack([x, x_new]),
+                           np.append(y, y_new))
+
+
+def test_every_third_point_takes_the_full_fit():
+    x, y = _training_data(15)
+    pts = SupportPointSet(x[:12], x[:12], y[:12])
+    model = fit_surrogate(pts)
+    for i, expected in zip(range(12, 15), (1, 2, 0)):
+        pts.append(x[i], x[i], y[i])
+        model = update_surrogate(model, pts)
+        assert model.n_appended == expected
+    assert len(model.nll_history) == 3  # the warm refit's three starts
+
+
+def test_surprising_output_takes_the_full_fit():
+    x, y = _training_data(13)
+    model = GpSurrogate().fit(x[:12], y[:12])
+    mean, sd = model.predict(x[12])
+    assert sd > 1e-3
+    for z, appended in ((2.9, 1), (-2.9, 1), (3.1, 0), (-3.1, 0)):
+        updated = update_surrogate(model, _grown(x[:12], y[:12], x[12], mean + z * sd))
+        assert updated.n_appended == appended
+        assert len(updated.nll_history) == (0 if appended else 3)
+
+
+def test_grown_matrix_not_positive_definite_takes_the_full_fit(monkeypatch):
+    x, y = _training_data(13)
+    model = GpSurrogate().fit(x[:12], y[:12])
+    pts = _grown(x[:12], y[:12], x[12], y[12])
+    original = s4is.surrogate.dpotrf
+    calls = []
+
+    def fails_first(r, lower, clean):
+        # The append's factorization fails, as for a numerically repeated
+        # point; the full fit's succeed.
+        calls.append(r.shape[0])
+        chol, info = original(r, lower=lower, clean=clean)
+        return chol, (1 if len(calls) == 1 else info)
+
+    monkeypatch.setattr(s4is.surrogate, "dpotrf", fails_first)
+    updated = update_surrogate(model, pts)
+    assert calls[0] == 13 and len(calls) > 1
+    assert updated.n_appended == 0 and len(updated.nll_history) == 3
+
+
+def test_constant_outputs_and_constant_gps_take_the_full_fit():
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # Non-constant on two points, constant (sd < 1e-12) once the third
+    # is added.
+    model = GpSurrogate().fit(x[:2], np.array([0.0, 2.1e-12]))
+    assert not model._constant
+    assert model._append(x[2], 0.0) is None
+    updated = update_surrogate(model, _grown(x[:2], np.array([0.0, 2.1e-12]), x[2], 0.0))
+    assert updated._constant and updated.n_appended == 0
+    # A constant GP is refitted from scratch, whatever the new output.
+    constant = GpSurrogate().fit(x[:2], np.full(2, 7.0))
+    for y_new, stays_constant in ((7.0, True), (8.0, False)):
+        updated = update_surrogate(constant, _grown(x[:2], np.full(2, 7.0), x[2], y_new))
+        assert updated._constant == stays_constant and updated.n_appended == 0
+
+
+@pytest.mark.parametrize("x_new, y_new, error", [
+    (np.array([1.0, 2.0]), np.nan, FitError),
+    (np.array([np.inf, 2.0]), 1.0, FitError),
+    (None, 1.0, SupportPointError),  # a copy of an existing input
+])
+def test_append_path_keeps_the_data_checks(monkeypatch, x_new, y_new, error):
+    x, y = _training_data(12)
+    model = GpSurrogate().fit(x, y)
+
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("optimizer called on the append path")
+
+    monkeypatch.setattr(s4is.surrogate.optimize, "minimize", no_optimizer)
+    x_new = x[4] if x_new is None else x_new
+    # SupportPointSet checks only u for duplicates; x repeats here.
+    pts = SupportPointSet(np.vstack([x, [9.0, 9.0]]), np.vstack([x, x_new]),
+                          np.append(y, y_new))
+    with pytest.raises(error):
+        update_surrogate(model, pts)
 
 
 def test_composite_min_of_component_means():
