@@ -1,5 +1,5 @@
-"""Write the 20 fixed-seed CLI reports that a behaviour-preserving change
-must leave byte-identical.
+"""Write the 20 fixed-seed CLI reports and the dump of the reference
+tables that a behaviour-preserving change must leave byte-identical.
 
     python3 scripts/reports.py OUTDIR
 
@@ -7,8 +7,11 @@ Runs ``s4is run --seed 7`` for each of mcs (n = 1e6), form, akis and s4is
 on example1, example2, example3, example4 (c = 5) and example5 (d = 10),
 one fresh interpreter per report, with the package imported from this
 checkout's ``src/``. Each report lands in ``OUTDIR/<method>_<problem>.json``.
-To check a change, run the script from both checkouts and compare the two
-directories with ``diff -r``.
+``OUTDIR/reference_tables.txt`` records, for every example id, what
+``reference_table`` returns: methods, mcs_n, replicates, the problem's
+reference pf and each method's bands (quantity, value, low, high,
+provenance), in order. To check a change, run the script from both
+checkouts and compare the two directories with ``diff -r``.
 """
 
 import json
@@ -29,6 +32,19 @@ PROBLEMS = (
     ("example4_c5", {"name": "example4", "c": 5}),
     ("example5_d10", {"name": "example5", "d": 10}),
 )
+# Prints every reference table; floats as repr, so any change shows.
+DUMP_TABLES = """
+from s4is.benchmarks import EXAMPLE_IDS, reference_table
+for example_id in EXAMPLE_IDS:
+    exp = reference_table(example_id)
+    print(example_id, "methods", *exp.methods)
+    print(example_id, "mcs_n", exp.mcs_n, "replicates", exp.replicates)
+    print(example_id, "reference_pf", repr(exp.problem.reference_pf))
+    for method, bands in exp.expected.items():
+        for b in bands:
+            print(example_id, method, b.quantity, repr(b.value), repr(b.low),
+                  repr(b.high), b.provenance)
+"""
 
 
 def main(argv):
@@ -52,6 +68,11 @@ def main(argv):
                                 "--config", str(cfg_path), "--seed", str(SEED),
                                 "--output", str(report)], env=env, check=True)
                 print(report, flush=True)
+    tables = out / "reference_tables.txt"
+    with open(tables, "w", encoding="utf-8") as fh:
+        subprocess.run([sys.executable, "-c", DUMP_TABLES], env=env,
+                       stdout=fh, check=True)
+    print(tables, flush=True)
     return 0
 
 

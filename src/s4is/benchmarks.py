@@ -22,7 +22,7 @@ from .pipeline import (S4isConfig, run_akis_baseline, run_form_baseline,
                        run_mcs_baseline, run_s4is)
 from .probability import GaussianMixture, log_std_normal_pdf
 
-_METHODS = ("mcs", "form", "akis", "s4is")
+METHODS = ("mcs", "form", "akis", "s4is")  # also the CLI's method choices
 
 
 @dataclass(frozen=True)
@@ -60,164 +60,102 @@ class ExperimentDef:
 
     def __post_init__(self):
         for m in self.methods:
-            if m not in _METHODS:
+            if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
 
 
-# Reported comparison values per example: {method: {quantity: value}}.
-# eps_r entries are fractions, not percentages. The reported MCS pf is the
-# problem's ``reference_pf`` (one table, in ``s4is.evaluation``).
-_REPORTED = {
-    "example1": {
-        "mcs": {"n_eval": 1e6},
+# One row per example: (``builtin_problem`` arguments, {method: {quantity:
+# reported value}}). A gated quantity is (value, low, high):
+# the band is wider than the reported scatter to absorb implementation
+# variance. eps_r entries are fractions, not percentages. The MCS pf is None
+# here: it is the problem's ``reference_pf`` (one table, in
+# ``s4is.evaluation``).
+_EXAMPLES = {
+    "example1": ({"name": "example1"}, {
+        "mcs": {"pf": (None, 4.2e-3, 4.7e-3), "n_eval": 1e6},
         "form": {"pf": 1.348e-3, "eps_r": 0.698, "n_eval": 12},
         "akis": {"pf": 1.179e-3, "eps_r": 0.736, "n_eval": 71.1},
-        "s4is": {"pf": 4.483e-3, "eps_r": 0.005, "n_eval": 60.6},
-    },
-    "example2": {
-        "mcs": {"n_eval": 1e6},
-        "form": {"pf": 0.03116, "eps_r": 0.091, "n_eval": 39},
+        "s4is": {"pf": 4.483e-3, "eps_r": (0.005, 0.0, 0.10), "n_eval": (60.6, 0.0, 150.0)}}),
+    "example2": ({"name": "example2"}, {
+        "mcs": {"pf": None, "n_eval": 1e6},
+        "form": {"pf": (0.03116, 0.03116 * 0.85, 0.03116 * 1.15), "eps_r": 0.091, "n_eval": 39},
         "akis": {"pf": 0.02863, "eps_r": 0.002, "n_eval": 91.4},
-        "s4is": {"pf": 0.02830, "eps_r": 0.009, "n_eval": 53.3},
-    },
-    "example3": {
-        "mcs": {"n_eval": 1e6},
-        "form": {"pf": 0.1182, "eps_r": 2.776, "n_eval": 695},
+        "s4is": {"pf": 0.02830, "eps_r": (0.009, 0.0, 0.10), "n_eval": (53.3, 0.0, 150.0)}}),
+    "example3": ({"name": "example3"}, {
+        "mcs": {"pf": None, "n_eval": 1e6},
+        "form": {"pf": 0.1182, "eps_r": (2.776, 1.0, math.inf), "n_eval": 695},
         "akis": {"pf": 0.03123, "eps_r": 0.002, "n_eval": 985.9},
-        "s4is": {"pf": 0.03078, "eps_r": 0.017, "n_eval": 71.4},
-    },
-    "example4_c3": {
-        "mcs": {"n_eval": 1e6},
-        "form": {"pf": 1.350e-3, "eps_r": 0.611, "n_eval": 7},
+        "s4is": {"pf": 0.03078, "eps_r": (0.017, 0.0, 0.10), "n_eval": (71.4, 0.0, 200.0)}}),
+    "example4_c3": ({"name": "example4", "c": 3}, {
+        "mcs": {"pf": None, "n_eval": 1e6},
+        "form": {"pf": (1.350e-3, 1.350e-3 * 0.9, 1.350e-3 * 1.1), "eps_r": 0.611, "n_eval": 7},
         "akis": {"pf": 1.462e-3, "eps_r": 0.579, "n_eval": 97.6},
-        "s4is": {"pf": 3.531e-3, "eps_r": 0.018, "n_eval": 72.8},
-    },
-    "example4_c4": {
-        "mcs": {"n_eval": 4e6},
+        "s4is": {"pf": 3.531e-3, "eps_r": (0.018, 0.0, 0.15), "n_eval": (72.8, 0.0, 200.0)}}),
+    "example4_c4": ({"name": "example4", "c": 4}, {
+        "mcs": {"pf": None, "n_eval": 4e6},
         "form": {"pf": 3.167e-5, "eps_r": 0.655, "n_eval": 7},
         "akis": {"pf": 4.509e-5, "eps_r": 0.508, "n_eval": 110.3},
-        "s4is": {"pf": 9.120e-5, "eps_r": 0.006, "n_eval": 83.2},
-    },
-    "example4_c5": {
-        "mcs": {"n_eval": 4e8},
+        "s4is": {"pf": 9.120e-5, "eps_r": (0.006, 0.0, 0.20), "n_eval": (83.2, 0.0, 250.0)}}),
+    "example4_c5": ({"name": "example4", "c": 5}, {
+        "mcs": {"pf": None, "n_eval": 4e8},
         "form": {"pf": 2.867e-7, "eps_r": 0.698, "n_eval": 7},
         "akis": {"pf": 2.277e-7, "eps_r": 0.760, "n_eval": 92.4},
-        "s4is": {"pf": 9.035e-7, "eps_r": 0.047, "n_eval": 118.6},
-    },
-    "example5_d2": {
-        "mcs": {"n_eval": 1e6},
+        "s4is": {"pf": 9.035e-7, "eps_r": (0.047, 0.0, 0.30), "n_eval": (118.6, 0.0, 300.0)}}),
+    "example5_d2": ({"name": "example5", "d": 2}, {
+        "mcs": {"pf": None, "n_eval": 1e6},
         "form": {"pf": 3.844e-3, "eps_r": 0.220, "n_eval": 20},
         "akis": {"pf": 4.928e-3, "eps_r": 0.0004, "n_eval": 59.0},
-        "s4is": {"pf": 4.921e-3, "eps_r": 0.001, "n_eval": 23.9},
-    },
-    "example5_d10": {
-        "mcs": {"n_eval": 1e6},
+        "s4is": {"pf": 4.921e-3, "eps_r": (0.001, 0.0, 0.10), "n_eval": (23.9, 0.0, 80.0)}}),
+    "example5_d10": ({"name": "example5", "d": 10}, {
+        "mcs": {"pf": None, "n_eval": 1e6},
         "form": {"pf": 1.003e-3, "eps_r": 0.634, "n_eval": 35},
         "akis": {"pf": 2.711e-3, "eps_r": 0.012, "n_eval": 678.2},
-        "s4is": {"pf": 2.739e-3, "eps_r": 0.002, "n_eval": 48.6},
-    },
-    "example5_d50": {
-        "mcs": {"n_eval": 1e6},
+        "s4is": {"pf": 2.739e-3, "eps_r": (0.002, 0.0, 0.15), "n_eval": (48.6, 0.0, 200.0)}}),
+    "example5_d50": ({"name": "example5", "d": 50}, {
+        "mcs": {"pf": None, "n_eval": 1e6},
         "form": {"pf": 1.541e-4, "eps_r": 0.920, "n_eval": 155},
         "akis": {"pf": 1.903e-3, "eps_r": 0.016, "n_eval": 1845.2},
-        "s4is": {"pf": 1.915e-3, "eps_r": 0.010, "n_eval": 168.6},
-    },
+        "s4is": {"pf": 1.915e-3, "eps_r": (0.010, 0.0, 0.20), "n_eval": (168.6, 0.0, 500.0)}}),
 }
 
-# Reproduction tolerance bands (wider than the reported scatter to absorb
-# implementation variance): (method, quantity) -> (low, high).
-_BANDS = {
-    "example1": {
-        ("mcs", "pf"): (4.2e-3, 4.7e-3),
-        ("s4is", "eps_r"): (0.0, 0.10),
-        ("s4is", "n_eval"): (0.0, 150.0),
-    },
-    "example2": {
-        ("form", "pf"): (0.03116 * 0.85, 0.03116 * 1.15),
-        ("s4is", "eps_r"): (0.0, 0.10),
-        ("s4is", "n_eval"): (0.0, 150.0),
-    },
-    "example3": {
-        ("form", "eps_r"): (1.0, math.inf),
-        ("s4is", "eps_r"): (0.0, 0.10),
-        ("s4is", "n_eval"): (0.0, 200.0),
-    },
-    "example4_c3": {
-        ("form", "pf"): (1.350e-3 * 0.9, 1.350e-3 * 1.1),
-        ("s4is", "eps_r"): (0.0, 0.15),
-        ("s4is", "n_eval"): (0.0, 200.0),
-    },
-    "example4_c4": {
-        ("s4is", "eps_r"): (0.0, 0.20),
-        ("s4is", "n_eval"): (0.0, 250.0),
-    },
-    "example4_c5": {
-        ("s4is", "eps_r"): (0.0, 0.30),
-        ("s4is", "n_eval"): (0.0, 300.0),
-    },
-    "example5_d2": {
-        ("s4is", "eps_r"): (0.0, 0.10),
-        ("s4is", "n_eval"): (0.0, 80.0),
-    },
-    "example5_d10": {
-        ("s4is", "eps_r"): (0.0, 0.15),
-        ("s4is", "n_eval"): (0.0, 200.0),
-    },
-    "example5_d50": {
-        ("s4is", "eps_r"): (0.0, 0.20),
-        ("s4is", "n_eval"): (0.0, 500.0),
-    },
-}
+EXAMPLE_IDS = tuple(_EXAMPLES)
+_ORACLE_STARTS = 10  # constrained MPP searches per component in the oracle
 
-_PROBLEM_ARGS = {
-    "example1": ("example1", {}),
-    "example2": ("example2", {}),
-    "example3": ("example3", {}),
-    "example4_c3": ("example4", {"c": 3}),
-    "example4_c4": ("example4", {"c": 4}),
-    "example4_c5": ("example4", {"c": 5}),
-    "example5_d2": ("example5", {"d": 2}),
-    "example5_d10": ("example5", {"d": 10}),
-    "example5_d50": ("example5", {"d": 50}),
-}
 
-EXAMPLE_IDS = tuple(_PROBLEM_ARGS)
+def _band(quantity, entry, reference_pf):
+    """A table entry as a Band: an ungated value gets an unbounded band."""
+    value, low, high = entry if isinstance(entry, tuple) else (entry, -math.inf, math.inf)
+    return Band(quantity, reference_pf if value is None else value, low, high)
 
 
 def reference_table(example_id, replicates=10):
-    """The comparison experiment for one example: reported values plus the
-    tolerance bands the reproduction suite enforces."""
-    if example_id not in _PROBLEM_ARGS:
+    """The comparison experiment for one example: its row of ``_EXAMPLES``
+    as one Band per reported value, in table order; an ungated value has
+    the band (-inf, inf)."""
+    if example_id not in _EXAMPLES:
         raise ConfigError(f"unknown example id {example_id!r}")
-    name, kwargs = _PROBLEM_ARGS[example_id]
-    problem = builtin_problem(name, **kwargs)
-    reported = dict(_REPORTED[example_id])
-    reported["mcs"] = {"pf": problem.reference_pf, **reported["mcs"]}
-    bands = _BANDS[example_id]
-    expected = {}
-    for method, vals in reported.items():
-        rows = []
-        for quantity, value in vals.items():
-            low, high = bands.get((method, quantity), (-math.inf, math.inf))
-            rows.append(Band(quantity, value, low, high))
-        expected[method] = tuple(rows)
+    problem_args, reported = _EXAMPLES[example_id]
+    problem = builtin_problem(**problem_args)
+    expected = {method: tuple(_band(q, entry, problem.reference_pf)
+                              for q, entry in values.items())
+                for method, values in reported.items()}
     # Ground truth at desk scale: example4 c=5 replaces the 4e8-sample MCS
     # with a true-g importance-sampling oracle, so no mcs method there.
-    methods = ("form", "akis", "s4is") if example_id == "example4_c5" \
-        else ("mcs", "form", "akis", "s4is")
+    methods = METHODS[1:] if example_id == "example4_c5" else METHODS
     mcs_n = int(reported["mcs"]["n_eval"]) if "mcs" in methods else 0
     return ExperimentDef(example_id, problem, methods, mcs_n, replicates, expected)
 
 
-def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000, n_starts=10):
+def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     """High-precision reference for very small failure probabilities: an
     importance-sampling estimate with the true performance function and a
     Gaussian mixture centred on the distinct MPPs (identity covariance).
 
-    MPPs are searched per component with multi-start constrained
-    optimisation (min ||u||^2 s.t. g <= 0); HL-RF is avoided here because
-    it oscillates on some component geometries and a missed branch would
-    bias the reference low.
+    MPPs are searched per component with constrained optimisation
+    (min ||u||^2 s.t. g <= 0) from ``_ORACLE_STARTS`` starts: the origin
+    and uniform draws on [-4, 4]^d. HL-RF is avoided here because it
+    oscillates on some component geometries and a missed branch would bias
+    the reference low.
     """
     d = problem.dim
     rv = problem.marginals
@@ -227,7 +165,7 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000, n_starts=10):
             return float(comp(np.atleast_2d(rv.from_standard_normal(u)))[0])
 
         starts = [np.zeros(d)] + [rng.uniform(-4.0, 4.0, size=d)
-                                  for _ in range(n_starts - 1)]
+                                  for _ in range(_ORACLE_STARTS - 1)]
         for s in starts:
             res = optimize.minimize(
                 lambda u: float(u @ u), s, jac=lambda u: 2.0 * u,

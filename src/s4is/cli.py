@@ -67,7 +67,7 @@ CONFIG_SCHEMA = {
             "maxProperties": 1,
             "additionalProperties": False,
         },
-        "method": {"enum": ["mcs", "form", "akis", "s4is"]},
+        "method": {"enum": list(benchmarks.METHODS)},
         "seed": {"type": "integer", "minimum": 0},
         "replicates": {"type": "integer", "minimum": 1},
         "mcs": {
@@ -130,7 +130,7 @@ def _build_problem(cfg):
     ext = block["external"]
     marginals = RandomVector(tuple(
         Marginal(m["kind"], m["mean"], m["sd"]) for m in ext["marginals"]))
-    return external_problem(ext["command"], marginals.dim, marginals)
+    return external_problem(ext["command"], marginals)
 
 
 def build_report(cfg):
@@ -221,13 +221,10 @@ def _write_csv(path, rows):
 
 def cmd_run(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.replicates is not None:
-        cfg["replicates"] = args.replicates
-    if args.method is not None:
-        cfg["method"] = args.method
-        validate_config(cfg)
+    for key in ("seed", "replicates", "method"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    validate_config(cfg)  # the overrides obey the config schema too
     report = build_report(cfg)
     out = cfg.get("output", {})
     path = args.output or out.get("path")
@@ -247,6 +244,10 @@ def cmd_run(args):
 
 
 def cmd_reproduce(args):
+    if args.replicates < 1:
+        raise ConfigError(f"--replicates must be >= 1, got {args.replicates}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     ids = benchmarks.EXAMPLE_IDS if args.example == "all" else (args.example,)
     failed = False
     for example_id in ids:
@@ -284,7 +285,7 @@ def make_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--replicates", type=int)
-    p_run.add_argument("--method", choices=["mcs", "form", "akis", "s4is"])
+    p_run.add_argument("--method", choices=benchmarks.METHODS)
     p_run.add_argument("--output")
     p_run.add_argument("--format", choices=["json", "csv", "both"])
     p_run.set_defaults(func=cmd_run)

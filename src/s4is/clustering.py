@@ -15,6 +15,9 @@ from scipy.spatial.distance import cdist
 
 from .probability import GaussianMixture
 
+_N_RESTARTS = 10  # k-means++ seedings per clustering; the best is kept
+_MAX_ITER = 300  # Lloyd iterations per seeding
+
 
 @dataclass
 class ClusterAssignment:
@@ -47,9 +50,9 @@ def _kmeans_pp_seed(points, k, rng):
     return np.array(centers)
 
 
-def _lloyd(points, centers, max_iter=300):
+def _lloyd(points, centers):
     labels = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         dist = cdist(points, centers)
         new_labels = dist.argmin(axis=1)
         for j in range(centers.shape[0]):
@@ -69,9 +72,10 @@ def _lloyd(points, centers, max_iter=300):
     return labels, centers, inertia
 
 
-def kmeans(points, k, rng, n_restarts=10, max_iter=300):
-    """Best-of-restarts Lloyd clustering; k is reduced to the number of
-    points when the failure set is small."""
+def kmeans(points, k, rng):
+    """The lowest-inertia Lloyd clustering of ``_N_RESTARTS`` k-means++
+    seedings; k is reduced to the number of points when the failure set is
+    small."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     requested = k
@@ -79,9 +83,9 @@ def kmeans(points, k, rng, n_restarts=10, max_iter=300):
     if k < 1:
         raise ValueError("need at least one point")
     best = None
-    for _ in range(n_restarts):
+    for _ in range(_N_RESTARTS):
         centers = _kmeans_pp_seed(points, k, rng).copy()
-        labels, centers, inertia = _lloyd(points, centers, max_iter=max_iter)
+        labels, centers, inertia = _lloyd(points, centers)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     labels, centers, inertia = best

@@ -82,15 +82,15 @@ class EvaluationLedger:
 
 
 class Evaluator:
-    """Binds a problem to a per-run ledger.
+    """Binds a problem to a fresh ledger of its own.
 
     ``g`` returns the aggregated value for one point; ``components_at``
     additionally exposes the per-component values for series systems.
     """
 
-    def __init__(self, problem: ProblemSpec, ledger: EvaluationLedger | None = None):
+    def __init__(self, problem: ProblemSpec):
         self.problem = problem
-        self.ledger = ledger if ledger is not None else EvaluationLedger()
+        self.ledger = EvaluationLedger()
 
     def components_at(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -243,11 +243,9 @@ class ExternalEvaluator:
     pipe, and keeps its last lines for the error raised if the child dies.
     """
 
-    def __init__(self, command, dim):
+    def __init__(self, command):
         if isinstance(command, str):
             raise ConfigError("external command must be a list of arguments, not a string")
-        self.command = command
-        self.dim = dim
         self._next_id = 1
         self._lock = threading.Lock()
         self._proc = subprocess.Popen(
@@ -330,8 +328,7 @@ class ExternalEvaluator:
             return g
 
 
-def external_problem(command, dim, marginals: RandomVector, name="external"):
-    """Wrap an external command as a single-component problem."""
-    if marginals.dim != dim:
-        raise ConfigError("marginal count does not match dim")
-    return ProblemSpec(name, marginals, (ExternalEvaluator(command, dim),), "single")
+def external_problem(command, marginals: RandomVector):
+    """Wrap an external command as a single-component problem named
+    "external"; its dimension is the number of marginals."""
+    return ProblemSpec("external", marginals, (ExternalEvaluator(command),), "single")

@@ -14,6 +14,10 @@ from .errors import StageFailureError, StationaryPointError
 from .evaluation import Evaluator
 
 _FD_STEP = 1e-4
+_STEP_TOL = 1e-6  # HL-RF has converged once a step is this short ...
+_G_TOL_REL = 1e-6  # ... and |g| <= this times (|g at the start| + 1)
+_MAX_ITER = 100  # HL-RF iterations before a search ends unconverged
+_DEDUP_DISTANCE = 0.5  # u-space distance below which two MPPs are one
 
 
 @dataclass
@@ -61,12 +65,12 @@ class _UspaceG:
         return grad
 
 
-def hlrf_search(evaluator: Evaluator, start_u, step_tol=1e-6, g_tol_rel=1e-6,
-                max_iter=100, fd_scheme="central"):
+def hlrf_search(evaluator: Evaluator, start_u, fd_scheme="central"):
     """HL-RF iteration from one start point.
 
-    Divergence past ``max_iter`` yields an unconverged result rather than an
-    exception; a vanishing gradient away from the limit state raises.
+    Divergence past ``_MAX_ITER`` iterations yields an unconverged result
+    rather than an exception; a vanishing gradient away from the limit
+    state raises.
     ``fd_scheme`` "forward" halves the gradient cost per iteration, which
     matters when the dimension is large.
     """
@@ -74,11 +78,11 @@ def hlrf_search(evaluator: Evaluator, start_u, step_tol=1e-6, g_tol_rel=1e-6,
     u = np.asarray(start_u, dtype=float).copy()
     n0 = evaluator.ledger.count
     g0 = gfun(u)
-    g_tol = g_tol_rel * (abs(g0) + 1.0)
+    g_tol = _G_TOL_REL * (abs(g0) + 1.0)
     g = g0
     converged = False
     iterations = 0
-    for k in range(max_iter):
+    for k in range(_MAX_ITER):
         iterations = k + 1
         grad = gfun.gradient(u, g_center=g, scheme=fd_scheme)
         norm2 = float(grad @ grad)
@@ -87,7 +91,7 @@ def hlrf_search(evaluator: Evaluator, start_u, step_tol=1e-6, g_tol_rel=1e-6,
         u_next = ((grad @ u - g) / norm2) * grad
         step = float(np.linalg.norm(u_next - u))
         g_next = gfun(u_next)
-        if step <= step_tol and abs(g_next) <= g_tol:
+        if step <= _STEP_TOL and abs(g_next) <= g_tol:
             u, g = u_next, g_next
             converged = True
             break
@@ -108,13 +112,13 @@ def form_pf(beta):
     return float(stats.norm.cdf(-beta))
 
 
-def multi_start_mpps(evaluator: Evaluator, n_starts, rng, dedup_distance=0.5,
-                     max_iter=100, step_tol=1e-6, fd_scheme="central"):
-    """HL-RF from the origin plus uniform starts on [-4, 4]^d.
+def multi_start_mpps(evaluator: Evaluator, n_starts, rng, fd_scheme="central"):
+    """HL-RF from the origin plus ``n_starts - 1`` uniform starts on [-4, 4]^d.
 
-    Returns the deduplicated converged results sorted by beta, together with
-    unconverged ones (their traces are legitimate, paid-for evaluations and
-    feed the second-stage surrogate seed).
+    Returns the converged results sorted by beta, less those within
+    ``_DEDUP_DISTANCE`` of a lower-beta one, together with every result,
+    unconverged ones included (their traces are legitimate, paid-for
+    evaluations and feed the second-stage surrogate seed).
     """
     d = evaluator.problem.dim
     starts = [np.zeros(d)]
@@ -123,14 +127,13 @@ def multi_start_mpps(evaluator: Evaluator, n_starts, rng, dedup_distance=0.5,
     results = []
     for s in starts:
         try:
-            results.append(hlrf_search(evaluator, s, max_iter=max_iter,
-                                       step_tol=step_tol, fd_scheme=fd_scheme))
+            results.append(hlrf_search(evaluator, s, fd_scheme=fd_scheme))
         except StationaryPointError:
             continue
     converged = sorted([r for r in results if r.converged], key=lambda r: r.beta)
     distinct = []
     for r in converged:
-        if all(np.linalg.norm(r.u_star - q.u_star) >= dedup_distance for q in distinct):
+        if all(np.linalg.norm(r.u_star - q.u_star) >= _DEDUP_DISTANCE for q in distinct):
             distinct.append(r)
     if not distinct:
         raise StageFailureError(

@@ -18,11 +18,13 @@ from .estimators import ReliabilityEstimate, is_estimate_from_log, mcs_estimate
 from .evaluation import Evaluator, ProblemSpec
 from .form import form_pf, hlrf_search, multi_start_mpps
 from .learning import CandidatePool, PoolExhausted, lf1_scores, lf2_scores, min_distances, select_next
-from .probability import (GaussianMixture, hypercube_density, log_std_normal_pdf,
-                          sample_hypercube)
+from .probability import (HYPERCUBE_HALF_WIDTH, GaussianMixture, hypercube_density,
+                          log_std_normal_pdf, sample_hypercube)
 from .surrogate import SupportPointSet, fit_surrogate, update_surrogate
 
 HIGHDIM_THRESHOLD = 10
+_TRACE_MIN_SEP = 0.05  # u-space separation of the points kept from an HL-RF trace
+_TRACE_MAX_POINTS = 300  # and their largest number
 
 # S4isConfig fields that count something (int >= 1) or cap iterations (int >= 0).
 _COUNTS = ("n_c1", "n_s1_0", "n_c2", "k_clusters", "a1", "a2", "pool_growth_limit")
@@ -261,8 +263,9 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
 
 
 def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
-    """Exploration stage: uniform candidates on [-5, 5]^d, space-filling
-    initial design, distance-aware refinement, coarse estimator.
+    """Exploration stage: uniform candidates on [-hw, hw]^d (hw =
+    ``HYPERCUBE_HALF_WIDTH``), space-filling initial design, distance-aware
+    refinement, coarse estimator.
 
     Returns (report, surrogate, support set, failure samples in u-space).
     """
@@ -288,8 +291,9 @@ def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     report.coarse = True
     failure_u = cands[means <= 0]
     if failure_u.shape[0] == 0:
+        hw = HYPERCUBE_HALF_WIDTH
         raise StageFailureError(
-            f"stage 1 classified no candidate of [-5, 5]^{d} as failed; enlarge "
+            f"stage 1 classified no candidate of [-{hw:g}, {hw:g}]^{d} as failed; enlarge "
             f"its candidate pool (n_c1, {n_c1} here); FORM-seeded exploration, "
             f"which needs no failed candidate, is used from d = {HIGHDIM_THRESHOLD} on")
     return report, model, support, failure_u
@@ -347,17 +351,17 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
     return report, model
 
 
-def _thin_trace(rv, trace_u, trace_g, trace_components, min_sep=0.05, max_points=300):
-    """Support set of the trace points with pairwise separation;
-    finite-difference probe points sit within the step of their iterate and
-    would otherwise ill-condition the kernel matrix. Points near the limit
-    state first."""
+def _thin_trace(rv, trace_u, trace_g, trace_components):
+    """Support set of at most ``_TRACE_MAX_POINTS`` trace points, pairwise
+    at least ``_TRACE_MIN_SEP`` apart; finite-difference probe points sit
+    within the step of their iterate and would otherwise ill-condition the
+    kernel matrix. Points near the limit state first."""
     order = np.argsort(np.abs(trace_g), kind="stable")
     keep = []
     for i in order:
-        if len(keep) >= max_points:
+        if len(keep) >= _TRACE_MAX_POINTS:
             break
-        if all(np.linalg.norm(trace_u[i] - trace_u[j]) >= min_sep for j in keep):
+        if all(np.linalg.norm(trace_u[i] - trace_u[j]) >= _TRACE_MIN_SEP for j in keep):
             keep.append(int(i))
     keep.sort()
     return SupportPointSet(trace_u[keep], _feature_map(rv, rv.from_standard_normal(trace_u[keep])),
@@ -404,6 +408,13 @@ def run_s4is(problem: ProblemSpec, config: S4isConfig, rng):
     return S4isResult(estimate=s2_report.final, stage1=s1_report, stage2=s2_report)
 
 
+def _fallback_mpp(evaluator, rng):
+    """The baselines' MPP when the search from the mean point fails: the
+    lowest-beta result of a 10-start HL-RF search."""
+    distinct, _ = multi_start_mpps(evaluator, 10, rng)
+    return distinct[0]
+
+
 def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     """Single-MPP importance-sampling baseline: HL-RF, a single shifted
     Gaussian instrumental density, and min-U refinement of an aggregated
@@ -424,8 +435,7 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
             break
         start = rng.uniform(-2.0, 2.0, size=problem.dim)
     if res is None:
-        distinct, _ = multi_start_mpps(evaluator, 10, rng)
-        res = distinct[0]
+        res = _fallback_mpp(evaluator, rng)
     gm = GaussianMixture(res.u_star[None, :])
     cands = gm.sample(config.n_c2, rng)
     pool = CandidatePool(cands)
@@ -477,8 +487,7 @@ def run_form_baseline(problem: ProblemSpec, rng):
     try:
         res = hlrf_search(evaluator, np.zeros(problem.dim))
     except StationaryPointError:
-        distinct, _ = multi_start_mpps(evaluator, 10, rng)
-        res = distinct[0]
+        res = _fallback_mpp(evaluator, rng)
     pf = form_pf(res.beta)
     return ReliabilityEstimate(pf, 0.0, float("nan"),
                                n_eval=evaluator.ledger.count, n_samples=0)

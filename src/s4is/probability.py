@@ -20,6 +20,7 @@ _SQRT3 = math.sqrt(3.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 KINDS = ("normal", "lognormal", "uniform")
+HYPERCUBE_HALF_WIDTH = 5.0  # of the u-space cube stage 1 draws its candidates from
 
 
 @dataclass(frozen=True)
@@ -139,17 +140,18 @@ def std_normal_pdf(u):
     return np.exp(log_std_normal_pdf(u))
 
 
-def hypercube_density(u, half_width=5.0):
-    """Uniform density on the closed cube [-hw, hw]^d, zero outside."""
+def hypercube_density(u):
+    """Uniform density on the closed cube [-hw, hw]^d, zero outside, with
+    hw = ``HYPERCUBE_HALF_WIDTH``."""
     u = np.asarray(u, dtype=float)
     d = u.shape[-1]
-    inside = np.all(np.abs(u) <= half_width, axis=-1)
-    return inside * (2.0 * half_width) ** (-d)
+    inside = np.all(np.abs(u) <= HYPERCUBE_HALF_WIDTH, axis=-1)
+    return inside * (2.0 * HYPERCUBE_HALF_WIDTH) ** (-d)
 
 
-def sample_hypercube(d, n, rng, half_width=5.0):
-    """n i.i.d. uniform draws on [-hw, hw]^d."""
-    return rng.uniform(-half_width, half_width, size=(n, d))
+def sample_hypercube(d, n, rng):
+    """n i.i.d. uniform draws on [-hw, hw]^d, hw = ``HYPERCUBE_HALF_WIDTH``."""
+    return rng.uniform(-HYPERCUBE_HALF_WIDTH, HYPERCUBE_HALF_WIDTH, size=(n, d))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,9 @@ def test_all_tables_populated():
             for band in bands:
                 assert band.low <= band.high
                 assert band.provenance in ("reported", "computed")
+                # A gated value outside its own band is a transcription slip.
+                if (band.low, band.high) != (-math.inf, math.inf):
+                    assert band.contains(band.value), (example_id, method, band)
 
 
 def test_reported_values_spot_checks():

@@ -24,6 +24,15 @@ def _config(tmp_path, payload):
     return str(path)
 
 
+def _touching_problem(sentinel):
+    """An external problem whose child creates ``sentinel`` on start, so
+    the file exists only if the run got as far as evaluating g."""
+    return {"external": {
+        "command": [sys.executable, "-c", f"open({str(sentinel)!r}, 'w').close()"],
+        "marginals": [{"kind": "normal", "mean": 0, "sd": 1}],
+    }}
+
+
 BASE = {"problem": {"builtin": {"name": "example1"}},
         "method": "s4is", "seed": 7, "replicates": 1}
 
@@ -40,14 +49,9 @@ def test_run_byte_identical_for_fixed_seed(tmp_path, capsys):
 
 
 def test_unknown_key_exits_2_without_evaluation(tmp_path, capsys):
-    # the sentinel command would create a file if any evaluation happened
     sentinel = tmp_path / "touched"
     payload = {
-        "problem": {"external": {
-            "command": [sys.executable, "-c",
-                        f"open({str(sentinel)!r}, 'w').close()"],
-            "marginals": [{"kind": "normal", "mean": 0, "sd": 1}],
-        }},
+        "problem": _touching_problem(sentinel),
         "method": "form",
         "bogus": 1,
     }
@@ -64,17 +68,31 @@ def test_unknown_key_exits_2_without_evaluation(tmp_path, capsys):
 def test_bad_s4is_block_exits_2_without_evaluation(tmp_path, capsys, block):
     sentinel = tmp_path / "touched"
     payload = {
-        "problem": {"external": {
-            "command": [sys.executable, "-c",
-                        f"open({str(sentinel)!r}, 'w').close()"],
-            "marginals": [{"kind": "normal", "mean": 0, "sd": 1}],
-        }},
+        "problem": _touching_problem(sentinel),
         "method": "s4is",
         "s4is": block,
     }
     assert main(["run", "--config", _config(tmp_path, payload)]) == 2
     assert "invalid" in capsys.readouterr().err
     assert not sentinel.exists()
+
+
+@pytest.mark.parametrize("override", [["--seed", "-1"], ["--replicates", "0"],
+                                      ["--replicates", "-2"]])
+def test_bad_override_exits_2_without_evaluation(tmp_path, capsys, override):
+    # Command-line overrides obey the same schema as the config file.
+    sentinel = tmp_path / "touched"
+    payload = {"problem": _touching_problem(sentinel), "method": "form"}
+    assert main(["run", "--config", _config(tmp_path, payload), *override]) == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not sentinel.exists()
+
+
+@pytest.mark.parametrize("option", [["--replicates", "0"], ["--seed", "-1"]])
+def test_reproduce_bad_option_exits_2(capsys, option):
+    assert main(["reproduce", "example5_d2", *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_s4is_block_takes_exactly_the_run_parameters():

@@ -34,7 +34,7 @@ print(json.dumps({"id": req["id"], "g": g}), flush=True)
 
 
 def test_external_matches_local_function(tmp_path):
-    problem = external_problem(_child(tmp_path, WELL_BEHAVED), 2, TWO_NORMALS)
+    problem = external_problem(_child(tmp_path, WELL_BEHAVED), TWO_NORMALS)
     ev = Evaluator(problem)
     try:
         assert ev.g(np.array([0.0, 0.0])) == pytest.approx(2.2, abs=1e-9)
@@ -51,7 +51,7 @@ def test_external_error_response(tmp_path):
     cmd = _child(tmp_path, """\
 print(json.dumps({"id": req["id"], "error": "nan encountered"}), flush=True)
 """)
-    problem = external_problem(cmd, 2, TWO_NORMALS)
+    problem = external_problem(cmd, TWO_NORMALS)
     try:
         with pytest.raises(EvaluationError, match="nan encountered"):
             Evaluator(problem).g(np.zeros(2))
@@ -63,7 +63,7 @@ def test_external_id_mismatch(tmp_path):
     cmd = _child(tmp_path, """\
 print(json.dumps({"id": 999, "g": 0.0}), flush=True)
 """)
-    problem = external_problem(cmd, 2, TWO_NORMALS)
+    problem = external_problem(cmd, TWO_NORMALS)
     try:
         with pytest.raises(ProtocolError, match="999"):
             Evaluator(problem).g(np.zeros(2))
@@ -75,7 +75,7 @@ def test_external_malformed_line(tmp_path):
     cmd = _child(tmp_path, """\
 print("not json", flush=True)
 """)
-    problem = external_problem(cmd, 2, TWO_NORMALS)
+    problem = external_problem(cmd, TWO_NORMALS)
     try:
         with pytest.raises(ProtocolError):
             Evaluator(problem).g(np.zeros(2))
@@ -87,7 +87,7 @@ def test_external_process_exit(tmp_path):
     cmd = _child(tmp_path, """\
 sys.exit(3)
 """)
-    problem = external_problem(cmd, 2, TWO_NORMALS)
+    problem = external_problem(cmd, TWO_NORMALS)
     try:
         with pytest.raises(EvaluationError):
             Evaluator(problem).g(np.zeros(2))
@@ -99,7 +99,7 @@ def test_external_nonfinite_value(tmp_path):
     cmd = _child(tmp_path, """\
 print(json.dumps({"id": req["id"], "g": float("inf")}), flush=True)
 """)
-    problem = external_problem(cmd, 2, TWO_NORMALS)
+    problem = external_problem(cmd, TWO_NORMALS)
     try:
         with pytest.raises(EvaluationError, match="non-finite"):
             Evaluator(problem).g(np.zeros(2))
@@ -107,15 +107,10 @@ print(json.dumps({"id": req["id"], "g": float("inf")}), flush=True)
         problem.components[0].close()
 
 
-def test_dim_mismatch_rejected(tmp_path):
-    with pytest.raises(ConfigError):
-        external_problem([sys.executable, "-c", "pass"], 3, TWO_NORMALS)
-
-
 def test_string_command_rejected():
     # A string would need a shell to split it; only argument lists are run.
     with pytest.raises(ConfigError):
-        external_problem(f"{sys.executable} -c pass", 2, TWO_NORMALS)
+        external_problem(f"{sys.executable} -c pass", TWO_NORMALS)
 
 
 def test_close_kills_a_child_that_ignores_eof(tmp_path, monkeypatch):
@@ -128,7 +123,7 @@ def test_close_kills_a_child_that_ignores_eof(tmp_path, monkeypatch):
             print(json.dumps({"id": req["id"], "g": 1.0}), flush=True)
         time.sleep(30)
     """))
-    problem = external_problem([sys.executable, str(script)], 2, TWO_NORMALS)
+    problem = external_problem([sys.executable, str(script)], TWO_NORMALS)
     child = problem.components[0]
     assert Evaluator(problem).g(np.zeros(2)) == 1.0
     child.close()
@@ -141,7 +136,7 @@ for i in range(100):
     print(f"warning {i}", file=sys.stderr)
 sys.exit(3)
 """)
-    problem = external_problem(cmd, 2, TWO_NORMALS)
+    problem = external_problem(cmd, TWO_NORMALS)
     try:
         with pytest.raises(EvaluationError, match="closed its output") as info:
             Evaluator(problem).g(np.zeros(2))
@@ -160,7 +155,7 @@ sys.stderr.write(("x" * 99 + "\\n") * 5000)
 sys.stderr.flush()
 print(json.dumps({"id": req["id"], "g": 1.0}), flush=True)
 """)
-    problem = external_problem(cmd, 2, TWO_NORMALS)
+    problem = external_problem(cmd, TWO_NORMALS)
     try:
         assert Evaluator(problem).g(np.zeros(2)) == 1.0
     finally:

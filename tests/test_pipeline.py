@@ -1,6 +1,7 @@
 """Two-stage pipeline orchestration and the method baselines."""
 
 import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -8,12 +9,34 @@ import pytest
 from scipy.stats import norm
 
 from s4is import pipeline
-from s4is.benchmarks import reference_table
+from s4is.benchmarks import oracle_is_reference, reference_table
+from s4is.clustering import kmeans
 from s4is.errors import StageFailureError
-from s4is.evaluation import ProblemSpec, builtin_problem
+from s4is.evaluation import (Evaluator, ExternalEvaluator, ProblemSpec,
+                             builtin_problem, external_problem)
+from s4is.form import hlrf_search, multi_start_mpps
 from s4is.pipeline import (S4isConfig, run_akis_baseline, run_form_baseline,
                            run_mcs_baseline, run_s4is)
-from s4is.probability import Marginal, RandomVector
+from s4is.probability import (Marginal, RandomVector, hypercube_density,
+                              sample_hypercube)
+
+
+def test_library_functions_take_exactly_the_parameters_callers_set():
+    # Tolerances, restart counts and widths no caller varies are module
+    # constants; a new parameter is a new knob: add it here on purpose.
+    expected = {
+        hlrf_search: ["evaluator", "start_u", "fd_scheme"],
+        multi_start_mpps: ["evaluator", "n_starts", "rng", "fd_scheme"],
+        kmeans: ["points", "k", "rng"],
+        hypercube_density: ["u"],
+        sample_hypercube: ["d", "n", "rng"],
+        oracle_is_reference: ["problem", "rng", "n"],
+        Evaluator: ["problem"],
+        ExternalEvaluator: ["command"],
+        external_problem: ["command", "marginals"],
+    }
+    for fn, params in expected.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
 
 def test_config_defaults_scale_with_dimension():
