@@ -17,16 +17,18 @@ import numpy as np
 
 from . import benchmarks
 from .errors import ConfigError, S4isError
-from .evaluation import builtin_problem, external_problem
-from .probability import Marginal, RandomVector
+from .evaluation import (BUILTIN_NAMES, EXAMPLE4_LEVELS, builtin_problem,
+                         external_problem)
+from .probability import KINDS, Marginal, RandomVector
 from .pipeline import S4isConfig
 
 _S4IS_FIELDS = {f.name for f in dataclasses.fields(S4isConfig)}
+OUTPUT_FORMATS = ("json", "csv", "both")
 
 _MARGINAL_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["normal", "lognormal", "uniform"]},
+        "kind": {"enum": list(KINDS)},
         "mean": {"type": "number"},
         "sd": {"type": "number", "exclusiveMinimum": 0},
     },
@@ -43,9 +45,8 @@ CONFIG_SCHEMA = {
                 "builtin": {
                     "type": "object",
                     "properties": {
-                        "name": {"enum": ["example1", "example2", "example3",
-                                          "example4", "example5"]},
-                        "c": {"enum": [3, 4, 5]},
+                        "name": {"enum": list(BUILTIN_NAMES)},
+                        "c": {"enum": list(EXAMPLE4_LEVELS)},
                         "d": {"type": "integer", "minimum": 1},
                     },
                     "required": ["name"],
@@ -85,7 +86,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "path": {"type": "string"},
-                "format": {"enum": ["json", "csv", "both"]},
+                "format": {"enum": list(OUTPUT_FORMATS)},
             },
             "additionalProperties": False,
         },
@@ -287,7 +288,7 @@ def make_parser():
     p_run.add_argument("--replicates", type=int)
     p_run.add_argument("--method", choices=benchmarks.METHODS)
     p_run.add_argument("--output")
-    p_run.add_argument("--format", choices=["json", "csv", "both"])
+    p_run.add_argument("--format", choices=OUTPUT_FORMATS)
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("reproduce",

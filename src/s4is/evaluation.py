@@ -193,12 +193,18 @@ _REFERENCE_PF = {
 }
 
 
-def builtin_problem(name, c=None, d=None):
-    """Construct one of the five built-in benchmark problems.
+BUILTIN_NAMES = ("example1", "example2", "example3", "example4", "example5")
+EXAMPLE4_LEVELS = (3, 4, 5)  # the values of example4's constant c
 
-    example4 takes the reliability-level constant ``c`` in {3, 4, 5};
-    example5 takes the dimension ``d`` >= 1.
+
+def builtin_problem(name, c=None, d=None):
+    """Construct one of the built-in benchmark problems ``BUILTIN_NAMES``.
+
+    example4 takes the reliability-level constant ``c`` in
+    ``EXAMPLE4_LEVELS``; example5 takes the dimension ``d`` >= 1.
     """
+    if name not in BUILTIN_NAMES:
+        raise ConfigError(f"unknown built-in problem {name!r}")
     if name == "example1":
         return ProblemSpec("example1", _std_normals(2), _example1_components(),
                            "series_min", _REFERENCE_PF["example1"], "reported")
@@ -218,19 +224,18 @@ def builtin_problem(name, c=None, d=None):
         return ProblemSpec("example3", marginals, (_example3_component,),
                            "single", _REFERENCE_PF["example3"], "reported")
     if name == "example4":
-        if c not in (3, 4, 5):
-            raise ConfigError("example4 requires c in {3, 4, 5}")
+        if c not in EXAMPLE4_LEVELS:
+            levels = ", ".join(map(str, EXAMPLE4_LEVELS))
+            raise ConfigError(f"example4 requires c in {{{levels}}}")
         ref = _REFERENCE_PF[("example4", c)]
         return ProblemSpec(f"example4_c{c}", _std_normals(2), _example4_components(c),
                            "series_min", ref, "reported")
-    if name == "example5":
-        if d is None or d < 1:
-            raise ConfigError("example5 requires d >= 1")
-        marginals = RandomVector(tuple(Marginal("lognormal", 1.0, 0.2) for _ in range(d)))
-        ref = _REFERENCE_PF.get(("example5", d))
-        return ProblemSpec(f"example5_d{d}", marginals, (_example5_component(d),),
-                           "single", ref, "reported" if ref is not None else None)
-    raise ConfigError(f"unknown built-in problem {name!r}")
+    if d is None or d < 1:
+        raise ConfigError("example5 requires d >= 1")
+    marginals = RandomVector(tuple(Marginal("lognormal", 1.0, 0.2) for _ in range(d)))
+    ref = _REFERENCE_PF.get(("example5", d))
+    return ProblemSpec(f"example5_d{d}", marginals, (_example5_component(d),),
+                       "single", ref, "reported" if ref is not None else None)
 
 
 class ExternalEvaluator:

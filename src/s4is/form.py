@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .errors import StageFailureError, StationaryPointError
 from .evaluation import Evaluator
@@ -109,7 +109,7 @@ def form_pf(beta):
     """FORM failure probability Phi(-beta)."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    return float(stats.norm.cdf(-beta))
+    return float(ndtr(-beta))
 
 
 def multi_start_mpps(evaluator: Evaluator, n_starts, rng, fd_scheme="central"):

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr, ndtri
 
 from .errors import DomainError
 
@@ -66,7 +65,7 @@ class Marginal:
         a, b = self.uniform_bounds()
         if np.any(theta < a) or np.any(theta > b):
             raise DomainError("value outside uniform support")
-        return stats.norm.ppf((theta - a) / (b - a))
+        return ndtri((theta - a) / (b - a))
 
     def from_u(self, u):
         """Inverse of :meth:`to_u`."""
@@ -79,7 +78,7 @@ class Marginal:
             mu, sigma = self.log_params()
             return np.exp(mu + sigma * u)
         a, b = self.uniform_bounds()
-        return a + (b - a) * stats.norm.cdf(u)
+        return a + (b - a) * ndtr(u)
 
 
 @dataclass(frozen=True)

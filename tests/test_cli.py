@@ -5,16 +5,23 @@ import dataclasses
 import gc
 import io
 import json
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from s4is.cli import (CONFIG_SCHEMA, build_report, history_rows, main,
-                      report_csv_rows, report_json, validate_config)
+import s4is
+from s4is.benchmarks import METHODS
+from s4is.cli import (CONFIG_SCHEMA, OUTPUT_FORMATS, build_report,
+                      history_rows, main, make_parser, report_csv_rows,
+                      report_json, validate_config)
 from s4is.errors import ConfigError
-from s4is.evaluation import ExternalEvaluator
+from s4is.evaluation import (BUILTIN_NAMES, EXAMPLE4_LEVELS, ExternalEvaluator,
+                             builtin_problem)
+from s4is.probability import KINDS
 from s4is.pipeline import S4isConfig
 
 
@@ -245,3 +252,36 @@ def test_seed_override_changes_result(tmp_path, capsys):
 def test_schema_is_strict_everywhere():
     assert CONFIG_SCHEMA["additionalProperties"] is False
     assert CONFIG_SCHEMA["properties"]["problem"]["additionalProperties"] is False
+
+
+def test_schema_enums_are_the_library_constants():
+    props = CONFIG_SCHEMA["properties"]
+    problem = props["problem"]["properties"]
+    builtin = problem["builtin"]["properties"]
+    marginal = problem["external"]["properties"]["marginals"]["items"]
+    assert builtin["name"]["enum"] == list(BUILTIN_NAMES)
+    assert builtin["c"]["enum"] == list(EXAMPLE4_LEVELS)
+    assert marginal["properties"]["kind"]["enum"] == list(KINDS)
+    assert props["output"]["properties"]["format"]["enum"] == list(OUTPUT_FORMATS)
+    assert props["method"]["enum"] == list(METHODS)
+    # The constants are what the library and the options accept.
+    for name in BUILTIN_NAMES:
+        assert builtin_problem(name, c=EXAMPLE4_LEVELS[0], d=2) is not None
+    for c in EXAMPLE4_LEVELS:
+        assert builtin_problem("example4", c=c).name == f"example4_c{c}"
+    with pytest.raises(ConfigError, match="unknown built-in problem"):
+        builtin_problem("example6")
+    with pytest.raises(ConfigError, match=r"c in \{3, 4, 5\}"):
+        builtin_problem("example4", c=6)
+    for fmt in OUTPUT_FORMATS:
+        args = make_parser().parse_args(["run", "--config", "c.json", "--format", fmt])
+        assert args.format == fmt
+
+
+def test_importing_the_package_does_not_load_scipy_stats():
+    src = str(Path(s4is.__file__).resolve().parents[1])
+    code = ("import sys; import s4is, s4is.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
@@ -312,6 +313,80 @@ def test_recorded_fits_reach_recorded_likelihood():
     best = [GpSurrogate().fit(*_recorded_dataset(i), seed=i).nll_history[-1]
             for i in range(len(_RECORDED_FITS))]
     assert sum(best) <= sum(nll for _, _, nll in _RECORDED_FITS)
+
+
+def _driver_equals_scipy(fun, x0, args=(), bounds=None, maxiter=60):
+    """Run ``fun`` from ``x0`` through the L-BFGS-B driver and through
+    scipy's own L-BFGS-B; assert that both give the same x, value,
+    evaluation and iteration counts bit for bit, and that the driver's
+    ``nfev`` counts its calls of ``fun``. Returns the driver's result."""
+    calls = []
+
+    def counted(p, *a):
+        calls.append(p)
+        return fun(p, *a)
+
+    options = {"maxiter": maxiter}
+    res = optimize.minimize(counted, x0, args=args, method=s4is.surrogate._lbfgsb,
+                            bounds=bounds, options=options)
+    ref = optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
+                            bounds=bounds, options=options)
+    assert np.array_equal(res.x, ref.x)
+    assert res.fun == ref.fun
+    assert res.nfev == ref.nfev == len(calls)
+    assert res.nit == ref.nit
+    return res
+
+
+class _PinnedOptimize:
+    """``scipy.optimize`` for ``s4is.surrogate`` in which every start is
+    also run through scipy's L-BFGS-B and must agree with the driver."""
+
+    def __init__(self):
+        self.results = []
+
+    def __getattr__(self, name):
+        return getattr(optimize, name)
+
+    def minimize(self, fun, x0, args, method, bounds, options):
+        assert method is s4is.surrogate._lbfgsb
+        self.results.append(_driver_equals_scipy(fun, x0, args, bounds, **options))
+        return self.results[-1]
+
+
+def test_driver_repeats_scipy_lbfgsb_on_every_start_of_the_recorded_fits(monkeypatch):
+    pinned = _PinnedOptimize()
+    monkeypatch.setattr(s4is.surrogate, "optimize", pinned)
+    for i in range(len(_RECORDED_FITS)):
+        GpSurrogate().fit(*_recorded_dataset(i), seed=i)
+    GpSurrogate().fit(*_recorded_dataset(8), seed=8, isotropic=True)
+    assert len(pinned.results) == 5 * (len(_RECORDED_FITS) + 1)
+    assert all(res.x.shape == (1,) for res in pinned.results[-5:])
+
+
+def test_driver_repeats_scipy_lbfgsb_at_the_edges():
+    x, y = _training_data()
+    model = GpSurrogate().fit(x, y)
+    lo, hi = np.log(s4is.surrogate._LS_BOUNDS)
+    bounds = [(lo, hi)] * 2
+    # A start outside the bounds is clipped onto them.
+    res = _driver_equals_scipy(model._nll, np.array([hi + 2.0, lo - 3.0]),
+                               (model._delta,), bounds)
+    assert np.all((res.x >= lo) & (res.x <= hi))
+    # A run cut off by maxiter.
+    res = _driver_equals_scipy(model._nll, np.zeros(2), (model._delta,), bounds,
+                               maxiter=2)
+    assert res.nit == 2
+    # A start where R is singular: _nll returns _BIG with a zero gradient.
+    x[1] = x[0] + 1e-9
+    singular = GpSurrogate().fit(x, y)
+    res = _driver_equals_scipy(singular._nll, np.full(2, hi), (0.0,), bounds)
+    assert res.fun == s4is.surrogate._BIG
+    # No bounds, and bounds open on one side.
+    rosen = lambda p: (optimize.rosen(p), optimize.rosen_der(p))
+    _driver_equals_scipy(rosen, np.array([-1.2, 1.0]))
+    _driver_equals_scipy(rosen, np.array([-1.2, 1.0]),
+                         bounds=[(-np.inf, 0.5), (0.0, np.inf)])
 
 
 def test_composite_honours_isotropic_through_updates():
