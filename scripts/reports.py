@@ -1,5 +1,6 @@
-"""Write the 20 fixed-seed CLI reports and the dump of the reference
-tables that a behaviour-preserving change must leave byte-identical.
+"""Write the 20 fixed-seed CLI reports, the dump of the reference tables
+and the true-g oracle's estimates that a behaviour-preserving change must
+leave byte-identical.
 
     python3 scripts/reports.py OUTDIR
 
@@ -10,7 +11,9 @@ checkout's ``src/``. Each report lands in ``OUTDIR/<method>_<problem>.json``.
 ``OUTDIR/reference_tables.txt`` records, for every example id, what
 ``reference_table`` returns: methods, mcs_n, replicates, the problem's
 reference pf and each method's bands (quantity, value, low, high,
-provenance), in order. To check a change, run the script from both
+provenance), in order. ``OUTDIR/oracle.txt`` records ``oracle_is_reference``
+with n = 1e6 and ``default_rng(7)`` on example1 and example4 (c = 5): pf,
+variance and cov as repr. To check a change, run the script from both
 checkouts and compare the two directories with ``diff -r``.
 """
 
@@ -46,6 +49,17 @@ for example_id in EXAMPLE_IDS:
                   repr(b.high), b.provenance)
 """
 
+ORACLE_PROBLEMS = ("example1", "example4_c5")
+# The oracle's estimate on each of ORACLE_PROBLEMS; floats as repr.
+DUMP_ORACLE = """
+import numpy as np
+from s4is import builtin_problem, oracle_is_reference
+for label, builtin in {problems!r}:
+    est = oracle_is_reference(builtin_problem(**builtin),
+                              np.random.default_rng({seed}), n={n})
+    print(label, repr(est.pf), repr(est.variance), repr(est.cov))
+"""
+
 
 def main(argv):
     if len(argv) != 1:
@@ -73,6 +87,12 @@ def main(argv):
         subprocess.run([sys.executable, "-c", DUMP_TABLES], env=env,
                        stdout=fh, check=True)
     print(tables, flush=True)
+    oracle = out / "oracle.txt"
+    dump = DUMP_ORACLE.format(
+        problems=[p for p in PROBLEMS if p[0] in ORACLE_PROBLEMS], seed=SEED, n=MCS_N)
+    with open(oracle, "w", encoding="utf-8") as fh:
+        subprocess.run([sys.executable, "-c", dump], env=env, stdout=fh, check=True)
+    print(oracle, flush=True)
     return 0
 
 

@@ -18,8 +18,9 @@ from scipy import optimize
 from .errors import ConfigError, StageFailureError
 from .estimators import is_estimate_from_log
 from .evaluation import Evaluator, ProblemSpec, builtin_problem
-from .pipeline import (S4isConfig, run_akis_baseline, run_form_baseline,
-                       run_mcs_baseline, run_s4is)
+from .pipeline import (REFERENCE_BLOCK_ROWS, S4isConfig, check_sample_count,
+                       run_akis_baseline, run_form_baseline, run_mcs_baseline,
+                       run_s4is)
 from .probability import GaussianMixture, log_std_normal_pdf
 
 METHODS = ("mcs", "form", "akis", "s4is")  # also the CLI's method choices
@@ -156,7 +157,11 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     and uniform draws on [-4, 4]^d. HL-RF is avoided here because it
     oscillates on some component geometries and a missed branch would bias
     the reference low.
+
+    The n samples are drawn at once; the true g and both log densities are
+    then taken ``REFERENCE_BLOCK_ROWS`` rows at a time.
     """
+    n = check_sample_count(n)
     d = problem.dim
     rv = problem.marginals
     centers = []
@@ -182,8 +187,15 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     evaluator = Evaluator(problem)
     gm = GaussianMixture(np.array(centers))
     u = gm.sample(n, rng)
-    g = evaluator.g_batch(problem.marginals.from_standard_normal(u))
-    return is_estimate_from_log(g <= 0, log_std_normal_pdf(u), gm.logpdf(u))
+    failed = np.empty(n, dtype=bool)
+    log_p = np.empty(n)
+    log_q = np.empty(n)
+    for start in range(0, n, REFERENCE_BLOCK_ROWS):
+        block = slice(start, start + REFERENCE_BLOCK_ROWS)
+        failed[block] = evaluator.g_batch(rv.from_standard_normal(u[block])) <= 0
+        log_p[block] = log_std_normal_pdf(u[block])
+        log_q[block] = gm.logpdf(u[block])
+    return is_estimate_from_log(failed, log_p, log_q)
 
 
 @dataclass
@@ -257,14 +269,13 @@ def run_method(method, problem, config, rng, mcs_n=None):
     raise ConfigError(f"unknown method {method!r}")
 
 
-def run_experiment(exp: ExperimentDef, rng, config=None, reference_pf=None):
+def run_experiment(exp: ExperimentDef, rng, config=None):
     """Run every configured method for the configured replicate count and
     compare against the tolerance bands.
 
-    The relative-error reference is, in order of preference: an explicit
-    ``reference_pf``, this run's own MCS mean, the true-g oracle (example4
-    c=5), or the reported value.  A method error becomes a failed row, not
-    an aborted report.
+    The relative-error reference is, in order of preference: this run's own
+    MCS mean, the true-g oracle (example4 c=5), or the reported value.  A
+    method error becomes a failed row, not an aborted report.
     """
     if config is None:
         config = S4isConfig()
@@ -278,9 +289,7 @@ def run_experiment(exp: ExperimentDef, rng, config=None, reference_pf=None):
         except Exception as e:  # deliberate: report the row as failed
             errors[method] = f"{type(e).__name__}: {e}"
 
-    if reference_pf is not None:
-        ref, source = float(reference_pf), "computed"
-    elif "mcs" in estimates:
+    if "mcs" in estimates:
         ref = float(np.mean([e.pf for e in estimates["mcs"]]))
         source = "mcs"
     elif exp.example_id == "example4_c5":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import build_gm, kmeans, mpp_per_cluster
-from .errors import StageFailureError, StationaryPointError
+from .errors import ConfigError, StageFailureError, StationaryPointError
 from .estimators import ReliabilityEstimate, is_estimate_from_log, mcs_estimate
 from .evaluation import Evaluator, ProblemSpec
 from .form import form_pf, hlrf_search, multi_start_mpps
@@ -25,6 +25,10 @@ from .surrogate import SupportPointSet, fit_surrogate, update_surrogate
 HIGHDIM_THRESHOLD = 10
 _TRACE_MIN_SEP = 0.05  # u-space separation of the points kept from an HL-RF trace
 _TRACE_MAX_POINTS = 300  # and their largest number
+# Rows transformed and evaluated at a time by the sample-based references
+# (crude MCS and the true-g oracle), so that their temporaries keep this
+# size whatever the sample count.
+REFERENCE_BLOCK_ROWS = 1 << 16
 
 # S4isConfig fields that count something (int >= 1) or cap iterations (int >= 0).
 _COUNTS = ("n_c1", "n_s1_0", "n_c2", "k_clusters", "a1", "a2", "pool_growth_limit")
@@ -466,13 +470,28 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     return report.final
 
 
+def check_sample_count(n):
+    """``n`` as a reference sample count: an integer >= 1, never a bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ConfigError(f"sample count must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def run_mcs_baseline(problem: ProblemSpec, n: int, rng):
-    """Crude Monte Carlo with n samples of the true performance function."""
+    """Crude Monte Carlo with n samples of the true performance function.
+
+    The samples are drawn ``REFERENCE_BLOCK_ROWS`` rows at a time; the
+    generator's normal stream is the same as for one (n, d) draw.
+    """
+    n = check_sample_count(n)
     rv = problem.marginals
-    u = rng.standard_normal(size=(n, problem.dim))
     evaluator = Evaluator(problem)
-    g = evaluator.g_batch(rv.from_standard_normal(u))
-    est = mcs_estimate(g <= 0)
+    failed = np.empty(n, dtype=bool)
+    for start in range(0, n, REFERENCE_BLOCK_ROWS):
+        rows = min(REFERENCE_BLOCK_ROWS, n - start)
+        u = rng.standard_normal(size=(rows, problem.dim))
+        failed[start:start + rows] = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
+    est = mcs_estimate(failed)
     est.n_eval = evaluator.ledger.count
     return est
 

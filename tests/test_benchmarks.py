@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from s4is.benchmarks import (EXAMPLE_IDS, Band, reference_table,
-                             run_experiment)
+from s4is.benchmarks import (EXAMPLE_IDS, Band, oracle_is_reference,
+                             reference_table, run_experiment)
 from s4is.errors import ConfigError
-from s4is.pipeline import S4isConfig
+from s4is.estimators import is_estimate_from_log, mcs_estimate
+from s4is.evaluation import Evaluator, ProblemSpec, builtin_problem
+from s4is.pipeline import REFERENCE_BLOCK_ROWS, S4isConfig, run_mcs_baseline
+from s4is.probability import (GaussianMixture, Marginal, RandomVector,
+                              log_std_normal_pdf)
 
 
 def test_all_tables_populated():
@@ -121,3 +125,65 @@ def test_format_table_mentions_every_method():
     text = report.format_table()
     assert "mcs" in text and "form" in text
     assert "reference pf" in text
+
+
+def _one_shot_failed(problem, u):
+    """g <= 0 for every row of u in one call, as the references did before
+    they went blockwise."""
+    return Evaluator(problem).g_batch(problem.marginals.from_standard_normal(u)) <= 0
+
+
+def _fields(est):
+    # repr, so that a NaN CoV compares equal to itself
+    return repr((est.pf, est.variance, est.cov, est.n_eval, est.n_samples))
+
+
+@pytest.mark.parametrize("n", [REFERENCE_BLOCK_ROWS + 17, 5000])
+@pytest.mark.parametrize("problem_args", [{"name": "example1"},
+                                          {"name": "example5", "d": 10}])
+def test_blockwise_mcs_equals_one_shot(problem_args, n):
+    problem = builtin_problem(**problem_args)
+    got = run_mcs_baseline(problem, n, np.random.default_rng(5))
+    u = np.random.default_rng(5).standard_normal((n, problem.dim))
+    want = mcs_estimate(_one_shot_failed(problem, u))
+    want.n_eval = n
+    assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("n", [REFERENCE_BLOCK_ROWS + 17, 5000])
+def test_blockwise_oracle_equals_one_shot(n, monkeypatch):
+    problem = builtin_problem("example1")
+    drawn = []
+    sample = GaussianMixture.sample
+
+    def recording_sample(self, count, rng):
+        u = sample(self, count, rng)
+        drawn.append((self, u))
+        return u
+
+    monkeypatch.setattr(GaussianMixture, "sample", recording_sample)
+    got = oracle_is_reference(problem, np.random.default_rng(6), n=n)
+    [(gm, u)] = drawn
+    want = is_estimate_from_log(_one_shot_failed(problem, u),
+                                log_std_normal_pdf(u), gm.logpdf(u))
+    assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("n", [0, -5, True, 2.5, "10", None])
+@pytest.mark.parametrize("method", ["mcs", "oracle"])
+def test_bad_sample_count_rejected_before_any_g_call(method, n):
+    calls = []
+
+    def g(theta):
+        calls.append(len(theta))
+        return 3.0 - theta[:, 0]
+
+    problem = ProblemSpec("counting", RandomVector((Marginal("normal", 0.0, 1.0),) * 2),
+                          (g,))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match="sample count"):
+        if method == "mcs":
+            run_mcs_baseline(problem, n, rng)
+        else:
+            oracle_is_reference(problem, rng, n=n)
+    assert calls == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from s4is.errors import DomainError
 from s4is.probability import (GaussianMixture, Marginal, RandomVector,
@@ -69,6 +70,39 @@ def test_domain_error_names_component():
         rv.to_standard_normal(np.array([0.0, -1.0]))
 
 
+def _stacked_from_u(rv, u):
+    """The column-by-column transform the one-pass path must reproduce."""
+    return np.stack([m.from_u(u[:, i]) for i, m in enumerate(rv.marginals)], axis=-1)
+
+
+@pytest.mark.parametrize("marginals", [
+    [Marginal("normal", 0.0, 1.0)],
+    [Marginal("normal", 0.3 * i - 1.0, 0.2 + 0.1 * i) for i in range(10)],
+    [Marginal("lognormal", 1.0, 0.2) for _ in range(10)],
+    [Marginal("lognormal", 0.5 + i, 0.1 + 0.3 * i) for i in range(3)],
+    [Marginal("uniform", 2.0, 0.5), Marginal("uniform", -1.0, 3.0)],
+    [Marginal("normal", 1.0, 2.0), Marginal("lognormal", 1.0, 0.2),
+     Marginal("uniform", 0.0, 1.0)],
+], ids=["normal_d1", "normal_d10", "lognormal_d10", "lognormal_d3", "uniform",
+        "mixed"])
+def test_from_standard_normal_equals_columnwise(marginals):
+    rv = RandomVector(tuple(marginals))
+    u = np.random.default_rng(11).standard_normal((70_001, rv.dim)) * 2.0
+    assert np.array_equal(rv.from_standard_normal(u), _stacked_from_u(rv, u))
+    assert np.array_equal(rv.from_standard_normal(u[5]), _stacked_from_u(rv, u[5:6])[0])
+
+
+@pytest.mark.parametrize("kinds", [("normal",) * 4, ("lognormal",) * 4,
+                                   ("normal", "lognormal", "uniform", "normal")])
+def test_non_finite_u_names_first_bad_component(kinds):
+    rv = RandomVector(tuple(Marginal(kind, 1.0, 0.2) for kind in kinds))
+    u = np.zeros((5, 4))
+    u[3, 2] = np.nan
+    u[1, 3] = np.inf
+    with pytest.raises(DomainError, match="^component 2: non-finite u-space input$"):
+        rv.from_standard_normal(u)
+
+
 def test_vector_roundtrip_shapes():
     rv = RandomVector((Marginal("normal", 1.0, 2.0),
                        Marginal("lognormal", 1.0, 0.2),
@@ -107,6 +141,37 @@ def test_gm_logpdf_matches_manual():
     u = RNG.standard_normal((40, 2))
     manual = 0.5 * (std_normal_pdf(u) + std_normal_pdf(u - centers[1]))
     np.testing.assert_allclose(gm.pdf(u), manual, rtol=1e-12)
+
+
+def _logsumexp_reference(centers, u):
+    """The mixture log density as scipy's logsumexp gives it."""
+    u = np.asarray(u, dtype=float)
+    diff = np.atleast_2d(u)[:, None, :] - centers[None, :, :]
+    comp = -0.5 * (centers.shape[1] * math.log(2 * math.pi)
+                   + np.sum(diff * diff, axis=-1))
+    out = logsumexp(comp, axis=1) - math.log(centers.shape[0])
+    return out[0] if u.ndim == 1 else out
+
+
+# k = 9 and 130 take numpy's blocked and halved pairwise summation orders.
+@pytest.mark.parametrize("k", [1, 3, 4, 9, 130])
+@pytest.mark.parametrize("d", [2, 10])
+def test_gm_logpdf_equals_scipy_logsumexp(k, d):
+    rng = np.random.default_rng(100 * k + d)
+    centers = 3.0 * rng.standard_normal((k, d))
+    if k > 1:
+        centers[1] = centers[0]  # two maximal terms (m = 2) near centre 0
+    gm = GaussianMixture(centers)
+    near = centers[rng.integers(0, k, 3000)] + rng.standard_normal((3000, d))
+    far = centers.max() + 60.0 + rng.random((50, d))  # every term underflows exp
+    u = np.vstack([near, far, np.full((1, d), 1e200)])  # 1e200: non-finite path
+    with np.errstate(over="ignore"):  # (1e200)^2
+        want = _logsumexp_reference(centers, u)
+        assert np.array_equal(gm.logpdf(u), want)
+    assert np.all(np.exp(want[3000:3050]) == 0.0) and np.all(np.isfinite(want[3000:3050]))
+    assert want[-1] == -np.inf
+    for row in (near[0], centers[0], far[0]):  # 1-d in, scalar out
+        assert gm.logpdf(row) == _logsumexp_reference(centers, row)
 
 
 def test_gm_normalization_monte_carlo():

@@ -3,9 +3,10 @@ behaviour must reproduce them.
 
 Each case is a run config; its report is stored under ``tests/data/``.
 Strings, integers, booleans and nulls must match exactly, floats to a
-relative 1e-9. The small ``s4is`` blocks force the rarer paths of the
-refinement loop: CoV-driven pool growth, ``max_iterations`` in both
-stages, and ``pool_exhausted``.
+relative 1e-9. The two ``mcs`` cases pin crude Monte Carlo at 1e6
+samples, on a normal vector and on example5's ten lognormals. The small
+``s4is`` blocks force the rarer paths of the refinement loop: CoV-driven
+pool growth, ``max_iterations`` in both stages, and ``pool_exhausted``.
 
 Regenerate the fixtures (only for an intended change of behaviour) with
 ``PYTHONPATH=src python tests/test_reports.py``.
@@ -29,7 +30,13 @@ def _cfg(method, builtin, **s4is):
     return cfg
 
 
+def _mcs(builtin):
+    return dict(_cfg("mcs", builtin), mcs={"n": 1_000_000})
+
+
 CASES = {
+    "mcs_example1": _mcs({"name": "example1"}),
+    "mcs_example5_d10": _mcs({"name": "example5", "d": 10}),
     "akis_example1": _cfg("akis", {"name": "example1"}),
     "s4is_example1": _cfg("s4is", {"name": "example1"}),
     "s4is_example5_d10": _cfg("s4is", {"name": "example5", "d": 10}),
