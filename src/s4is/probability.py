@@ -4,15 +4,15 @@ All densities and samplers work in u-space (independent standard normal
 coordinates). Original-space inputs are mapped componentwise through
 u_i = Phi^-1(F_i(theta_i)); only independent marginals are supported.
 
-A vector whose marginals are all normal or all lognormal maps u to theta in
-one pass over the whole array (``loc + scale * u``, exponentiated for the
-lognormal kind, with per-column parameters computed once); other vectors go
-column by column through :meth:`Marginal.from_u`. Both give the same values
-bit for bit. :meth:`GaussianMixture.logpdf` takes the log-sum-exp over the
-components with the algorithm of ``scipy.special.logsumexp``, one (n,) row
-per component, adding the k terms of each point in numpy's own summation
-order (:func:`_pairwise_sum`), so it returns scipy's values bit for bit
-without scipy's per-call array-API overhead.
+:meth:`RandomVector.from_standard_normal` maps u to theta in one pass over
+the whole array, ``loc + scale * u`` with per-column parameters computed
+once, then ``exp`` on the lognormal columns and ``loc + scale * Phi(u)`` on
+the uniform ones; it gives the values of :meth:`Marginal.from_u` column by
+column, bit for bit. :meth:`GaussianMixture.logpdf` takes the log-sum-exp
+over the components with the algorithm of ``scipy.special.logsumexp``, one
+(n,) row per component, summing the k terms of each point over the same
+C-ordered (n, k) layout scipy sums, so it returns scipy's values bit for
+bit without scipy's per-call array-API overhead.
 """
 
 from __future__ import annotations
@@ -101,17 +101,25 @@ class RandomVector:
         object.__setattr__(self, "marginals", tuple(self.marginals))
         if len(self.marginals) < 1:
             raise DomainError("need at least one marginal")
-        # (loc, scale, lognormal) rows of the one-pass transform, or None
-        # when the vector mixes kinds or has a uniform marginal.
-        kinds = {m.kind for m in self.marginals}
-        one_pass = None
-        if kinds == {"normal"}:
-            one_pass = (np.array([m.mean for m in self.marginals]),
-                        np.array([m.sd for m in self.marginals]), False)
-        elif kinds == {"lognormal"}:
-            mu, sigma = zip(*(m.log_params() for m in self.marginals))
-            one_pass = (np.array(mu), np.array(sigma), True)
-        object.__setattr__(self, "_one_pass", one_pass)
+        # Per-column rows of the one-pass transform: theta = loc + scale * z,
+        # z = u for normal and lognormal columns (exponentiated afterwards
+        # for lognormal ones) and z = Phi(u) for uniform ones.
+        loc, scale = [], []
+        for m in self.marginals:
+            if m.kind == "normal":
+                lo, sc = m.mean, m.sd
+            elif m.kind == "lognormal":
+                lo, sc = m.log_params()
+            else:
+                lo, hi = m.uniform_bounds()
+                sc = hi - lo
+            loc.append(lo)
+            scale.append(sc)
+        kinds = np.array([m.kind for m in self.marginals])
+        object.__setattr__(self, "_loc", np.array(loc))
+        object.__setattr__(self, "_scale", np.array(scale))
+        object.__setattr__(self, "_lognormal", np.flatnonzero(kinds == "lognormal"))
+        object.__setattr__(self, "_uniform", np.flatnonzero(kinds == "uniform"))
 
     @property
     def dim(self):
@@ -138,24 +146,19 @@ class RandomVector:
         u2 = np.atleast_2d(u)
         if u2.shape[-1] != self.dim:
             raise DomainError(f"expected dimension {self.dim}, got {u2.shape[-1]}")
-        if self._one_pass is None:
-            cols = []
-            for i, m in enumerate(self.marginals):
-                try:
-                    cols.append(m.from_u(u2[:, i]))
-                except DomainError as exc:
-                    raise DomainError(f"component {i}: {exc}") from exc
-            theta = np.stack(cols, axis=-1)
-        else:
-            finite = np.isfinite(u2)
-            if not finite.all():
-                i = int(np.argmin(finite.all(axis=0)))
-                raise DomainError(f"component {i}: non-finite u-space input")
-            loc, scale, lognormal = self._one_pass
-            theta = u2 * scale
-            theta += loc
-            if lognormal:
-                np.exp(theta, out=theta)
+        finite = np.isfinite(u2)
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=0)))
+            raise DomainError(f"component {i}: non-finite u-space input")
+        theta = u2 * self._scale
+        theta += self._loc
+        ln, uni = self._lognormal, self._uniform
+        if ln.size == self.dim:
+            np.exp(theta, out=theta)
+        elif ln.size:
+            theta[:, ln] = np.exp(theta[:, ln])
+        if uni.size:
+            theta[:, uni] = self._loc[uni] + self._scale[uni] * ndtr(u2[:, uni])
         return theta[0] if squeezed else theta
 
 
@@ -185,33 +188,6 @@ def sample_hypercube(d, n, rng):
     return rng.uniform(-HYPERCUBE_HALF_WIDTH, HYPERCUBE_HALF_WIDTH, size=(n, d))
 
 
-def _pairwise_sum(terms):
-    """Elementwise sum of the k rows of a (k, n) array, adding the k terms
-    of each column in the order ``np.sum(x, axis=-1)`` adds the k entries
-    of a row of a C-ordered (n, k) array ``x`` (numpy's pairwise
-    summation): one by one below 8 terms, in eight running partial sums
-    combined as a tree up to 128, and halved at a multiple of 8 above."""
-    k = len(terms)
-    if k < 8:
-        total = terms[0].copy()
-        for t in terms[1:]:
-            total += t
-        return total
-    if k <= 128:
-        r = [t.copy() for t in terms[:8]]
-        stop = k - k % 8
-        for i in range(8, stop, 8):
-            for j in range(8):
-                r[j] += terms[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for t in terms[stop:]:
-            total += t
-        return total
-    half = k // 2
-    half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
 @dataclass(frozen=True)
 class GaussianMixture:
     """Equal-weight, identity-covariance Gaussian mixture in u-space."""
@@ -235,7 +211,8 @@ class GaussianMixture:
     def logpdf(self, u):
         u = np.asarray(u, dtype=float)
         u2 = np.atleast_2d(u)
-        # Component log densities, one row per centre.
+        # Component log densities, one row per centre; sums over the
+        # components run on a C-ordered (n, k) copy, the layout scipy sums.
         a = np.empty((self.n_components, u2.shape[0]))
         for row, center in zip(a, self.centers):
             diff = u2 - center
@@ -248,14 +225,14 @@ class GaussianMixture:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             e = np.exp(a - a_max)
             e[at_max] = 0.0
-            s = _pairwise_sum(e)
+            s = np.ascontiguousarray(e.T).sum(axis=1)
             s = np.where(s == 0, s, s / m)
             out = np.log1p(s) + np.log(m) + a_max
             # Where that is not finite (every term -inf, or NaN input),
             # scipy returns the direct log(sum(exp(a))).
             bad = ~np.isfinite(out)
             if bad.any():
-                out[bad] = np.log(_pairwise_sum(np.exp(a[:, bad])))
+                out[bad] = np.log(np.ascontiguousarray(np.exp(a[:, bad]).T).sum(axis=1))
         out -= math.log(self.n_components)
         return out[0] if u.ndim == 1 else out
 

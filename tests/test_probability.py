@@ -71,7 +71,7 @@ def test_domain_error_names_component():
 
 
 def _stacked_from_u(rv, u):
-    """The column-by-column transform the one-pass path must reproduce."""
+    """The column-by-column transform the one-pass transform must reproduce."""
     return np.stack([m.from_u(u[:, i]) for i, m in enumerate(rv.marginals)], axis=-1)
 
 
@@ -83,8 +83,11 @@ def _stacked_from_u(rv, u):
     [Marginal("uniform", 2.0, 0.5), Marginal("uniform", -1.0, 3.0)],
     [Marginal("normal", 1.0, 2.0), Marginal("lognormal", 1.0, 0.2),
      Marginal("uniform", 0.0, 1.0)],
+    [Marginal("lognormal", 2.0, 0.5), Marginal("uniform", 1.0, 0.3),
+     Marginal("normal", -1.0, 0.4), Marginal("lognormal", 0.7, 0.1),
+     Marginal("uniform", -2.0, 1.5)],
 ], ids=["normal_d1", "normal_d10", "lognormal_d10", "lognormal_d3", "uniform",
-        "mixed"])
+        "mixed", "mixed_interleaved"])
 def test_from_standard_normal_equals_columnwise(marginals):
     rv = RandomVector(tuple(marginals))
     u = np.random.default_rng(11).standard_normal((70_001, rv.dim)) * 2.0
@@ -153,7 +156,7 @@ def _logsumexp_reference(centers, u):
     return out[0] if u.ndim == 1 else out
 
 
-# k = 9 and 130 take numpy's blocked and halved pairwise summation orders.
+# k = 9 and 130 sum the k terms in numpy's blocked and halved pairwise orders.
 @pytest.mark.parametrize("k", [1, 3, 4, 9, 130])
 @pytest.mark.parametrize("d", [2, 10])
 def test_gm_logpdf_equals_scipy_logsumexp(k, d):
