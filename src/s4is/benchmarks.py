@@ -16,7 +16,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, StageFailureError
-from .estimators import is_estimate_from_log
+from .estimators import is_estimate_from_log, relative_error
 from .evaluation import Evaluator, ProblemSpec, builtin_problem
 from .pipeline import (REFERENCE_BLOCK_ROWS, S4isConfig, check_sample_count,
                        run_akis_baseline, run_form_baseline, run_mcs_baseline,
@@ -209,15 +209,6 @@ class MethodRow:
     passed: bool | None  # None when the method has no gating bands
     error: str | None = None
 
-    def to_dict(self):
-        def clean(x):
-            return None if isinstance(x, float) and math.isnan(x) else x
-        return {"method": self.method, "mean_pf": clean(self.mean_pf),
-                "eps_r": clean(self.eps_r), "mean_cov": clean(self.mean_cov),
-                "mean_n_eval": clean(self.mean_n_eval),
-                "replicates": self.replicates, "passed": self.passed,
-                "error": self.error}
-
 
 @dataclass
 class ExperimentReport:
@@ -229,13 +220,6 @@ class ExperimentReport:
     @property
     def all_passed(self):
         return all(r.passed for r in self.rows if r.passed is not None)
-
-    def to_dict(self):
-        return {"example_id": self.example_id,
-                "reference_pf": self.reference_pf,
-                "reference_source": self.reference_source,
-                "rows": [r.to_dict() for r in self.rows],
-                "all_passed": self.all_passed}
 
     def format_table(self):
         lines = [f"{self.example_id}  (reference pf {self.reference_pf:.4e},"
@@ -305,7 +289,7 @@ def run_experiment(exp: ExperimentDef, rng, config=None):
             continue
         ests = estimates[method]
         mean_pf = float(np.mean([e.pf for e in ests]))
-        eps_r = abs(ref - mean_pf) / ref if ref else math.nan
+        eps_r = relative_error(ref, mean_pf) if ref else math.nan
         covs = [e.cov for e in ests if e.cov_defined]
         mean_cov = float(np.mean(covs)) if covs else math.nan
         mean_n_eval = float(np.mean([e.n_eval for e in ests]))

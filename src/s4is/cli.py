@@ -17,6 +17,7 @@ import numpy as np
 
 from . import benchmarks
 from .errors import ConfigError, S4isError
+from .estimators import relative_error
 from .evaluation import (BUILTIN_NAMES, EXAMPLE4_LEVELS, builtin_problem,
                          external_problem)
 from .probability import KINDS, Marginal, RandomVector
@@ -24,6 +25,7 @@ from .pipeline import S4isConfig
 
 _S4IS_FIELDS = {f.name for f in dataclasses.fields(S4isConfig)}
 OUTPUT_FORMATS = ("json", "csv", "both")
+_HISTORY_KEYS = ("pf_history", "cov_history", "n_eval_history")
 
 _MARGINAL_SCHEMA = {
     "type": "object",
@@ -168,7 +170,7 @@ def build_report(cfg):
     if problem.reference_pf is not None:
         aggregate["reference_pf"] = problem.reference_pf
         aggregate["reference_source"] = problem.reference_source
-        aggregate["eps_r"] = abs(problem.reference_pf - mean_pf) / problem.reference_pf
+        aggregate["eps_r"] = relative_error(problem.reference_pf, mean_pf)
     return {
         "method": method,
         "problem": {"name": problem.name, "dim": problem.dim},
@@ -196,17 +198,23 @@ def history_rows(report):
     """Tidy per-iteration series: stage, iteration, pf, cov, cumulative
     N_eval — one row per recorded iteration of each stage."""
     rows = [("stage", "iteration", "pf", "cov", "n_eval_cumulative")]
+    replicates = report.get("replicates") if isinstance(report, dict) else None
+    if not isinstance(replicates, list):
+        raise ConfigError("not an s4is report: no top-level 'replicates' list")
     found = False
-    for r in report["replicates"]:
-        stages = r.get("stages")
+    for k, r in enumerate(replicates):
+        stages = r.get("stages") if isinstance(r, dict) else None
         if not stages:
             continue
         found = True
         for stage_name in ("stage1", "stage2"):
-            s = stages[stage_name]
-            for i, (pf, cov, n) in enumerate(zip(s["pf_history"],
-                                                 s["cov_history"],
-                                                 s["n_eval_history"])):
+            s = stages.get(stage_name) if isinstance(stages, dict) else None
+            missing = [key for key in _HISTORY_KEYS
+                       if not isinstance(s, dict) or key not in s]
+            if missing:
+                raise ConfigError(f"not an s4is report: replicate {k} {stage_name} "
+                                  f"has no {', '.join(missing)}")
+            for i, (pf, cov, n) in enumerate(zip(*(s[key] for key in _HISTORY_KEYS))):
                 rows.append((stage_name, i, repr(pf),
                              "" if cov is None else repr(cov), n))
     if not found:
@@ -215,7 +223,20 @@ def history_rows(report):
     return rows
 
 
+def _write_text(path, text):
+    """Write ``text`` to ``path``, or to stdout when there is no path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_csv(path, rows):
+    """Write ``rows`` to ``path``, or to stdout when there is no path."""
+    if not path:
+        csv.writer(sys.stdout).writerows(rows)
+        return
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
 
@@ -226,21 +247,16 @@ def cmd_run(args):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     validate_config(cfg)  # the overrides obey the config schema too
-    report = build_report(cfg)
     out = cfg.get("output", {})
     path = args.output or out.get("path")
     fmt = args.format or out.get("format", "json")
-    text = report_json(report)
-    if path:
-        if fmt in ("json", "both"):
-            with open(path if fmt == "json" else path + ".json", "w",
-                      encoding="utf-8") as fh:
-                fh.write(text)
-        if fmt in ("csv", "both"):
-            _write_csv(path if fmt == "csv" else path + ".csv",
-                       report_csv_rows(report))
-    else:
-        sys.stdout.write(text)
+    if fmt == "both" and not path:
+        raise ConfigError("format 'both' writes two files and needs an output path")
+    report = build_report(cfg)
+    if fmt in ("json", "both"):
+        _write_text(path if fmt == "json" else path + ".json", report_json(report))
+    if fmt in ("csv", "both"):
+        _write_csv(path if fmt == "csv" else path + ".csv", report_csv_rows(report))
     return 0
 
 
@@ -267,11 +283,7 @@ def cmd_history(args):
             report = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read report {args.report}: {e}") from e
-    rows = history_rows(report)
-    if args.output:
-        _write_csv(args.output, rows)
-    else:
-        csv.writer(sys.stdout).writerows(rows)
+    _write_csv(args.output, history_rows(report))
     return 0
 
 

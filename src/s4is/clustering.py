@@ -1,4 +1,4 @@
-"""k-means over failure samples and Gaussian-mixture construction.
+"""k-means over failure samples and one representative point per cluster.
 
 Lloyd's algorithm with k-means++ seeding and restarts; the per-cluster
 representative is the member nearest the origin in u-space (the point of
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
-
-from .probability import GaussianMixture
 
 _N_RESTARTS = 10  # k-means++ seedings per clustering; the best is kept
 _MAX_ITER = 300  # Lloyd iterations per seeding
@@ -106,8 +104,3 @@ def mpp_per_cluster(failure_points_u, assignment: ClusterAssignment):
         best = members[int(np.argmin(norms[members]))]
         mpps.append(points[best])
     return np.array(mpps)
-
-
-def build_gm(mpps):
-    """Equal-weight identity-covariance mixture centered on the MPPs."""
-    return GaussianMixture(np.atleast_2d(np.asarray(mpps, dtype=float)))

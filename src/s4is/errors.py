@@ -39,9 +39,5 @@ class StageFailureError(S4isError):
     """A pipeline stage could not produce the outputs the next stage needs."""
 
 
-class BaselineError(S4isError):
-    """A baseline method could not complete (e.g. HL-RF unconverged)."""
-
-
 class StationaryPointError(S4isError):
     """HL-RF hit a near-zero gradient away from the limit state."""

@@ -88,14 +88,6 @@ def is_estimate_from_log(indicators, log_p, log_q):
     return _finish(pf, variance, n)
 
 
-def is_estimate(indicators, p_values, q_values):
-    """IS estimate from raw density values (see :func:`is_estimate_from_log`)."""
-    p = np.asarray(p_values, dtype=float)
-    q = np.asarray(q_values, dtype=float)
-    with np.errstate(divide="ignore"):
-        return is_estimate_from_log(indicators, np.log(p), np.log(q))
-
-
 def relative_error(reference_pf, pf):
     """|reference - pf| / reference."""
     if not reference_pf > 0:

@@ -55,10 +55,6 @@ class ProblemSpec:
     def dim(self):
         return self.marginals.dim
 
-    @property
-    def n_components(self):
-        return len(self.components)
-
     def aggregate(self, component_values):
         """Combine per-component values into the system g."""
         vals = np.asarray(component_values, dtype=float)

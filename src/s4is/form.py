@@ -24,7 +24,6 @@ _DEDUP_DISTANCE = 0.5  # u-space distance below which two MPPs are one
 class MppResult:
     u_star: np.ndarray
     beta: float
-    g_at_star: float
     n_eval: int
     converged: bool
     iterations: int
@@ -91,13 +90,12 @@ def hlrf_search(evaluator: Evaluator, start_u, fd_scheme="central"):
         u_next = ((grad @ u - g) / norm2) * grad
         step = float(np.linalg.norm(u_next - u))
         g_next = gfun(u_next)
-        if step <= _STEP_TOL and abs(g_next) <= g_tol:
-            u, g = u_next, g_next
-            converged = True
-            break
+        converged = step <= _STEP_TOL and abs(g_next) <= g_tol
         u, g = u_next, g_next
+        if converged:
+            break
     return MppResult(
-        u_star=u, beta=float(np.linalg.norm(u)), g_at_star=g,
+        u_star=u, beta=float(np.linalg.norm(u)),
         n_eval=evaluator.ledger.count - n0, converged=converged,
         iterations=iterations,
         trace_u=np.array(gfun.trace_u), trace_g=np.array(gfun.trace_g),

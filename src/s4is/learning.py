@@ -32,10 +32,6 @@ class CandidatePool:
         self.points = np.vstack([self.points, new_points])
         self.selected = np.concatenate([self.selected, np.zeros(new_points.shape[0], dtype=bool)])
 
-    @property
-    def n_unselected(self):
-        return int(np.count_nonzero(~self.selected))
-
 
 def min_distances(points, support):
     """Per-point minimum Euclidean distance to the support set (vectorized)."""

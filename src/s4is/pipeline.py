@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import build_gm, kmeans, mpp_per_cluster
+from .clustering import kmeans, mpp_per_cluster
 from .errors import ConfigError, StageFailureError, StationaryPointError
 from .estimators import ReliabilityEstimate, is_estimate_from_log, mcs_estimate
 from .evaluation import Evaluator, ProblemSpec
@@ -123,13 +123,6 @@ class S4isResult:
     estimate: ReliabilityEstimate
     stage1: StageReport
     stage2: StageReport
-
-    def to_dict(self):
-        return {
-            "estimate": self.estimate.to_dict(),
-            "stage1": self.stage1.to_dict(),
-            "stage2": self.stage2.to_dict(),
-        }
 
 
 def _feature_map(rv, thetas):
@@ -313,7 +306,7 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
         mpps = mpp_per_cluster(failure_u, assignment)
         if assignment.reduced:
             notes["k_reduced_to"] = int(assignment.k)
-    gm = build_gm(mpps)
+    gm = GaussianMixture(mpps)
     notes["n_mixture_components"] = int(gm.n_components)
 
     cands = gm.sample(config.n_c2, rng)

@@ -125,21 +125,6 @@ class RandomVector:
     def dim(self):
         return len(self.marginals)
 
-    def to_standard_normal(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        squeezed = theta.ndim == 1
-        t2 = np.atleast_2d(theta)
-        if t2.shape[-1] != self.dim:
-            raise DomainError(f"expected dimension {self.dim}, got {t2.shape[-1]}")
-        cols = []
-        for i, m in enumerate(self.marginals):
-            try:
-                cols.append(m.to_u(t2[:, i]))
-            except DomainError as exc:
-                raise DomainError(f"component {i}: {exc}") from exc
-        u = np.stack(cols, axis=-1)
-        return u[0] if squeezed else u
-
     def from_standard_normal(self, u):
         u = np.asarray(u, dtype=float)
         squeezed = u.ndim == 1
@@ -167,11 +152,6 @@ def log_std_normal_pdf(u):
     u = np.asarray(u, dtype=float)
     d = u.shape[-1]
     return -0.5 * (d * _LOG_2PI + np.sum(u * u, axis=-1))
-
-
-def std_normal_pdf(u):
-    """Density of the d-variate standard normal at u."""
-    return np.exp(log_std_normal_pdf(u))
 
 
 def hypercube_density(u):
@@ -235,9 +215,6 @@ class GaussianMixture:
                 out[bad] = np.log(np.ascontiguousarray(np.exp(a[:, bad]).T).sum(axis=1))
         out -= math.log(self.n_components)
         return out[0] if u.ndim == 1 else out
-
-    def pdf(self, u):
-        return np.exp(self.logpdf(u))
 
     def sample(self, n, rng):
         """n i.i.d. draws; component picked uniformly, then a unit-normal jitter."""

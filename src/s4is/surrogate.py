@@ -1,5 +1,5 @@
 """Gaussian-process surrogate (ordinary kriging) and the per-component
-composite for series and parallel systems.
+composite for series and parallel systems; ``fit_surrogate`` builds either.
 
 Inputs are the training coordinates a ``SupportPointSet`` stores in
 ``x``; outputs are standardized internally and
@@ -19,7 +19,8 @@ the gradient) is built once per fit, not once per evaluation.
 For the same reason each L-BFGS-B start runs ``_lbfgsb``, which drives
 scipy's ``setulb`` routine itself, in place of scipy's own
 ``_minimize_lbfgsb`` and its ``ScalarFunction``/``MemoizeJac`` wrapping
-of every evaluation. It makes the loop scipy makes, with scipy's default
+of every evaluation. It takes finite two-sided bounds only, the only
+kind the fit passes, and makes the loop scipy makes, with scipy's default
 tolerances, so every fit is the same bit for bit; that leans on scipy's
 private ``setulb`` signature of scipy >= 1.15, and a test pins the driver
 to ``minimize(method="L-BFGS-B")``. The driver goes in as a custom
@@ -79,10 +80,10 @@ _TASK_STOP = 5
 _TASK_MAXITER = 504
 
 
-def _lbfgsb(fun, x0, args=(), bounds=None, maxiter=60, **_):
+def _lbfgsb(fun, x0, args, bounds, maxiter=60, **_):
     """L-BFGS-B (Zhu, Byrd, Lu & Nocedal, ACM TOMS 1997) on ``fun``, which
     returns the value and the gradient, as a custom ``optimize.minimize``
-    method.
+    method. ``bounds`` holds one finite (low, high) pair per coordinate.
 
     The reverse-communication loop over ``setulb`` is the one scipy's
     ``_minimize_lbfgsb`` runs, with its default tolerances, so the iterates,
@@ -92,18 +93,10 @@ def _lbfgsb(fun, x0, args=(), bounds=None, maxiter=60, **_):
     below scipy's 15000). ``nfev`` counts the calls of ``fun``; a request
     at the last evaluated point is answered from memory.
     """
-    x = np.array(x0, dtype=np.float64).ravel()
+    low, high = np.array(bounds, dtype=np.float64).T.copy()
+    x = np.clip(np.array(x0, dtype=np.float64).ravel(), low, high)
     n = x.size
-    nbd = np.zeros(n, np.int32)
-    low = np.zeros(n)
-    high = np.zeros(n)
-    if bounds is not None:
-        lo, hi = np.array(bounds, dtype=np.float64).T
-        x = np.clip(x, lo, hi)
-        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-        low[has_lo] = lo[has_lo]
-        high[has_hi] = hi[has_hi]
-        nbd[:] = np.where(has_lo, np.where(has_hi, 2, 1), np.where(has_hi, 3, 0))
+    nbd = np.full(n, 2, np.int32)  # every coordinate bounded on both sides
     m = _LBFGSB_M
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, np.int32)
@@ -408,33 +401,18 @@ class GpSurrogate:
         return self.predict_mean(u), self.predict_sd(u)
 
 
-def _series_min(values):
-    return np.min(values, axis=-1)
-
-
 class CompositeMinSurrogate:
     """Per-component GPs for a system. The prediction combines the component
-    means with the system's rule ``aggregate`` (the minimum, for a series
-    system, unless given); the predictive sd reported is that of the
-    component the rule picks."""
+    means with the system's rule ``aggregate`` (the minimum for a series
+    system, the maximum for a parallel one); the predictive sd reported is
+    that of the component the rule picks. :func:`fit_surrogate` fits it and
+    :func:`update_surrogate` carries it forward."""
 
-    def __init__(self, models, aggregate=_series_min):
+    def __init__(self, models, aggregate):
         self.models = list(models)
         if not self.models:
             raise ValueError("need at least one component model")
         self.aggregate = aggregate
-
-    @classmethod
-    def fit(cls, x, component_y, aggregate=_series_min, isotropic=False):
-        models = []
-        for j in range(component_y.shape[1]):
-            models.append(GpSurrogate().fit(x, component_y[:, j], seed=j,
-                                            isotropic=isotropic))
-        return cls(models, aggregate)
-
-    @property
-    def fitted(self):
-        return all(m.fitted for m in self.models)
 
     @property
     def n_appended(self):
@@ -455,9 +433,6 @@ class CompositeMinSurrogate:
         picked = sds[np.arange(means.shape[0]), rule]
         return picked[0] if np.asarray(u).ndim == 1 else picked
 
-    def predict(self, u):
-        return self.predict_mean(u), self.predict_sd(u)
-
 
 def fit_surrogate(points: SupportPointSet, aggregate=None, isotropic=False):
     """Fit one GP on the outputs of a support point set, or, given the
@@ -465,8 +440,9 @@ def fit_surrogate(points: SupportPointSet, aggregate=None, isotropic=False):
     if aggregate is not None:
         if points.component_outputs is None:
             raise ValueError("composite surrogate needs per-component outputs")
-        return CompositeMinSurrogate.fit(points.x, points.component_outputs, aggregate,
-                                         isotropic)
+        return CompositeMinSurrogate(
+            (GpSurrogate().fit(points.x, y, seed=j, isotropic=isotropic)
+             for j, y in enumerate(points.component_outputs.T)), aggregate)
     return GpSurrogate().fit(points.x, points.outputs, isotropic=isotropic)
 
 

@@ -239,6 +239,47 @@ def test_history_cli_csv_output(tmp_path):
     assert len(rows) > 2
 
 
+@pytest.mark.parametrize("non_report,missing", [
+    (BASE, "'replicates'"),  # the run config, not its report
+    ([1, 2, 3], "'replicates'"),
+    ({"replicates": [{"replicate": 0, "stages": {
+        "stage1": {"cov_history": [], "n_eval_history": []},
+        "stage2": {"pf_history": [], "cov_history": [], "n_eval_history": []}}}]},
+     "replicate 0 stage1 has no pf_history"),
+], ids=["config", "list", "stage_without_pf_history"])
+def test_history_rejects_a_file_that_is_not_a_report(tmp_path, capsys, non_report,
+                                                     missing):
+    path = tmp_path / "not_a_report.json"
+    path.write_text(json.dumps(non_report))
+    assert main(["history", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "not an s4is report" in err and missing in err
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_run_csv_without_path_writes_rows_to_stdout(tmp_path, capsys, how):
+    payload = dict(BASE, method="mcs", mcs={"n": 10_000}, replicates=2)
+    argv = ["--format", "csv"] if how == "flag" else []
+    if how == "config":
+        payload["output"] = {"format": "csv"}
+    assert main(["run", "--config", _config(tmp_path, payload), *argv]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    expected = report_csv_rows(build_report(payload))
+    assert rows == [[str(v) for v in row] for row in expected]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_run_both_without_path_exits_2_without_evaluation(tmp_path, capsys, how):
+    sentinel = tmp_path / "touched"
+    payload = {"problem": _touching_problem(sentinel), "method": "form"}
+    argv = ["--format", "both"] if how == "flag" else []
+    if how == "config":
+        payload["output"] = {"format": "both"}
+    assert main(["run", "--config", _config(tmp_path, payload), *argv]) == 2
+    assert "needs an output path" in capsys.readouterr().err
+    assert not sentinel.exists()
+
+
 def test_seed_override_changes_result(tmp_path, capsys):
     cfg = _config(tmp_path, dict(BASE, method="mcs", mcs={"n": 20_000}))
     assert main(["run", "--config", cfg, "--seed", "1"]) == 0

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from s4is.clustering import ClusterAssignment, build_gm, kmeans, mpp_per_cluster
-from s4is.probability import log_std_normal_pdf
+from s4is.clustering import ClusterAssignment, kmeans, mpp_per_cluster
+from s4is.probability import GaussianMixture, log_std_normal_pdf
 
 
 def _blobs(seed=0):
@@ -79,12 +79,12 @@ def test_mpp_tie_breaks_to_lowest_index():
 
 def test_build_gm_equal_weights_identity_covariance():
     mpps = np.array([[3.0, 0.0], [0.0, 3.0]])
-    gm = build_gm(mpps)
+    gm = GaussianMixture(mpps)
     assert gm.n_components == 2
     u = np.random.default_rng(5).standard_normal((50, 2))
     a = np.exp(log_std_normal_pdf(u - mpps[0]))
     b = np.exp(log_std_normal_pdf(u - mpps[1]))
-    np.testing.assert_allclose(gm.pdf(u), 0.5 * (a + b), rtol=1e-10)
+    np.testing.assert_allclose(np.exp(gm.logpdf(u)), 0.5 * (a + b), rtol=1e-10)
 
 
 def test_kmeans_deterministic_given_rng_state():

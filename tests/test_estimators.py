@@ -10,9 +10,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from s4is.errors import DensitySupportError
-from s4is.estimators import (is_estimate, is_estimate_from_log,
-                             is_variance_deviation, is_variance_moment,
-                             mcs_estimate, relative_error)
+from s4is.estimators import (is_estimate_from_log, is_variance_deviation,
+                             is_variance_moment, mcs_estimate, relative_error)
 from s4is.probability import log_std_normal_pdf
 
 
@@ -69,14 +68,6 @@ def test_variance_forms_agree(weighted):
     b = is_variance_moment(weighted, pf)
     scale = max(abs(a), abs(b), 1.0)
     assert abs(a - b) <= 1e-12 * scale
-
-
-def test_is_estimate_raw_densities_wrapper():
-    ind = np.array([True, False, True, True])
-    p = np.array([0.1, 0.2, 0.3, 0.4])
-    q = np.array([0.2, 0.2, 0.3, 0.1])
-    est = is_estimate(ind, p, q)
-    assert est.pf == pytest.approx((0.5 + 1.0 + 4.0) / 4)
 
 
 def test_zero_proposal_density_at_failure_raises():

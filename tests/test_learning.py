@@ -59,7 +59,7 @@ def test_pool_exhaustion():
     select_next(pool, np.array([0.0]))
     with pytest.raises(PoolExhausted):
         select_next(pool, np.array([0.0]))
-    assert pool.n_unselected == 0
+    assert pool.selected.all()
 
 
 def test_pool_extend():
@@ -67,4 +67,4 @@ def test_pool_extend():
     pool.selected[0] = True
     pool.extend(np.array([[2.0]]))
     assert len(pool) == 3
-    assert pool.n_unselected == 2
+    assert np.count_nonzero(~pool.selected) == 2

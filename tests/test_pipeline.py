@@ -75,8 +75,6 @@ def test_run_s4is_report_shape():
     assert res.estimate.pf == res.stage2.final.pf
     assert res.estimate.n_eval >= res.stage2.support_size
     assert 0 < res.estimate.pf < 1
-    d = res.to_dict()
-    assert set(d) == {"estimate", "stage1", "stage2"}
 
 
 def test_stage2_estimate_improves_on_stage1():

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 from s4is.errors import DomainError
 from s4is.probability import (GaussianMixture, Marginal, RandomVector,
                               hypercube_density, log_std_normal_pdf,
-                              sample_hypercube, std_normal_pdf)
+                              sample_hypercube)
 
 RNG = np.random.default_rng(0)
 
@@ -63,13 +63,6 @@ def test_uniform_bounds_match_moments():
     assert (hi - lo) / math.sqrt(12) == pytest.approx(0.5)
 
 
-def test_domain_error_names_component():
-    rv = RandomVector((Marginal("normal", 0.0, 1.0),
-                       Marginal("lognormal", 1.0, 0.2)))
-    with pytest.raises(DomainError, match="component 1"):
-        rv.to_standard_normal(np.array([0.0, -1.0]))
-
-
 def _stacked_from_u(rv, u):
     """The column-by-column transform the one-pass transform must reproduce."""
     return np.stack([m.from_u(u[:, i]) for i, m in enumerate(rv.marginals)], axis=-1)
@@ -113,15 +106,10 @@ def test_vector_roundtrip_shapes():
     u = RNG.standard_normal((50, 3))
     theta = rv.from_standard_normal(u)
     assert theta.shape == (50, 3)
-    np.testing.assert_allclose(rv.to_standard_normal(theta), u, atol=1e-9)
+    back = np.stack([m.to_u(theta[:, i]) for i, m in enumerate(rv.marginals)], axis=-1)
+    np.testing.assert_allclose(back, u, atol=1e-9)
     # 1-d in, 1-d out
     assert rv.from_standard_normal(u[0]).shape == (3,)
-
-
-def test_std_normal_pdf_matches_log():
-    u = RNG.standard_normal((100, 4))
-    np.testing.assert_allclose(np.log(std_normal_pdf(u)),
-                               log_std_normal_pdf(u), atol=1e-12)
 
 
 def test_hypercube_density():
@@ -142,8 +130,9 @@ def test_gm_logpdf_matches_manual():
     centers = np.array([[0.0, 0.0], [3.0, 0.0]])
     gm = GaussianMixture(centers)
     u = RNG.standard_normal((40, 2))
-    manual = 0.5 * (std_normal_pdf(u) + std_normal_pdf(u - centers[1]))
-    np.testing.assert_allclose(gm.pdf(u), manual, rtol=1e-12)
+    manual = 0.5 * (np.exp(log_std_normal_pdf(u))
+                    + np.exp(log_std_normal_pdf(u - centers[1])))
+    np.testing.assert_allclose(np.exp(gm.logpdf(u)), manual, rtol=1e-12)
 
 
 def _logsumexp_reference(centers, u):
