@@ -101,9 +101,13 @@ CONFIG_SCHEMA = {
 def load_config(path):
     """Read and schema-validate a run config; no performance function is
     touched before this returns."""
+    def reject(token):
+        # json accepts these tokens; JSON does not.
+        raise ConfigError(f"config {path} is not valid JSON: {token} is not a number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=reject)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:

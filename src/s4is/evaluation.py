@@ -315,15 +315,21 @@ class ExternalEvaluator:
                 raise self._died("external evaluator closed its output")
             try:
                 msg = json.loads(reply)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer past Python's digit limit
                 raise ProtocolError(f"malformed response line: {reply!r}") from exc
+            if not isinstance(msg, dict):
+                raise ProtocolError(f"response is not a JSON object: {reply!r}")
             if msg.get("id") != req_id:
                 raise ProtocolError(f"response id {msg.get('id')} != request id {req_id}")
             if "error" in msg:
                 raise EvaluationError(f"external evaluator error: {msg['error']}")
-            if "g" not in msg:
-                raise ProtocolError(f"response missing 'g': {reply!r}")
-            g = float(msg["g"])
+            g = msg.get("g")
+            if type(g) not in (int, float):  # exact types: a bool is no number
+                raise ProtocolError(f"response 'g' missing or not a JSON number: {reply!r}")
+            try:
+                g = float(g)
+            except OverflowError:  # an integer beyond the float range
+                g = math.inf
             if not math.isfinite(g):
                 raise EvaluationError("external evaluator returned a non-finite value")
             return g

@@ -18,19 +18,11 @@ class PoolExhausted(S4isError):
 
 
 class CandidatePool:
-    """u-space candidates with a selected mask; extendable for CoV control."""
+    """u-space candidates with a selected mask."""
 
     def __init__(self, points):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.selected = np.zeros(self.points.shape[0], dtype=bool)
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    def extend(self, new_points):
-        new_points = np.atleast_2d(np.asarray(new_points, dtype=float))
-        self.points = np.vstack([self.points, new_points])
-        self.selected = np.concatenate([self.selected, np.zeros(new_points.shape[0], dtype=bool)])
 
 
 def min_distances(points, support):

@@ -22,7 +22,10 @@ from .probability import (HYPERCUBE_HALF_WIDTH, GaussianMixture, hypercube_densi
                           log_std_normal_pdf, sample_hypercube)
 from .surrogate import SupportPointSet, fit_surrogate, update_surrogate
 
-HIGHDIM_THRESHOLD = 10
+HIGHDIM_THRESHOLD = 10  # stage 1 is FORM-seeded from this dimension on
+# Per-input lengthscales stop being identifiable once their count rivals
+# the support size; from this dimension on the GPs share one lengthscale.
+_ISOTROPIC_DIM = 20
 _TRACE_MIN_SEP = 0.05  # u-space separation of the points kept from an HL-RF trace
 _TRACE_MAX_POINTS = 300  # and their largest number
 # Rows transformed and evaluated at a time by the sample-based references
@@ -82,14 +85,6 @@ class S4isConfig:
         if self.n_s1_0 is not None:
             return self.n_s1_0
         return max(12, (d + 1) * (d + 2) // 2)
-
-    def wants_form_seed(self, d):
-        return d >= HIGHDIM_THRESHOLD
-
-    def wants_isotropic_gp(self, d):
-        # Per-input lengthscales stop being identifiable once their count
-        # rivals the support size; fall back to one shared lengthscale.
-        return d >= 20
 
 
 @dataclass
@@ -160,6 +155,7 @@ def _maximin_indices(points, n_pick):
 
 
 def _evaluate_support(evaluator, us):
+    """The support points at the u-space rows ``us``: true g per row."""
     rv = evaluator.problem.marginals
     thetas = np.atleast_2d(rv.from_standard_normal(us))
     comps = np.array([evaluator.components_at(t) for t in thetas])
@@ -167,12 +163,12 @@ def _evaluate_support(evaluator, us):
     return SupportPointSet(us, _feature_map(rv, thetas), np.atleast_1d(ys), comps)
 
 
-def _append_support(evaluator, support, u):
-    rv = evaluator.problem.marginals
-    theta = rv.from_standard_normal(u)
-    comps = evaluator.components_at(np.asarray(theta, dtype=float))
-    y = float(evaluator.problem.aggregate(comps))
-    support.append(u, _feature_map(rv, theta)[0], y, comps)
+def _estimate(evaluator, means, log_pn, log_q):
+    """The IS estimate of the surrogate's failure set ``means <= 0`` under
+    the density ``log_q``, with the true-g calls spent so far."""
+    est = is_estimate_from_log(means <= 0, log_pn, log_q)
+    est.n_eval = evaluator.ledger.count
+    return est
 
 
 def _window_converged(history, window, tol):
@@ -204,14 +200,8 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
     last estimate, the per-iteration histories and the termination reason.
     """
     cands = pool.points
-
-    def estimate(means):
-        est = is_estimate_from_log(means <= 0, log_pn, log_q)
-        est.n_eval = evaluator.ledger.count
-        return est
-
     means = model.predict_mean(x_cands)
-    est = estimate(means)
+    est = _estimate(evaluator, means, log_pn, log_q)
     initial_pf = est.pf
     dmin = min_distances(cands, support.inputs_u)
     pf_hist, cov_hist, ne_hist = [], [], []
@@ -222,7 +212,7 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
         nonlocal model, means, est
         model = update_surrogate(model, support)
         means = model.predict_mean(x_cands)
-        est = estimate(means)
+        est = _estimate(evaluator, means, log_pn, log_q)
         pf_hist[-1], cov_hist[-1] = est.pf, est.cov
 
     termination = "max_iterations"
@@ -239,11 +229,11 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
         except PoolExhausted:
             termination = "pool_exhausted"
             break
-        _append_support(evaluator, support, cands[idx])
+        support.extend(_evaluate_support(evaluator, cands[[idx]]))
         model = update_surrogate(model, support)
         dmin = np.minimum(dmin, np.linalg.norm(cands - cands[idx], axis=1))
         means = model.predict_mean(x_cands)
-        est = estimate(means)
+        est = _estimate(evaluator, means, log_pn, log_q)
         pf_hist.append(est.pf)
         cov_hist.append(est.cov)
         ne_hist.append(est.n_eval)
@@ -276,7 +266,7 @@ def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     init_idx = _maximin_indices(cands, config.initial_support(d))
     pool.selected[init_idx] = True
     support = _evaluate_support(evaluator, cands[init_idx])
-    model = fit_surrogate(support, _system_rule(problem), config.wants_isotropic_gp(d))
+    model = fit_surrogate(support, _system_rule(problem), d >= _ISOTROPIC_DIM)
 
     def score(model, means, dmin):
         return lf1_scores(np.abs(means), dmin, _scale(support.outputs))
@@ -324,20 +314,18 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
     report.initial_pf = initial_pf
     report.notes = notes
 
-    # CoV control: enlarge the candidate pool at surrogate-only cost until
-    # the estimator variance target is met or the growth cap is reached.
+    # CoV control: add n_c2 samples at a time, at surrogate-only cost and never
+    # selected from, until the CoV target or pool_growth_limit * n_c2 samples.
     est = report.final
     grown = 0
     while (not est.cov_defined or est.cov > config.cov_target) and \
-            len(pool) < config.pool_growth_limit * config.n_c2:
+            grown + 1 < config.pool_growth_limit:
         extra = gm.sample(config.n_c2, rng)
-        pool.extend(extra)
         log_pn = np.concatenate([log_pn, log_std_normal_pdf(extra)])
         log_q2 = np.concatenate([log_q2, gm.logpdf(extra)])
         x_extra = _feature_map(rv, rv.from_standard_normal(extra))
         means = np.concatenate([means, model.predict_mean(x_extra)])
-        est = is_estimate_from_log(means <= 0, log_pn, log_q2)
-        est.n_eval = evaluator.ledger.count
+        est = _estimate(evaluator, means, log_pn, log_q2)
         grown += 1
     if grown:
         notes["pool_enlargements"] = grown
@@ -348,11 +336,15 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
     return report, model
 
 
-def _thin_trace(rv, trace_u, trace_g, trace_components):
-    """Support set of at most ``_TRACE_MAX_POINTS`` trace points, pairwise
-    at least ``_TRACE_MIN_SEP`` apart; finite-difference probe points sit
-    within the step of their iterate and would otherwise ill-condition the
-    kernel matrix. Points near the limit state first."""
+def _thin_trace(rv, results):
+    """Support set of at most ``_TRACE_MAX_POINTS`` points of the HL-RF
+    traces of ``results``, pairwise at least ``_TRACE_MIN_SEP`` apart;
+    finite-difference probe points sit within the step of their iterate and
+    would otherwise ill-condition the kernel matrix. Points near the limit
+    state first."""
+    trace_u = np.vstack([r.trace_u for r in results])
+    trace_g = np.concatenate([r.trace_g for r in results])
+    trace_components = np.vstack([r.trace_components for r in results])
     order = np.argsort(np.abs(trace_g), kind="stable")
     keep = []
     for i in order:
@@ -365,7 +357,7 @@ def _thin_trace(rv, trace_u, trace_g, trace_components):
                            trace_g[keep], trace_components[keep])
 
 
-def _form_seed(problem, config, rng, evaluator):
+def _form_seed(problem, rng, evaluator):
     """FORM-driven exploration for high dimension: multi-start HL-RF supplies
     both the mixture centers and the initial support set."""
     rv = problem.marginals
@@ -373,13 +365,9 @@ def _form_seed(problem, config, rng, evaluator):
     # budget; forward differences halve the per-iteration cost.
     fd = "forward" if problem.dim >= 20 else "central"
     distinct, all_results = multi_start_mpps(evaluator, 1, rng, fd_scheme=fd)
-    trace_u = np.vstack([r.trace_u for r in all_results])
-    trace_g = np.concatenate([r.trace_g for r in all_results])
-    trace_c = np.vstack([r.trace_components for r in all_results])
     # Keep every converged MPP in the training set.
-    support = _thin_trace(rv, trace_u, trace_g, trace_c)
-    model = fit_surrogate(support, _system_rule(problem),
-                          config.wants_isotropic_gp(problem.dim))
+    support = _thin_trace(rv, all_results)
+    model = fit_surrogate(support, _system_rule(problem), problem.dim >= _ISOTROPIC_DIM)
     mpps = np.array([r.u_star for r in distinct])
     beta_min = distinct[0].beta
     pf_form = form_pf(beta_min)
@@ -394,14 +382,13 @@ def run_s4is(problem: ProblemSpec, config: S4isConfig, rng):
     """Full run: exploration (sampling-based or FORM-seeded) then the
     mixture importance-sampling refinement."""
     evaluator = Evaluator(problem)
-    if config.wants_form_seed(problem.dim):
-        s1_report, model, support, mpps = _form_seed(problem, config, rng, evaluator)
-        s2_report, model = stage2(problem, config, rng, evaluator, model, support,
-                                  mpps=mpps)
+    failure_u = mpps = None
+    if problem.dim >= HIGHDIM_THRESHOLD:
+        s1_report, model, support, mpps = _form_seed(problem, rng, evaluator)
     else:
         s1_report, model, support, failure_u = stage1(problem, config, rng, evaluator)
-        s2_report, model = stage2(problem, config, rng, evaluator, model, support,
-                                  failure_u=failure_u)
+    s2_report, model = stage2(problem, config, rng, evaluator, model, support,
+                              failure_u, mpps)
     return S4isResult(estimate=s2_report.final, stage1=s1_report, stage2=s2_report)
 
 
@@ -438,11 +425,11 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     pool = CandidatePool(cands)
     x_cands = _feature_map(rv, rv.from_standard_normal(cands))
 
-    support = _thin_trace(rv, res.trace_u, res.trace_g, res.trace_components)
+    support = _thin_trace(rv, [res])
     doe_idx = _maximin_indices(cands - res.u_star, 12)
     pool.selected[doe_idx] = True
     for i in doe_idx:
-        _append_support(evaluator, support, cands[i])
+        support.extend(_evaluate_support(evaluator, cands[[i]]))
     model = fit_surrogate(support)
 
     def score(model, means, dmin):

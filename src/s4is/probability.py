@@ -51,6 +51,22 @@ class Marginal:
             raise DomainError("standard deviation must be positive")
         if self.kind == "lognormal" and not self.mean > 0:
             raise DomainError("lognormal requires a positive mean")
+        try:
+            finite = all(math.isfinite(v) for v in (self.mean, self.sd, *self._loc_scale()))
+        except OverflowError:  # beyond the float range
+            finite = False
+        if not finite:
+            raise DomainError(f"{self.kind} marginal with mean {self.mean!r} and sd "
+                              f"{self.sd!r}: its parameters must be finite floats")
+
+    def _loc_scale(self):
+        """(loc, scale) of the one-pass transform, see :class:`RandomVector`."""
+        if self.kind == "normal":
+            return self.mean, self.sd
+        if self.kind == "lognormal":
+            return self.log_params()
+        lo, hi = self.uniform_bounds()
+        return lo, hi - lo
 
     def log_params(self):
         """Log-space (mu, sigma) of a lognormal from its moments."""
@@ -82,13 +98,9 @@ class Marginal:
         u = np.asarray(u, dtype=float)
         if not np.all(np.isfinite(u)):
             raise DomainError("non-finite u-space input")
-        if self.kind == "normal":
-            return self.mean + self.sd * u
-        if self.kind == "lognormal":
-            mu, sigma = self.log_params()
-            return np.exp(mu + sigma * u)
-        a, b = self.uniform_bounds()
-        return a + (b - a) * ndtr(u)
+        loc, scale = self._loc_scale()
+        theta = loc + scale * (ndtr(u) if self.kind == "uniform" else u)
+        return np.exp(theta) if self.kind == "lognormal" else theta
 
 
 @dataclass(frozen=True)
@@ -104,17 +116,7 @@ class RandomVector:
         # Per-column rows of the one-pass transform: theta = loc + scale * z,
         # z = u for normal and lognormal columns (exponentiated afterwards
         # for lognormal ones) and z = Phi(u) for uniform ones.
-        loc, scale = [], []
-        for m in self.marginals:
-            if m.kind == "normal":
-                lo, sc = m.mean, m.sd
-            elif m.kind == "lognormal":
-                lo, sc = m.log_params()
-            else:
-                lo, hi = m.uniform_bounds()
-                sc = hi - lo
-            loc.append(lo)
-            scale.append(sc)
+        loc, scale = zip(*(m._loc_scale() for m in self.marginals))
         kinds = np.array([m.kind for m in self.marginals])
         object.__setattr__(self, "_loc", np.array(loc))
         object.__setattr__(self, "_scale", np.array(scale))

@@ -37,10 +37,11 @@ FALSE``). Every third point since the last full fit (``_REFIT_EVERY``),
 an output more than three predictive standard deviations from the
 model's mean (``_SURPRISE_SD``), constant outputs, a constant GP and a
 grown matrix that is not positive definite take the full warm refit
-instead: three L-BFGS-B starts, one at the previous lengthscales. A call
-with no new point re-optimises every GP that carries appended points;
-the pipeline makes it before it accepts any stop, so every stage ends on
-a re-optimised model.
+instead: three starts, one at the previous lengthscales (a constant GP
+has none and gets five fresh ones). A call with no new point
+re-optimises every GP that carries appended points; the pipeline makes
+it before it accepts any stop, so every stage ends on a re-optimised
+model.
 """
 
 from __future__ import annotations
@@ -164,6 +165,12 @@ class SupportPointSet:
         self.outputs = np.append(self.outputs, float(y))
         if self.component_outputs is not None:
             self.component_outputs = np.vstack([self.component_outputs, np.asarray(components, dtype=float)])
+
+    def extend(self, points):
+        """Append each point of ``points``, a support set with per-component
+        outputs, in turn."""
+        for row in zip(points.inputs_u, points.x, points.outputs, points.component_outputs):
+            self.append(*row)
 
 
 def _sq_dists(a, b, lengthscales):
@@ -446,16 +453,6 @@ def fit_surrogate(points: SupportPointSet, aggregate=None, isotropic=False):
     return GpSurrogate().fit(points.x, points.outputs, isotropic=isotropic)
 
 
-def _refit(gp, x, y, seed):
-    """Fit a fresh GP on grown data with ``gp``'s kernel form, one of three
-    restarts seeded at ``gp``'s lengthscales; a constant GP has none and
-    gets a full fresh fit."""
-    if gp._constant:
-        return GpSurrogate().fit(x, y, seed=seed, isotropic=gp.isotropic)
-    return GpSurrogate().fit(x, y, n_restarts=3, seed=seed,
-                             init_lengthscales=gp.lengthscales, isotropic=gp.isotropic)
-
-
 def _update(gp, x, y, seed):
     n = gp.x.shape[0]
     if x.shape[0] == n and gp.n_appended == 0:
@@ -466,7 +463,12 @@ def _update(gp, x, y, seed):
             grown = gp._append(x[n], y[n])
             if grown is not None:
                 return grown
-    return _refit(gp, x, y, seed)
+    # The warm refit: three restarts, one at gp's lengthscales; a constant
+    # GP has none and gets a full fresh fit.
+    if gp._constant:
+        return GpSurrogate().fit(x, y, seed=seed, isotropic=gp.isotropic)
+    return GpSurrogate().fit(x, y, n_restarts=3, seed=seed,
+                             init_lengthscales=gp.lengthscales, isotropic=gp.isotropic)
 
 
 def update_surrogate(model, points: SupportPointSet):

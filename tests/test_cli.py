@@ -31,12 +31,12 @@ def _config(tmp_path, payload):
     return str(path)
 
 
-def _touching_problem(sentinel):
+def _touching_problem(sentinel, marginal=None):
     """An external problem whose child creates ``sentinel`` on start, so
     the file exists only if the run got as far as evaluating g."""
     return {"external": {
         "command": [sys.executable, "-c", f"open({str(sentinel)!r}, 'w').close()"],
-        "marginals": [{"kind": "normal", "mean": 0, "sd": 1}],
+        "marginals": [marginal or {"kind": "normal", "mean": 0, "sd": 1}],
     }}
 
 
@@ -81,6 +81,32 @@ def test_bad_s4is_block_exits_2_without_evaluation(tmp_path, capsys, block):
     }
     assert main(["run", "--config", _config(tmp_path, payload)]) == 2
     assert "invalid" in capsys.readouterr().err
+    assert not sentinel.exists()
+
+
+@pytest.mark.parametrize("block, marginal", [
+    ({"cov_target": float("inf")}, None),
+    ({}, {"kind": "normal", "mean": float("nan"), "sd": 1}),
+    ({}, {"kind": "normal", "mean": float("inf"), "sd": 1}),
+    ({}, {"kind": "normal", "mean": float("-inf"), "sd": 1}),
+])
+def test_non_json_constants_exit_2_without_evaluation(tmp_path, capsys, block, marginal):
+    # json.dumps writes NaN, Infinity and -Infinity, which JSON does not have.
+    sentinel = tmp_path / "touched"
+    payload = {"problem": _touching_problem(sentinel, marginal), "method": "s4is",
+               "s4is": block}
+    assert main(["run", "--config", _config(tmp_path, payload)]) == 2
+    assert "is not a number" in capsys.readouterr().err
+    assert not sentinel.exists()
+
+
+@pytest.mark.parametrize("marginal", [{"kind": "lognormal", "mean": 1, "sd": 1e300},
+                                      {"kind": "uniform", "mean": 0, "sd": 1e308}])
+def test_overflowing_marginal_exits_3_without_evaluation(tmp_path, capsys, marginal):
+    sentinel = tmp_path / "touched"
+    payload = {"problem": _touching_problem(sentinel, marginal), "method": "form"}
+    assert main(["run", "--config", _config(tmp_path, payload)]) == 3
+    assert "finite" in capsys.readouterr().err
     assert not sentinel.exists()
 
 

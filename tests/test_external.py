@@ -107,6 +107,33 @@ print(json.dumps({"id": req["id"], "g": float("inf")}), flush=True)
         problem.components[0].close()
 
 
+@pytest.mark.parametrize("reply, error", [
+    ("5", ProtocolError),
+    ("[1]", ProtocolError),
+    ('"x"', ProtocolError),
+    ("null", ProtocolError),
+    ('{{"id": {id}, "g": null}}', ProtocolError),
+    ('{{"id": {id}, "g": "abc"}}', ProtocolError),
+    ('{{"id": {id}, "g": [1]}}', ProtocolError),
+    ('{{"id": {id}, "g": "7"}}', ProtocolError),
+    ('{{"id": {id}, "g": true}}', ProtocolError),
+    ('{{"id": {id}, "g": 1' + "0" * 400 + "}}", EvaluationError),  # past the float range
+    ('{{"id": {id}, "g": ' + "1" * 5000 + "}}", ProtocolError),  # past the int digit limit
+], ids=["int", "list", "string", "null", "g-null", "g-string", "g-list", "g-numeric-string",
+        "g-true", "g-past-float-range", "g-past-digit-limit"])
+def test_reply_that_is_not_an_object_with_a_number_g_is_typed(tmp_path, reply, error):
+    cmd = _child(tmp_path, f"""\
+print({reply!r}.format(id=req["id"]), flush=True)
+""")
+    problem = external_problem(cmd, TWO_NORMALS)
+    try:
+        with pytest.raises(error) as info:
+            Evaluator(problem).g(np.zeros(2))
+        assert error is ProtocolError or "non-finite" in str(info.value)
+    finally:
+        problem.components[0].close()
+
+
 def test_string_command_rejected():
     # A string would need a shell to split it; only argument lists are run.
     with pytest.raises(ConfigError):

@@ -60,11 +60,3 @@ def test_pool_exhaustion():
     with pytest.raises(PoolExhausted):
         select_next(pool, np.array([0.0]))
     assert pool.selected.all()
-
-
-def test_pool_extend():
-    pool = CandidatePool(np.array([[0.0], [1.0]]))
-    pool.selected[0] = True
-    pool.extend(np.array([[2.0]]))
-    assert len(pool) == 3
-    assert np.count_nonzero(~pool.selected) == 2

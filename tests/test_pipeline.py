@@ -46,8 +46,20 @@ def test_config_defaults_scale_with_dimension():
     assert cfg.candidates_stage1(10) == 10_000
     assert cfg.initial_support(2) == 12
     assert cfg.initial_support(6) == 28
-    assert not cfg.wants_form_seed(9)
-    assert cfg.wants_form_seed(10)
+
+
+@pytest.mark.parametrize("d, exploration", [(9, "stage1"), (10, "_form_seed")])
+def test_form_seeded_exploration_starts_at_d_10(monkeypatch, d, exploration):
+    class Explored(Exception):
+        pass
+
+    for name in ("stage1", "_form_seed"):
+        def explore(*args, name=name):
+            raise Explored(name)
+        monkeypatch.setattr(pipeline, name, explore)
+    with pytest.raises(Explored) as info:
+        run_s4is(builtin_problem("example5", d=d), S4isConfig(), np.random.default_rng(0))
+    assert str(info.value) == exploration
 
 
 def test_config_validation():
@@ -135,16 +147,19 @@ def test_every_stop_is_taken_on_a_fully_optimised_model(monkeypatch, method, con
         events.append(("stop", fired))
         return fired
 
-    def checked_refine(*args):
-        score = args[7]
+    def checked_refine(*args, **kwargs):
+        # Bound by name: a changed signature fails here, not on the wrong argument.
+        bound = inspect.signature(refine).bind(*args, **kwargs)
+        score = bound.arguments["score"]
 
         def logged_score(*score_args):
             scores = score(*score_args)
             events.append(("stop", scores is None))
             return scores
 
+        bound.arguments["score"] = logged_score
         del events[:]
-        model, means, initial_pf, report = refine(*args[:7], logged_score, *args[8:])
+        model, means, initial_pf, report = refine(*bound.args, **bound.kwargs)
         # A stop is accepted only after a test on the final, fully
         # optimised model: no update follows the test that fired.
         if report.termination == "converged":
@@ -152,7 +167,7 @@ def test_every_stop_is_taken_on_a_fully_optimised_model(monkeypatch, method, con
             updates = [e for e in events if e[0] == "update"]
             assert not updates or updates[-1][2] == 0
         assert model.n_appended == 0
-        assert np.array_equal(means, model.predict_mean(args[4]))
+        assert np.array_equal(means, model.predict_mean(bound.arguments["x_cands"]))
         if report.pf_history:
             assert report.pf_history[-1] == report.final.pf
         terminations.append(report.termination)

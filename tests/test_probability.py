@@ -99,6 +99,20 @@ def test_non_finite_u_names_first_bad_component(kinds):
         rv.from_standard_normal(u)
 
 
+@pytest.mark.parametrize("kind, mean, sd", [
+    ("normal", math.nan, 1.0),
+    ("normal", math.inf, 1.0),
+    ("normal", 0.0, math.inf),
+    ("lognormal", 1.0, 1e300),  # (sd / mean)^2 overflows
+    ("lognormal", math.inf, 1.0),
+    ("uniform", 0.0, 1e308),  # the width overflows
+    ("uniform", -math.inf, 1.0),
+])
+def test_non_finite_or_overflowing_parameters_raise_domain_error(kind, mean, sd):
+    with pytest.raises(DomainError, match="finite"):
+        Marginal(kind, mean, sd)
+
+
 def test_vector_roundtrip_shapes():
     rv = RandomVector((Marginal("normal", 1.0, 2.0),
                        Marginal("lognormal", 1.0, 0.2),

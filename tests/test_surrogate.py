@@ -437,6 +437,19 @@ def test_duplicate_check_is_exact_equality():
     assert len(pts) == 4
 
 
+def test_extend_appends_each_point_in_turn():
+    pts = SupportPointSet(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1), np.zeros((1, 2)))
+    new = SupportPointSet(np.eye(2), 2 * np.eye(2), np.array([5.0, 6.0]),
+                          np.array([[1.0, 2.0], [3.0, 4.0]]))
+    pts.extend(new)
+    np.testing.assert_array_equal(pts.inputs_u, [[0, 0], [1, 0], [0, 1]])
+    np.testing.assert_array_equal(pts.x, [[0, 0], [2, 0], [0, 2]])
+    np.testing.assert_array_equal(pts.outputs, [0, 5, 6])
+    np.testing.assert_array_equal(pts.component_outputs, [[0, 0], [1, 2], [3, 4]])
+    with pytest.raises(SupportPointError):
+        pts.extend(new)  # its first point is already there
+
+
 def _reference_factor(model, ls, delta):
     """The likelihood kernel written with scipy's cho_factor/cho_solve, in
     the same floating-point order as GpSurrogate."""
