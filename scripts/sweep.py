@@ -37,6 +37,7 @@ import numpy as np  # noqa: E402
 
 from s4is import S4isConfig, S4isError, run_s4is  # noqa: E402
 from s4is.benchmarks import reference_table  # noqa: E402
+from s4is.estimators import relative_error  # noqa: E402
 
 SWEEPS = {
     # name -> ((example id, case index), ...), units per seed
@@ -56,7 +57,7 @@ def _solve(example_id, generator):
     seconds = time.perf_counter() - t0
     est = res.estimate
     measured = {"pf": est.pf, "n_eval": est.n_eval,
-                "eps_r": abs(est.pf - exp.problem.reference_pf) / exp.problem.reference_pf}
+                "eps_r": relative_error(exp.problem.reference_pf, est.pf)}
     for band in exp.expected["s4is"]:
         if band.quantity in measured and not band.contains(measured[band.quantity]):
             return est, seconds, f"{band.quantity}={measured[band.quantity]:.4g} " \

