@@ -7,10 +7,12 @@ Exit codes: 0 success, 2 configuration error, 3 runtime analysis error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import jsonschema
@@ -241,22 +243,21 @@ def history_rows(report):
     return rows
 
 
-def _write_text(path, text):
-    """Write ``text`` to ``path``, or to stdout when there is no path."""
-    if not path:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _check_output(path):
+    """Reject an output path that cannot name a file, before any g call."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError(f"cannot write {path}: not a file in an existing directory")
 
 
-def _write_csv(path, rows):
-    """Write ``rows`` to ``path``, or to stdout when there is no path."""
-    if not path:
-        csv.writer(sys.stdout).writerows(rows)
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+def _write(path, content):
+    """Write ``content``, a text or CSV rows, to ``path``, or to stdout when
+    there is no path. Newlines are written as given."""
+    with open(path, "w", newline="", encoding="utf-8") if path \
+            else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            csv.writer(fh).writerows(content)
 
 
 def cmd_run(args):
@@ -270,11 +271,14 @@ def cmd_run(args):
     fmt = args.format or out.get("format", "json")
     if fmt == "both" and not path:
         raise ConfigError("format 'both' writes two files and needs an output path")
+    targets = {kind: path + "." + kind if fmt == "both" else path
+               for kind in ("json", "csv") if fmt in (kind, "both")}
+    for target in targets.values():
+        _check_output(target)
     report = build_report(cfg)
-    if fmt in ("json", "both"):
-        _write_text(path if fmt == "json" else path + ".json", report_json(report))
-    if fmt in ("csv", "both"):
-        _write_csv(path if fmt == "csv" else path + ".csv", report_csv_rows(report))
+    render = {"json": report_json, "csv": report_csv_rows}
+    for kind, target in targets.items():
+        _write(target, render[kind](report))
     return 0
 
 
@@ -301,7 +305,8 @@ def cmd_history(args):
             report = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read report {args.report}: {e}") from e
-    _write_csv(args.output, history_rows(report))
+    _check_output(args.output)
+    _write(args.output, history_rows(report))
     return 0
 
 

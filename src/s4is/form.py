@@ -1,6 +1,8 @@
 """First-order reliability method: HL-RF search for the most probable point
-in u-space with central finite-difference gradients, plus a multi-start
-variant that collects distinct MPPs and all paid-for evaluations.
+in u-space with central or forward finite-difference gradients, plus a
+multi-start variant that collects distinct MPPs and all paid-for
+evaluations. A search's trace holds the u and g of every evaluation it
+made, finite-difference probes included.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ class MppResult:
     iterations: int
     trace_u: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     trace_g: np.ndarray = field(default_factory=lambda: np.empty(0))
-    trace_components: np.ndarray | None = None
 
 
 class _UspaceG:
@@ -40,15 +41,11 @@ class _UspaceG:
         self.rv = evaluator.problem.marginals
         self.trace_u = []
         self.trace_g = []
-        self.trace_components = []
 
     def __call__(self, u):
-        theta = self.rv.from_standard_normal(u)
-        comps = self.ev.components_at(np.asarray(theta, dtype=float))
-        g = float(self.ev.problem.aggregate(comps))
+        g = self.ev.g(self.rv.from_standard_normal(u))
         self.trace_u.append(np.asarray(u, dtype=float).copy())
         self.trace_g.append(g)
-        self.trace_components.append(comps)
         return g
 
     def gradient(self, u, g_center=None, scheme="central"):
@@ -99,7 +96,6 @@ def hlrf_search(evaluator: Evaluator, start_u, fd_scheme="central"):
         n_eval=evaluator.ledger.count - n0, converged=converged,
         iterations=iterations,
         trace_u=np.array(gfun.trace_u), trace_g=np.array(gfun.trace_g),
-        trace_components=np.array(gfun.trace_components),
     )
 
 

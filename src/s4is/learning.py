@@ -18,10 +18,13 @@ class PoolExhausted(S4isError):
 
 
 class CandidatePool:
-    """u-space candidates with a selected mask."""
+    """u-space candidates ``points`` with their GP coordinates ``x``, their
+    log standard-normal density ``log_pn``, the log density ``log_q`` they
+    were drawn from, and a selected mask."""
 
-    def __init__(self, points):
+    def __init__(self, points, x, log_pn, log_q):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.x, self.log_pn, self.log_q = x, log_pn, log_q
         self.selected = np.zeros(self.points.shape[0], dtype=bool)
 
 

@@ -163,6 +163,12 @@ def _evaluate_support(evaluator, us):
     return SupportPointSet(us, _feature_map(rv, thetas), np.atleast_1d(ys), comps)
 
 
+def _candidate_pool(rv, points, log_density):
+    """The pool of the u-space rows ``points`` drawn from ``log_density``."""
+    x = _feature_map(rv, rv.from_standard_normal(points))
+    return CandidatePool(points, x, log_std_normal_pdf(points), log_density(points))
+
+
 def _estimate(evaluator, means, log_pn, log_q):
     """The IS estimate of the surrogate's failure set ``means <= 0`` under
     the density ``log_q``, with the true-g calls spent so far."""
@@ -180,15 +186,14 @@ def _window_converged(history, window, tol):
     return abs(history[-1] - mean) / mean <= tol
 
 
-def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
-            max_iter, window=None):
+def _refine(evaluator, model, support, pool, score, max_iter, window=None):
     """The adaptive loop shared by both stages and AK-IS.
 
     Each iteration scores the pool with ``score(model, means, dmin)`` (None
     stops the loop), evaluates the true g at the best unselected candidate,
     updates the surrogate, predicts the pool once and takes the IS estimate
-    against ``log_q``; ``window`` = (length, tolerance) adds the trailing
-    window stopping rule.
+    against the pool's ``log_q``; ``window`` = (length, tolerance) adds the
+    trailing window stopping rule.
 
     Most updates append the new point at fixed hyperparameters. A stopping
     rule is only taken on a fully optimised model: when one fires on a
@@ -200,8 +205,8 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
     last estimate, the per-iteration histories and the termination reason.
     """
     cands = pool.points
-    means = model.predict_mean(x_cands)
-    est = _estimate(evaluator, means, log_pn, log_q)
+    means = model.predict_mean(pool.x)
+    est = _estimate(evaluator, means, pool.log_pn, pool.log_q)
     initial_pf = est.pf
     dmin = min_distances(cands, support.inputs_u)
     pf_hist, cov_hist, ne_hist = [], [], []
@@ -211,8 +216,8 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
         # of the history is then this model's estimate.
         nonlocal model, means, est
         model = update_surrogate(model, support)
-        means = model.predict_mean(x_cands)
-        est = _estimate(evaluator, means, log_pn, log_q)
+        means = model.predict_mean(pool.x)
+        est = _estimate(evaluator, means, pool.log_pn, pool.log_q)
         pf_hist[-1], cov_hist[-1] = est.pf, est.cov
 
     termination = "max_iterations"
@@ -232,8 +237,8 @@ def _refine(evaluator, model, support, pool, x_cands, log_pn, log_q, score,
         support.extend(_evaluate_support(evaluator, cands[[idx]]))
         model = update_surrogate(model, support)
         dmin = np.minimum(dmin, np.linalg.norm(cands - cands[idx], axis=1))
-        means = model.predict_mean(x_cands)
-        est = _estimate(evaluator, means, log_pn, log_q)
+        means = model.predict_mean(pool.x)
+        est = _estimate(evaluator, means, pool.log_pn, pool.log_q)
         pf_hist.append(est.pf)
         cov_hist.append(est.cov)
         ne_hist.append(est.n_eval)
@@ -259,10 +264,9 @@ def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     rv = problem.marginals
     d = problem.dim
     n_c1 = config.candidates_stage1(d)
-    cands = sample_hypercube(d, n_c1, rng)
-    pool = CandidatePool(cands)
-    x_cands = _feature_map(rv, rv.from_standard_normal(cands))
-
+    pool = _candidate_pool(rv, sample_hypercube(d, n_c1, rng),
+                           lambda u: np.log(hypercube_density(u)))
+    cands = pool.points
     init_idx = _maximin_indices(cands, config.initial_support(d))
     pool.selected[init_idx] = True
     support = _evaluate_support(evaluator, cands[init_idx])
@@ -271,10 +275,8 @@ def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     def score(model, means, dmin):
         return lf1_scores(np.abs(means), dmin, _scale(support.outputs))
 
-    model, means, _, report = _refine(
-        evaluator, model, support, pool, x_cands, log_std_normal_pdf(cands),
-        np.log(hypercube_density(cands)), score, config.max_iter1,
-        (config.a1, config.eps1))
+    model, means, _, report = _refine(evaluator, model, support, pool, score,
+                                      config.max_iter1, (config.a1, config.eps1))
     report.coarse = True
     failure_u = cands[means <= 0]
     if failure_u.shape[0] == 0:
@@ -299,33 +301,28 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
     gm = GaussianMixture(mpps)
     notes["n_mixture_components"] = int(gm.n_components)
 
-    cands = gm.sample(config.n_c2, rng)
-    pool = CandidatePool(cands)
-    x_cands = _feature_map(rv, rv.from_standard_normal(cands))
-    log_pn = log_std_normal_pdf(cands)
-    log_q2 = gm.logpdf(cands)
+    pool = _candidate_pool(rv, gm.sample(config.n_c2, rng), gm.logpdf)
 
     def score(model, means, dmin):
-        return lf2_scores(np.abs(means), dmin, log_pn, log_q2, _scale(support.outputs))
+        return lf2_scores(np.abs(means), dmin, pool.log_pn, pool.log_q,
+                          _scale(support.outputs))
 
-    model, means, initial_pf, report = _refine(
-        evaluator, model, support, pool, x_cands, log_pn, log_q2, score,
-        config.max_iter2, (config.a2, config.eps2))
+    model, means, initial_pf, report = _refine(evaluator, model, support, pool, score,
+                                               config.max_iter2, (config.a2, config.eps2))
     report.initial_pf = initial_pf
     report.notes = notes
 
     # CoV control: add n_c2 samples at a time, at surrogate-only cost and never
     # selected from, until the CoV target or pool_growth_limit * n_c2 samples.
-    est = report.final
+    est, log_pn, log_q = report.final, pool.log_pn, pool.log_q
     grown = 0
     while (not est.cov_defined or est.cov > config.cov_target) and \
             grown + 1 < config.pool_growth_limit:
-        extra = gm.sample(config.n_c2, rng)
-        log_pn = np.concatenate([log_pn, log_std_normal_pdf(extra)])
-        log_q2 = np.concatenate([log_q2, gm.logpdf(extra)])
-        x_extra = _feature_map(rv, rv.from_standard_normal(extra))
-        means = np.concatenate([means, model.predict_mean(x_extra)])
-        est = _estimate(evaluator, means, log_pn, log_q2)
+        extra = _candidate_pool(rv, gm.sample(config.n_c2, rng), gm.logpdf)
+        log_pn = np.concatenate([log_pn, extra.log_pn])
+        log_q = np.concatenate([log_q, extra.log_q])
+        means = np.concatenate([means, model.predict_mean(extra.x)])
+        est = _estimate(evaluator, means, log_pn, log_q)
         grown += 1
     if grown:
         notes["pool_enlargements"] = grown
@@ -333,10 +330,12 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
         report.pf_history.append(est.pf)
         report.cov_history.append(est.cov)
         report.n_eval_history.append(est.n_eval)
+    if not est.cov_defined or est.cov > config.cov_target:
+        notes["cov_target_missed"] = True
     return report, model
 
 
-def _thin_trace(rv, results):
+def _thin_trace(evaluator, results):
     """Support set of at most ``_TRACE_MAX_POINTS`` points of the HL-RF
     traces of ``results``, pairwise at least ``_TRACE_MIN_SEP`` apart;
     finite-difference probe points sit within the step of their iterate and
@@ -344,7 +343,6 @@ def _thin_trace(rv, results):
     state first."""
     trace_u = np.vstack([r.trace_u for r in results])
     trace_g = np.concatenate([r.trace_g for r in results])
-    trace_components = np.vstack([r.trace_components for r in results])
     order = np.argsort(np.abs(trace_g), kind="stable")
     keep = []
     for i in order:
@@ -353,20 +351,19 @@ def _thin_trace(rv, results):
         if all(np.linalg.norm(trace_u[i] - trace_u[j]) >= _TRACE_MIN_SEP for j in keep):
             keep.append(int(i))
     keep.sort()
-    return SupportPointSet(trace_u[keep], _feature_map(rv, rv.from_standard_normal(trace_u[keep])),
-                           trace_g[keep], trace_components[keep])
+    # Every kept row was evaluated by the search: the ledger's cache answers.
+    return _evaluate_support(evaluator, trace_u[keep])
 
 
 def _form_seed(problem, rng, evaluator):
     """FORM-driven exploration for high dimension: multi-start HL-RF supplies
     both the mixture centers and the initial support set."""
-    rv = problem.marginals
     # Past ~20 inputs, central-difference gradients dominate the evaluation
     # budget; forward differences halve the per-iteration cost.
     fd = "forward" if problem.dim >= 20 else "central"
     distinct, all_results = multi_start_mpps(evaluator, 1, rng, fd_scheme=fd)
     # Keep every converged MPP in the training set.
-    support = _thin_trace(rv, all_results)
+    support = _thin_trace(evaluator, all_results)
     model = fit_surrogate(support, _system_rule(problem), problem.dim >= _ISOTROPIC_DIM)
     mpps = np.array([r.u_star for r in distinct])
     beta_min = distinct[0].beta
@@ -421,19 +418,15 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     if res is None:
         res = _fallback_mpp(evaluator, rng)
     gm = GaussianMixture(res.u_star[None, :])
-    cands = gm.sample(config.n_c2, rng)
-    pool = CandidatePool(cands)
-    x_cands = _feature_map(rv, rv.from_standard_normal(cands))
-
-    support = _thin_trace(rv, [res])
-    doe_idx = _maximin_indices(cands - res.u_star, 12)
+    pool = _candidate_pool(rv, gm.sample(config.n_c2, rng), gm.logpdf)
+    support = _thin_trace(evaluator, [res])
+    doe_idx = _maximin_indices(pool.points - res.u_star, 12)
     pool.selected[doe_idx] = True
-    for i in doe_idx:
-        support.extend(_evaluate_support(evaluator, cands[[i]]))
+    support.extend(_evaluate_support(evaluator, pool.points[doe_idx]))
     model = fit_surrogate(support)
 
     def score(model, means, dmin):
-        sds = model.predict_sd(x_cands)
+        sds = model.predict_sd(pool.x)
         with np.errstate(divide="ignore", invalid="ignore"):
             u_scores = np.where(sds > 0, np.abs(means) / sds,
                                 np.where(means == 0, 0.0, np.inf))
@@ -444,9 +437,7 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
 
     # Fixed-size IS estimate: the single shifted Gaussian cannot reach other
     # failure branches anyway, so growing the pool only adds weight variance.
-    *_, report = _refine(evaluator, model, support, pool, x_cands,
-                         log_std_normal_pdf(cands), gm.logpdf(cands), score,
-                         config.max_iter2)
+    *_, report = _refine(evaluator, model, support, pool, score, config.max_iter2)
     return report.final
 
 

@@ -1,19 +1,23 @@
 """Command-line interface: config validation, reports, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import s4is
@@ -22,8 +26,8 @@ from s4is.cli import (CONFIG_SCHEMA, OUTPUT_FORMATS, build_report,
                       history_rows, main, make_parser, report_csv_rows,
                       report_json, validate_config)
 from s4is.errors import ConfigError
-from s4is.evaluation import (BUILTIN_NAMES, EXAMPLE4_LEVELS, ExternalEvaluator,
-                             builtin_problem)
+from s4is.evaluation import (BUILTIN_NAMES, EXAMPLE4_LEVELS, Evaluator,
+                             ExternalEvaluator, builtin_problem)
 from s4is.probability import KINDS
 from s4is.pipeline import S4isConfig
 
@@ -299,6 +303,95 @@ def test_near_valid_configs_validate_or_raise_config_error(cfg):
     assert all(type(v) is int for v in integers)
 
 
+# JSON values whose integers stay small, so a config they leave valid
+# still runs cheaply.
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 2) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=2),
+    max_leaves=3)
+# Externals that break the schema: no example starts a process.
+_BROKEN_EXTERNALS = st.sampled_from([
+    {"external": {"command": [], "marginals": [{"kind": "normal", "mean": 0, "sd": 1}]}},
+    {"external": {"command": "python", "marginals": []}},
+    {"external": {"command": [1]}}])
+
+
+@st.composite
+def _cli_configs(draw):
+    """A cheap valid run config (mcs with n <= 1000 or form, on a built-in
+    problem with d <= 12, at most two replicates), then up to three entries
+    removed or replaced by a near-valid value: a wrong type, a switch, an
+    integral float, an out-of-range number, a broken external problem."""
+    name = draw(st.sampled_from(BUILTIN_NAMES))
+    builtin = {"name": name}
+    if name == "example4":
+        builtin["c"] = draw(st.sampled_from(EXAMPLE4_LEVELS))
+    if name == "example5":
+        builtin["d"] = draw(st.integers(1, 12))
+    cfg = {"problem": {"builtin": builtin}, "method": draw(st.sampled_from(["mcs", "form"])),
+           "mcs": {"n": draw(st.integers(1, 1000))}, "seed": draw(st.integers(0, 2**70)),
+           "replicates": draw(st.integers(1, 2)), "s4is": {"n_c2": 100, "cov_target": 0.1},
+           "output": draw(st.fixed_dictionaries({}, optional={
+               "format": st.sampled_from(OUTPUT_FORMATS),
+               "path": st.sampled_from(["out", "missing/out"])}))}
+    paths = _CONFIG_PATHS + [("output", "path")]
+    for *parents, key in draw(st.lists(st.sampled_from(paths), max_size=3)):
+        node = cfg
+        for parent in parents:
+            node = node.get(parent) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            value = draw(st.just(_REMOVE) | _BROKEN_EXTERNALS | st.integers(-1, 2)
+                         | st.integers(-1, 2).map(float) | _SMALL_JSON)
+            if value is _REMOVE:
+                node.pop(key, None)
+            elif key != "method" or value not in ("akis", "s4is"):  # the costly runs
+                node[key] = value
+    return cfg
+
+
+_CLI_OPTIONS = st.lists(st.sampled_from([
+    ["--seed", "3"], ["--seed", "-1"], ["--seed", "x"], ["--replicates", "2"],
+    ["--replicates", "0"], ["--method", "form"], ["--method", "mcs"],
+    ["--format", "csv"], ["--format", "both"], ["--output", "out"],
+    ["--output", "missing/out"]]), max_size=2)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(cfg=_cli_configs(), options=_CLI_OPTIONS)
+# A missing output directory used to surface as an uncaught
+# FileNotFoundError (exit 1) after the run had spent its g calls.
+@example(cfg={"problem": {"builtin": {"name": "example1"}}, "method": "mcs",
+              "mcs": {"n": 1}, "seed": 0, "replicates": 1,
+              "s4is": {"n_c2": 100, "cov_target": 0.1},
+              "output": {"format": "json", "path": "missing/out"}}, options=[])
+def test_cli_exits_0_2_or_3_and_exit_2_spends_no_g_call(cfg, options):
+    calls = []
+
+    def counted(method):
+        def wrapper(self, *args):
+            calls.append(method.__name__)
+            return method(self, *args)
+        return wrapper
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(Evaluator, "components_at", counted(Evaluator.components_at)), \
+            mock.patch.object(Evaluator, "g_batch", counted(Evaluator.g_batch)), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        if isinstance(cfg.get("output", {}).get("path"), str):
+            cfg["output"]["path"] = os.path.join(tmp, cfg["output"]["path"])
+        argv = ["run", "--config", _config(Path(tmp), cfg)]
+        for option, value in options:
+            argv += [option, os.path.join(tmp, value) if option == "--output" else value]
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse rejects an option
+            code = exit_.code
+    assert code in (0, 2, 3)
+    assert code != 2 or not calls
+
+
 def test_config_roundtrip_is_stable():
     cfg = dict(BASE, mcs={"n": 1000},
                s4is={"k_clusters": 3}, output={"format": "json"})
@@ -397,6 +490,24 @@ def test_run_both_without_path_exits_2_without_evaluation(tmp_path, capsys, how)
     assert main(["run", "--config", _config(tmp_path, payload), *argv]) == 2
     assert "needs an output path" in capsys.readouterr().err
     assert not sentinel.exists()
+
+
+@pytest.mark.parametrize("output, fmt", [("missing/out.json", "json"),
+                                         ("missing/out", "both"), (".", "csv")])
+def test_unwritable_output_exits_2_without_evaluation(tmp_path, capsys, output, fmt):
+    sentinel = tmp_path / "touched"
+    payload = {"problem": _touching_problem(sentinel), "method": "form"}
+    argv = ["--output", str(tmp_path / output), "--format", fmt]
+    assert main(["run", "--config", _config(tmp_path, payload), *argv]) == 2
+    assert "not a file in an existing directory" in capsys.readouterr().err
+    assert not sentinel.exists()
+
+
+def test_history_to_a_missing_directory_exits_2(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["run", "--config", _config(tmp_path, BASE), "--output", str(report)]) == 0
+    assert main(["history", str(report), "--output", str(tmp_path / "missing/h.csv")]) == 2
+    assert "not a file in an existing directory" in capsys.readouterr().err
 
 
 def test_seed_override_changes_result(tmp_path, capsys):

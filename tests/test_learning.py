@@ -7,6 +7,12 @@ from s4is.learning import (CandidatePool, PoolExhausted, lf1_scores,
                            lf2_scores, min_distances, select_next)
 
 
+def _pool(points):
+    """A pool over ``points`` whose coordinates and densities play no part."""
+    zeros = np.zeros(len(points))
+    return CandidatePool(points, points, zeros, zeros)
+
+
 def test_min_distance_helpers():
     support = np.array([[0.0, 0.0], [2.0, 0.0]])
     d = min_distances(np.array([[3.0, 0.0], [-1.0, 0.0]]), support)
@@ -40,7 +46,7 @@ def test_lf2_scores_prefer_heavy_weights():
 
 
 def test_select_next_argmin_and_marking():
-    pool = CandidatePool(np.array([[0.0], [1.0], [2.0]]))
+    pool = _pool(np.array([[0.0], [1.0], [2.0]]))
     scores = np.array([3.0, -1.0, 0.5])
     idx = select_next(pool, scores)
     assert idx == 1
@@ -50,12 +56,12 @@ def test_select_next_argmin_and_marking():
 
 
 def test_select_next_tie_breaks_to_lowest_index():
-    pool = CandidatePool(np.array([[0.0], [1.0], [2.0]]))
+    pool = _pool(np.array([[0.0], [1.0], [2.0]]))
     assert select_next(pool, np.array([1.0, 1.0, 1.0])) == 0
 
 
 def test_pool_exhaustion():
-    pool = CandidatePool(np.array([[0.0]]))
+    pool = _pool(np.array([[0.0]]))
     select_next(pool, np.array([0.0]))
     with pytest.raises(PoolExhausted):
         select_next(pool, np.array([0.0]))

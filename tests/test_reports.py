@@ -84,13 +84,15 @@ def test_recordings_cover_the_rare_loop_paths():
         return report["replicates"][0]["stages"]
 
     assert stages("s4is_example5_d10")["stage1"]["termination"] == "form_seed"
-    assert stages("s4is_pool_growth")["stage2"]["notes"]["pool_enlargements"] > 0
+    grown = stages("s4is_pool_growth")["stage2"]["notes"]
+    assert grown["pool_enlargements"] > 0 and grown["cov_target_missed"] is True
     capped = stages("s4is_max_iterations")
     assert capped["stage1"]["termination"] == "max_iterations"
     assert capped["stage2"]["termination"] == "max_iterations"
     exhausted = stages("s4is_pool_exhausted")
     assert exhausted["stage1"]["termination"] == "pool_exhausted"
     assert exhausted["stage2"]["termination"] == "pool_exhausted"
+    assert exhausted["stage2"]["notes"]["cov_target_missed"] is True
 
 
 if __name__ == "__main__":
