@@ -4,7 +4,8 @@ single-MPP importance-sampling baselines and a benchmark suite.
 """
 
 from .benchmarks import (Band, ExperimentDef, ExperimentReport,
-                         oracle_is_reference, reference_table, run_experiment)
+                         builtin_problem, oracle_is_reference,
+                         reference_table, run_experiment)
 from .errors import (ConfigError, DensitySupportError, DomainError,
                      EvaluationError, FitError, ProtocolError, S4isError,
                      StageFailureError, StationaryPointError,
@@ -12,7 +13,7 @@ from .errors import (ConfigError, DensitySupportError, DomainError,
 from .estimators import (ReliabilityEstimate, is_estimate_from_log,
                          mcs_estimate, relative_error)
 from .evaluation import (EvaluationLedger, Evaluator, ExternalEvaluator,
-                         ProblemSpec, builtin_problem, external_problem)
+                         ProblemSpec, external_problem)
 from .form import MppResult, form_pf, hlrf_search, multi_start_mpps
 from .pipeline import (S4isConfig, S4isResult, StageReport, run_akis_baseline,
                        run_form_baseline, run_mcs_baseline, run_s4is)

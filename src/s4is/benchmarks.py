@@ -1,10 +1,12 @@
-"""Reference experiment definitions for the built-in benchmark problems.
+"""The built-in benchmark problems and their reference experiments.
 
-Each experiment binds a problem to the methods compared in the reference
-study (crude MCS, FORM, the single-MPP importance-sampling baseline, and
-the two-stage mixture method), together with the reported values and the
-tolerance bands used by the reproduction suite.  ``run_experiment``
-executes the configured replicates and emits a comparison report.
+Each example has one row in ``_EXAMPLES``, keyed by its problem name: how
+to build the problem, and the values reported for the methods compared in
+the reference study (crude MCS, FORM, the single-MPP importance-sampling
+baseline, and the two-stage mixture method), together with the tolerance
+bands used by the reproduction suite. The reported MCS pf is the problem's
+``reference_pf``. ``run_experiment`` executes the configured replicates
+and emits a comparison report.
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ from scipy import optimize
 
 from .errors import ConfigError, StageFailureError
 from .estimators import is_estimate_from_log, relative_error
-from .evaluation import Evaluator, ProblemSpec, builtin_problem
+from .evaluation import Evaluator, ProblemSpec
 from .pipeline import (REFERENCE_BLOCK_ROWS, S4isConfig, check_sample_count,
                        run_akis_baseline, run_form_baseline, run_mcs_baseline,
                        run_s4is)
-from .probability import GaussianMixture, log_std_normal_pdf
+from .probability import (GaussianMixture, Marginal, RandomVector,
+                          log_std_normal_pdf)
 
 METHODS = ("mcs", "form", "akis", "s4is")  # also the CLI's method choices
+BUILTIN_NAMES = ("example1", "example2", "example3", "example4", "example5")
+EXAMPLE4_LEVELS = (3, 4, 5)  # the values of example4's constant c
 
 
 @dataclass(frozen=True)
@@ -65,55 +70,109 @@ class ExperimentDef:
                 raise ConfigError(f"unknown method {m!r}")
 
 
-# One row per example: (``builtin_problem`` arguments, {method: {quantity:
-# reported value}}). A gated quantity is (value, low, high):
-# the band is wider than the reported scatter to absorb implementation
-# variance. eps_r entries are fractions, not percentages. The MCS pf is None
-# here: it is the problem's ``reference_pf`` (one table, in
-# ``s4is.evaluation``).
+def _std_normals(d):
+    return RandomVector(tuple(Marginal("normal", 0.0, 1.0) for _ in range(d)))
+
+
+def _example1_components():
+    r2 = math.sqrt(2.0)
+
+    def c1(t):
+        return 3 + 0.1 * (t[:, 0] - t[:, 1]) ** 2 - r2 * (t[:, 0] + t[:, 1]) / 2
+
+    def c2(t):
+        return 3 + 0.1 * (t[:, 0] - t[:, 1]) ** 2 + r2 * (t[:, 0] + t[:, 1]) / 2
+
+    def c3(t):
+        return (t[:, 0] - t[:, 1]) + 3 * r2
+
+    def c4(t):
+        return -(t[:, 0] - t[:, 1]) + 3 * r2
+
+    return (c1, c2, c3, c4)
+
+
+def _example2_component(t):
+    c1, c2, m, r, t1, f1 = (t[:, i] for i in range(6))
+    w0 = np.sqrt((c1 + c2) / m)
+    return 3 * r - np.abs(2 * f1 / (m * w0**2) * np.sin(w0 * t1 / 2))
+
+
+def _example3_component(t):
+    t1, t2 = t[:, 0], t[:, 1]
+    return -((t1**2 + 4) * (t2 - 1)) / 20 + np.sin(2.5 * t1) + 2
+
+
+def _example4_components(c):
+    def c1(t):
+        return c - 1 - t[:, 1] + np.exp(-t[:, 0] ** 2 / 10) + (t[:, 0] / 5) ** 4
+
+    def c2(t):
+        return c**2 / 2 - t[:, 0] * t[:, 1]
+
+    return (c1, c2)
+
+
+def _example5_component(d):
+    # Threshold three sigma-of-the-sum above the mean of the sum; with the
+    # benchmark's lognormal(mean 1, sd 0.2) marginals this reproduces the
+    # reported reference probabilities at every dimension.
+    threshold = d + 3 * 0.2 * math.sqrt(d)
+
+    def comp(t):
+        return threshold - np.sum(t, axis=-1)
+
+    return comp
+
+
+# One row per example, keyed by the problem's name: (``builtin_problem``
+# arguments, {method: {quantity: reported value}}). A gated quantity is
+# (value, low, high): the band is wider than the reported scatter to absorb
+# implementation variance. eps_r entries are fractions, not percentages.
+# The MCS pf is the large-sample reference, the problem's ``reference_pf``.
 _EXAMPLES = {
     "example1": ({"name": "example1"}, {
-        "mcs": {"pf": (None, 4.2e-3, 4.7e-3), "n_eval": 1e6},
+        "mcs": {"pf": (4.460e-3, 4.2e-3, 4.7e-3), "n_eval": 1e6},
         "form": {"pf": 1.348e-3, "eps_r": 0.698, "n_eval": 12},
         "akis": {"pf": 1.179e-3, "eps_r": 0.736, "n_eval": 71.1},
         "s4is": {"pf": 4.483e-3, "eps_r": (0.005, 0.0, 0.10), "n_eval": (60.6, 0.0, 150.0)}}),
     "example2": ({"name": "example2"}, {
-        "mcs": {"pf": None, "n_eval": 1e6},
+        "mcs": {"pf": 0.02857, "n_eval": 1e6},
         "form": {"pf": (0.03116, 0.03116 * 0.85, 0.03116 * 1.15), "eps_r": 0.091, "n_eval": 39},
         "akis": {"pf": 0.02863, "eps_r": 0.002, "n_eval": 91.4},
         "s4is": {"pf": 0.02830, "eps_r": (0.009, 0.0, 0.10), "n_eval": (53.3, 0.0, 150.0)}}),
     "example3": ({"name": "example3"}, {
-        "mcs": {"pf": None, "n_eval": 1e6},
+        "mcs": {"pf": 0.03130, "n_eval": 1e6},
         "form": {"pf": 0.1182, "eps_r": (2.776, 1.0, math.inf), "n_eval": 695},
         "akis": {"pf": 0.03123, "eps_r": 0.002, "n_eval": 985.9},
         "s4is": {"pf": 0.03078, "eps_r": (0.017, 0.0, 0.10), "n_eval": (71.4, 0.0, 200.0)}}),
     "example4_c3": ({"name": "example4", "c": 3}, {
-        "mcs": {"pf": None, "n_eval": 1e6},
+        "mcs": {"pf": 3.470e-3, "n_eval": 1e6},
         "form": {"pf": (1.350e-3, 1.350e-3 * 0.9, 1.350e-3 * 1.1), "eps_r": 0.611, "n_eval": 7},
         "akis": {"pf": 1.462e-3, "eps_r": 0.579, "n_eval": 97.6},
         "s4is": {"pf": 3.531e-3, "eps_r": (0.018, 0.0, 0.15), "n_eval": (72.8, 0.0, 200.0)}}),
     "example4_c4": ({"name": "example4", "c": 4}, {
-        "mcs": {"pf": None, "n_eval": 4e6},
+        "mcs": {"pf": 9.172e-5, "n_eval": 4e6},
         "form": {"pf": 3.167e-5, "eps_r": 0.655, "n_eval": 7},
         "akis": {"pf": 4.509e-5, "eps_r": 0.508, "n_eval": 110.3},
         "s4is": {"pf": 9.120e-5, "eps_r": (0.006, 0.0, 0.20), "n_eval": (83.2, 0.0, 250.0)}}),
     "example4_c5": ({"name": "example4", "c": 5}, {
-        "mcs": {"pf": None, "n_eval": 4e8},
+        "mcs": {"pf": 9.485e-7, "n_eval": 4e8},
         "form": {"pf": 2.867e-7, "eps_r": 0.698, "n_eval": 7},
         "akis": {"pf": 2.277e-7, "eps_r": 0.760, "n_eval": 92.4},
         "s4is": {"pf": 9.035e-7, "eps_r": (0.047, 0.0, 0.30), "n_eval": (118.6, 0.0, 300.0)}}),
     "example5_d2": ({"name": "example5", "d": 2}, {
-        "mcs": {"pf": None, "n_eval": 1e6},
+        "mcs": {"pf": 4.926e-3, "n_eval": 1e6},
         "form": {"pf": 3.844e-3, "eps_r": 0.220, "n_eval": 20},
         "akis": {"pf": 4.928e-3, "eps_r": 0.0004, "n_eval": 59.0},
         "s4is": {"pf": 4.921e-3, "eps_r": (0.001, 0.0, 0.10), "n_eval": (23.9, 0.0, 80.0)}}),
     "example5_d10": ({"name": "example5", "d": 10}, {
-        "mcs": {"pf": None, "n_eval": 1e6},
+        "mcs": {"pf": 2.744e-3, "n_eval": 1e6},
         "form": {"pf": 1.003e-3, "eps_r": 0.634, "n_eval": 35},
         "akis": {"pf": 2.711e-3, "eps_r": 0.012, "n_eval": 678.2},
         "s4is": {"pf": 2.739e-3, "eps_r": (0.002, 0.0, 0.15), "n_eval": (48.6, 0.0, 200.0)}}),
     "example5_d50": ({"name": "example5", "d": 50}, {
-        "mcs": {"pf": None, "n_eval": 1e6},
+        "mcs": {"pf": 1.934e-3, "n_eval": 1e6},
         "form": {"pf": 1.541e-4, "eps_r": 0.920, "n_eval": 155},
         "akis": {"pf": 1.903e-3, "eps_r": 0.016, "n_eval": 1845.2},
         "s4is": {"pf": 1.915e-3, "eps_r": (0.010, 0.0, 0.20), "n_eval": (168.6, 0.0, 500.0)}}),
@@ -123,10 +182,48 @@ EXAMPLE_IDS = tuple(_EXAMPLES)
 _ORACLE_STARTS = 10  # constrained MPP searches per component in the oracle
 
 
-def _band(quantity, entry, reference_pf):
+def _band(quantity, entry):
     """A table entry as a Band: an ungated value gets an unbounded band."""
     value, low, high = entry if isinstance(entry, tuple) else (entry, -math.inf, math.inf)
-    return Band(quantity, reference_pf if value is None else value, low, high)
+    return Band(quantity, value, low, high)
+
+
+def builtin_problem(name, c=None, d=None):
+    """Construct one of the built-in benchmark problems ``BUILTIN_NAMES``.
+
+    example4 takes the reliability-level constant ``c`` in
+    ``EXAMPLE4_LEVELS``; example5 takes the dimension ``d`` >= 1. The
+    reference pf is the MCS pf of the problem's ``_EXAMPLES`` row; example5
+    at a dimension with no row has none.
+    """
+    if name not in BUILTIN_NAMES:
+        raise ConfigError(f"unknown built-in problem {name!r}")
+    aggregation = "single"
+    if name == "example1":
+        marginals, components, aggregation = _std_normals(2), _example1_components(), "series_min"
+    elif name == "example2":
+        # (mean, sd) of c1, c2, m, r, t1 and f1
+        marginals = RandomVector(tuple(Marginal("normal", mean, sd) for mean, sd in (
+            (1.0, 0.1), (0.1, 0.01), (1.0, 0.05), (0.5, 0.05), (1.0, 0.2), (1.0, 0.2))))
+        components = (_example2_component,)
+    elif name == "example3":
+        marginals = RandomVector((Marginal("normal", 1.5, 1.0), Marginal("normal", 2.5, 1.0)))
+        components = (_example3_component,)
+    elif name == "example4":
+        if c not in EXAMPLE4_LEVELS:
+            levels = ", ".join(map(str, EXAMPLE4_LEVELS))
+            raise ConfigError(f"example4 requires c in {{{levels}}}")
+        name = f"example4_c{c}"
+        marginals, components, aggregation = _std_normals(2), _example4_components(c), "series_min"
+    else:
+        if d is None or d < 1:
+            raise ConfigError("example5 requires d >= 1")
+        name = f"example5_d{d}"
+        marginals = RandomVector(tuple(Marginal("lognormal", 1.0, 0.2) for _ in range(d)))
+        components = (_example5_component(d),)
+    ref = _band("pf", _EXAMPLES[name][1]["mcs"]["pf"]).value if name in _EXAMPLES else None
+    return ProblemSpec(name, marginals, components, aggregation, ref,
+                       None if ref is None else "reported")
 
 
 def reference_table(example_id, replicates=10):
@@ -136,15 +233,14 @@ def reference_table(example_id, replicates=10):
     if example_id not in _EXAMPLES:
         raise ConfigError(f"unknown example id {example_id!r}")
     problem_args, reported = _EXAMPLES[example_id]
-    problem = builtin_problem(**problem_args)
-    expected = {method: tuple(_band(q, entry, problem.reference_pf)
-                              for q, entry in values.items())
+    expected = {method: tuple(_band(q, entry) for q, entry in values.items())
                 for method, values in reported.items()}
     # Ground truth at desk scale: example4 c=5 replaces the 4e8-sample MCS
     # with a true-g importance-sampling oracle, so no mcs method there.
     methods = METHODS[1:] if example_id == "example4_c5" else METHODS
     mcs_n = int(reported["mcs"]["n_eval"]) if "mcs" in methods else 0
-    return ExperimentDef(example_id, problem, methods, mcs_n, replicates, expected)
+    return ExperimentDef(example_id, builtin_problem(**problem_args), methods,
+                         mcs_n, replicates, expected)
 
 
 def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
@@ -258,8 +354,9 @@ def run_experiment(exp: ExperimentDef, rng, config=None):
     compare against the tolerance bands.
 
     The relative-error reference is, in order of preference: this run's own
-    MCS mean, the true-g oracle (example4 c=5), or the reported value.  A
-    method error becomes a failed row, not an aborted report.
+    MCS mean, the true-g oracle when the experiment has no mcs method
+    (example4 c=5), or the reported value.  A method error becomes a failed
+    row, not an aborted report.
     """
     if config is None:
         config = S4isConfig()
@@ -276,7 +373,7 @@ def run_experiment(exp: ExperimentDef, rng, config=None):
     if "mcs" in estimates:
         ref = float(np.mean([e.pf for e in estimates["mcs"]]))
         source = "mcs"
-    elif exp.example_id == "example4_c5":
+    elif "mcs" not in exp.methods:
         ref, source = oracle_is_reference(exp.problem, rng).pf, "oracle"
     else:
         ref, source = exp.problem.reference_pf, "reported"

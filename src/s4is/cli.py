@@ -21,8 +21,7 @@ import numpy as np
 from . import benchmarks
 from .errors import ConfigError, S4isError
 from .estimators import relative_error
-from .evaluation import (BUILTIN_NAMES, EXAMPLE4_LEVELS, builtin_problem,
-                         external_problem)
+from .evaluation import external_problem
 from .probability import KINDS, Marginal, RandomVector
 from .pipeline import S4isConfig
 
@@ -50,8 +49,8 @@ CONFIG_SCHEMA = {
                 "builtin": {
                     "type": "object",
                     "properties": {
-                        "name": {"enum": list(BUILTIN_NAMES)},
-                        "c": {"type": "integer", "enum": list(EXAMPLE4_LEVELS)},
+                        "name": {"enum": list(benchmarks.BUILTIN_NAMES)},
+                        "c": {"type": "integer", "enum": list(benchmarks.EXAMPLE4_LEVELS)},
                         "d": {"type": "integer", "minimum": 1},
                     },
                     "required": ["name"],
@@ -109,26 +108,36 @@ _CONFIG_VALIDATOR = jsonschema.validators.extend(
         "integer", lambda _, value: type(value) is int))(CONFIG_SCHEMA)
 
 
-def load_config(path):
-    """Read and schema-validate a run config; no performance function is
-    touched before this returns."""
+def _read_json(path):
+    """The JSON document in the file at ``path``, for ``run`` and
+    ``history`` alike. A file that cannot be read, is not UTF-8 or is not
+    JSON (NaN, a number past the float range, nesting past the recursion
+    limit) raises ConfigError."""
     def reject(token):
         # json accepts these tokens; JSON does not.
-        raise ConfigError(f"config {path} is not valid JSON: {token} is not a number")
+        raise ConfigError(f"{path} is not valid JSON: {token} is not a number")
 
     def finite(token):
         # A literal past the float range, such as 1e400, would read as inf.
         if math.isinf(value := float(token)):
-            raise ConfigError(f"config {path}: {token} is past the float range")
+            raise ConfigError(f"{path}: {token} is past the float range")
         return value
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=reject, parse_float=finite)
+            return json.load(fh, parse_constant=reject, parse_float=finite)
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except (json.JSONDecodeError, RecursionError) as e:  # or nested too deeply
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+        raise ConfigError(f"cannot read {path}: {e}") from e
+    # ValueError covers a decoding error and an integer past Python's digit
+    # limit; RecursionError, nesting too deep.
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(f"{path} is not valid JSON: {e}") from e
+
+
+def load_config(path):
+    """Read and schema-validate a run config; no performance function is
+    touched before this returns."""
+    raw = _read_json(path)
     validate_config(raw)
     return raw
 
@@ -149,7 +158,7 @@ def _build_problem(cfg):
     block = cfg["problem"]
     if "builtin" in block:
         b = dict(block["builtin"])
-        return builtin_problem(b.pop("name"), **b)
+        return benchmarks.builtin_problem(b.pop("name"), **b)
     ext = block["external"]
     marginals = RandomVector(tuple(
         Marginal(m["kind"], m["mean"], m["sd"]) for m in ext["marginals"]))
@@ -234,7 +243,11 @@ def history_rows(report):
             if missing:
                 raise ConfigError(f"not an s4is report: replicate {k} {stage_name} "
                                   f"has no {', '.join(missing)}")
-            for i, (pf, cov, n) in enumerate(zip(*(s[key] for key in _HISTORY_KEYS))):
+            series = [s[key] for key in _HISTORY_KEYS]
+            if not all(isinstance(x, list) for x in series) or len(set(map(len, series))) > 1:
+                raise ConfigError(f"not an s4is report: replicate {k} {stage_name} "
+                                  f"{', '.join(_HISTORY_KEYS)} are not lists of one length")
+            for i, (pf, cov, n) in enumerate(zip(*series)):
                 rows.append((stage_name, i, repr(pf),
                              "" if cov is None else repr(cov), n))
     if not found:
@@ -300,11 +313,7 @@ def cmd_reproduce(args):
 
 
 def cmd_history(args):
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read report {args.report}: {e}") from e
+    report = _read_json(args.report)
     _check_output(args.output)
     _write(args.output, history_rows(report))
     return 0

@@ -1,7 +1,8 @@
-"""Performance functions: built-in benchmark problems, call counting and an
-external-process evaluator for user-supplied models.
+"""Performance functions: the problem record, call counting and an
+external-process evaluator for user-supplied models. The built-in
+benchmark problems live in ``s4is.benchmarks``.
 
-A performance function g(theta) defines failure as g <= 0. Built-in component
+A performance function g(theta) defines failure as g <= 0. Component
 functions are vectorized over rows of theta; the external evaluator handles
 one point per request over a newline-delimited JSON stdio protocol.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EvaluationError, ProtocolError
-from .probability import Marginal, RandomVector
+from .probability import RandomVector
 
 AGGREGATIONS = ("single", "series_min", "parallel_max")
 _CLOSE_GRACE_S = 10.0  # how long a closed external evaluator may take to exit
@@ -119,121 +120,6 @@ class Evaluator:
         return self.problem.aggregate(per_comp)
 
 
-def _std_normals(d):
-    return RandomVector(tuple(Marginal("normal", 0.0, 1.0) for _ in range(d)))
-
-
-def _example1_components():
-    r2 = math.sqrt(2.0)
-
-    def c1(t):
-        return 3 + 0.1 * (t[:, 0] - t[:, 1]) ** 2 - r2 * (t[:, 0] + t[:, 1]) / 2
-
-    def c2(t):
-        return 3 + 0.1 * (t[:, 0] - t[:, 1]) ** 2 + r2 * (t[:, 0] + t[:, 1]) / 2
-
-    def c3(t):
-        return (t[:, 0] - t[:, 1]) + 3 * r2
-
-    def c4(t):
-        return -(t[:, 0] - t[:, 1]) + 3 * r2
-
-    return (c1, c2, c3, c4)
-
-
-def _example2_component(t):
-    c1, c2, m, r, t1, f1 = (t[:, i] for i in range(6))
-    w0 = np.sqrt((c1 + c2) / m)
-    return 3 * r - np.abs(2 * f1 / (m * w0**2) * np.sin(w0 * t1 / 2))
-
-
-def _example3_component(t):
-    t1, t2 = t[:, 0], t[:, 1]
-    return -((t1**2 + 4) * (t2 - 1)) / 20 + np.sin(2.5 * t1) + 2
-
-
-def _example4_components(c):
-    def c1(t):
-        return c - 1 - t[:, 1] + np.exp(-t[:, 0] ** 2 / 10) + (t[:, 0] / 5) ** 4
-
-    def c2(t):
-        return c**2 / 2 - t[:, 0] * t[:, 1]
-
-    return (c1, c2)
-
-
-def _example5_component(d):
-    # Threshold three sigma-of-the-sum above the mean of the sum; with the
-    # benchmark's lognormal(mean 1, sd 0.2) marginals this reproduces the
-    # reported reference probabilities at every dimension.
-    threshold = d + 3 * 0.2 * math.sqrt(d)
-
-    def comp(t):
-        return threshold - np.sum(t, axis=-1)
-
-    return comp
-
-
-# Reported reference failure probabilities (large-sample MCS) keyed by
-# problem variant.
-_REFERENCE_PF = {
-    "example1": 4.460e-3,
-    "example2": 0.02857,
-    "example3": 0.03130,
-    ("example4", 3): 3.470e-3,
-    ("example4", 4): 9.172e-5,
-    ("example4", 5): 9.485e-7,
-    ("example5", 2): 4.926e-3,
-    ("example5", 10): 2.744e-3,
-    ("example5", 50): 1.934e-3,
-}
-
-
-BUILTIN_NAMES = ("example1", "example2", "example3", "example4", "example5")
-EXAMPLE4_LEVELS = (3, 4, 5)  # the values of example4's constant c
-
-
-def builtin_problem(name, c=None, d=None):
-    """Construct one of the built-in benchmark problems ``BUILTIN_NAMES``.
-
-    example4 takes the reliability-level constant ``c`` in
-    ``EXAMPLE4_LEVELS``; example5 takes the dimension ``d`` >= 1.
-    """
-    if name not in BUILTIN_NAMES:
-        raise ConfigError(f"unknown built-in problem {name!r}")
-    if name == "example1":
-        return ProblemSpec("example1", _std_normals(2), _example1_components(),
-                           "series_min", _REFERENCE_PF["example1"], "reported")
-    if name == "example2":
-        marginals = RandomVector((
-            Marginal("normal", 1.0, 0.1),
-            Marginal("normal", 0.1, 0.01),
-            Marginal("normal", 1.0, 0.05),
-            Marginal("normal", 0.5, 0.05),
-            Marginal("normal", 1.0, 0.2),
-            Marginal("normal", 1.0, 0.2),
-        ))
-        return ProblemSpec("example2", marginals, (_example2_component,),
-                           "single", _REFERENCE_PF["example2"], "reported")
-    if name == "example3":
-        marginals = RandomVector((Marginal("normal", 1.5, 1.0), Marginal("normal", 2.5, 1.0)))
-        return ProblemSpec("example3", marginals, (_example3_component,),
-                           "single", _REFERENCE_PF["example3"], "reported")
-    if name == "example4":
-        if c not in EXAMPLE4_LEVELS:
-            levels = ", ".join(map(str, EXAMPLE4_LEVELS))
-            raise ConfigError(f"example4 requires c in {{{levels}}}")
-        ref = _REFERENCE_PF[("example4", c)]
-        return ProblemSpec(f"example4_c{c}", _std_normals(2), _example4_components(c),
-                           "series_min", ref, "reported")
-    if d is None or d < 1:
-        raise ConfigError("example5 requires d >= 1")
-    marginals = RandomVector(tuple(Marginal("lognormal", 1.0, 0.2) for _ in range(d)))
-    ref = _REFERENCE_PF.get(("example5", d))
-    return ProblemSpec(f"example5_d{d}", marginals, (_example5_component(d),),
-                       "single", ref, "reported" if ref is not None else None)
-
-
 class ExternalEvaluator:
     """Child-process performance function over newline-delimited JSON.
 
@@ -249,10 +135,15 @@ class ExternalEvaluator:
             raise ConfigError("external command must be a list of arguments, not a string")
         self._next_id = 1
         self._lock = threading.Lock()
-        self._proc = subprocess.Popen(
-            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True, bufsize=1,
-        )
+        try:
+            self._proc = subprocess.Popen(
+                command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, bufsize=1,
+            )
+        # OSError: a missing file, a directory, no execute bit; ValueError:
+        # a NUL character in an argument.
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot start external command {command!r}: {e}") from e
         self._stderr_tail = collections.deque(maxlen=_STDERR_TAIL_LINES)
         self._stderr_lock = threading.Lock()
         self._stderr_reader = threading.Thread(target=self._drain_stderr, daemon=True)

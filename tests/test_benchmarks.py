@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from s4is.benchmarks import (EXAMPLE_IDS, Band, oracle_is_reference,
-                             reference_table, run_experiment)
+from s4is.benchmarks import (_EXAMPLES, EXAMPLE_IDS, Band, builtin_problem,
+                             oracle_is_reference, reference_table,
+                             run_experiment)
 from s4is.errors import ConfigError
 from s4is.estimators import is_estimate_from_log, mcs_estimate
-from s4is.evaluation import Evaluator, ProblemSpec, builtin_problem
+from s4is.evaluation import Evaluator, ProblemSpec
 from s4is.pipeline import REFERENCE_BLOCK_ROWS, S4isConfig, run_mcs_baseline
 from s4is.probability import (GaussianMixture, Marginal, RandomVector,
                               log_std_normal_pdf)
@@ -29,6 +30,14 @@ def test_all_tables_populated():
                 # A gated value outside its own band is a transcription slip.
                 if (band.low, band.high) != (-math.inf, math.inf):
                     assert band.contains(band.value), (example_id, method, band)
+        # One table: the row builds the problem named by its key, whose
+        # reference pf is the row's MCS pf.
+        problem = builtin_problem(**_EXAMPLES[example_id][0])
+        assert problem.name == exp.problem.name == example_id
+        mcs_pf = {b.quantity: b for b in exp.expected["mcs"]}["pf"]
+        assert problem.reference_pf == mcs_pf.value
+        assert problem.reference_source == "reported"
+    assert builtin_problem("example5", d=7).reference_pf is None
 
 
 def test_reported_values_spot_checks():

@@ -21,13 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import s4is
-from s4is.benchmarks import METHODS
+from s4is.benchmarks import (BUILTIN_NAMES, EXAMPLE4_LEVELS, METHODS,
+                             builtin_problem)
 from s4is.cli import (CONFIG_SCHEMA, OUTPUT_FORMATS, build_report,
                       history_rows, main, make_parser, report_csv_rows,
                       report_json, validate_config)
 from s4is.errors import ConfigError
-from s4is.evaluation import (BUILTIN_NAMES, EXAMPLE4_LEVELS, Evaluator,
-                             ExternalEvaluator, builtin_problem)
+from s4is.evaluation import Evaluator, ExternalEvaluator
 from s4is.probability import KINDS
 from s4is.pipeline import S4isConfig
 
@@ -130,6 +130,31 @@ def test_nesting_past_the_recursion_limit_exits_2(tmp_path, capsys):
     path.write_text('{"problem": ' + "[" * 100_000 + "]" * 100_000 + ', "method": "form"}')
     assert main(["run", "--config", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"method": "form", "seed": "\xff"}',  # Latin-1, not UTF-8
+    b'{"replicates": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+], ids=["not_utf8", "nested"])
+@pytest.mark.parametrize("command", ["run", "history"])
+def test_run_and_history_reject_an_unreadable_json_file_with_exit_2(tmp_path, capsys,
+                                                                    command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    argv = ["run", "--config", str(path)] if command == "run" else ["history", str(path)]
+    assert main(argv) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["/nonexistent/evaluator"], ["{tmp}"],
+                                     [sys.executable, "-c", "\0"]],
+                         ids=["missing_file", "directory", "nul_in_argument"])
+def test_unstartable_external_command_exits_2(tmp_path, capsys, command):
+    payload = {"problem": {"external": {
+        "command": [c.format(tmp=tmp_path) for c in command],
+        "marginals": [{"kind": "normal", "mean": 0, "sd": 1}]}}, "method": "form"}
+    assert main(["run", "--config", _config(tmp_path, payload)]) == 2
+    assert "cannot start external command" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change", [{"seed": 1.0}, {"replicates": 1.0},
@@ -310,11 +335,14 @@ _SMALL_JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=4), inner,
                                                                  max_size=2),
     max_leaves=3)
-# Externals that break the schema: no example starts a process.
+# Externals that break the schema or name no program: none starts a process.
+_UNSTARTABLE = {"external": {"command": ["/nonexistent/evaluator"],
+                             "marginals": [{"kind": "normal", "mean": 0, "sd": 1}]}}
 _BROKEN_EXTERNALS = st.sampled_from([
     {"external": {"command": [], "marginals": [{"kind": "normal", "mean": 0, "sd": 1}]}},
     {"external": {"command": "python", "marginals": []}},
-    {"external": {"command": [1]}}])
+    {"external": {"command": [1]}},
+    _UNSTARTABLE])
 
 
 @st.composite
@@ -365,6 +393,8 @@ _CLI_OPTIONS = st.lists(st.sampled_from([
               "mcs": {"n": 1}, "seed": 0, "replicates": 1,
               "s4is": {"n_c2": 100, "cov_target": 0.1},
               "output": {"format": "json", "path": "missing/out"}}, options=[])
+# An external command that cannot be started raised FileNotFoundError (exit 1).
+@example(cfg={"problem": _UNSTARTABLE, "method": "form"}, options=[])
 def test_cli_exits_0_2_or_3_and_exit_2_spends_no_g_call(cfg, options):
     calls = []
 
@@ -458,7 +488,16 @@ def test_history_cli_csv_output(tmp_path):
         "stage1": {"cov_history": [], "n_eval_history": []},
         "stage2": {"pf_history": [], "cov_history": [], "n_eval_history": []}}}]},
      "replicate 0 stage1 has no pf_history"),
-], ids=["config", "list", "stage_without_pf_history"])
+    ({"replicates": [{"replicate": 0, "stages": {
+        "stage1": {"pf_history": 5, "cov_history": [], "n_eval_history": []},
+        "stage2": {"pf_history": [], "cov_history": [], "n_eval_history": []}}}]},
+     "replicate 0 stage1 pf_history, cov_history, n_eval_history are not lists"),
+    ({"replicates": [{"replicate": 0, "stages": {
+        "stage1": {"pf_history": [0.1], "cov_history": [None], "n_eval_history": [12]},
+        "stage2": {"pf_history": [0.1, 0.2], "cov_history": [0.3], "n_eval_history": [13, 14]}}}]},
+     "replicate 0 stage2 pf_history, cov_history, n_eval_history are not lists"),
+], ids=["config", "list", "stage_without_pf_history", "history_not_a_list",
+        "histories_of_different_lengths"])
 def test_history_rejects_a_file_that_is_not_a_report(tmp_path, capsys, non_report,
                                                      missing):
     path = tmp_path / "not_a_report.json"

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from s4is.benchmarks import builtin_problem
 from s4is.errors import ConfigError
-from s4is.evaluation import Evaluator, builtin_problem
+from s4is.evaluation import Evaluator
 
 
 def test_example1_at_origin():

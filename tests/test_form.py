@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from s4is.benchmarks import builtin_problem
 from s4is.errors import StationaryPointError
-from s4is.evaluation import Evaluator, ProblemSpec, builtin_problem
+from s4is.evaluation import Evaluator, ProblemSpec
 from s4is.form import form_pf, hlrf_search, multi_start_mpps
 from s4is.probability import Marginal, RandomVector
 

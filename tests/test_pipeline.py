@@ -9,11 +9,12 @@ import pytest
 from scipy.stats import norm
 
 from s4is import pipeline
-from s4is.benchmarks import oracle_is_reference, reference_table
+from s4is.benchmarks import (builtin_problem, oracle_is_reference,
+                             reference_table)
 from s4is.clustering import kmeans
 from s4is.errors import StageFailureError
 from s4is.evaluation import (Evaluator, ExternalEvaluator, ProblemSpec,
-                             builtin_problem, external_problem)
+                             external_problem)
 from s4is.form import hlrf_search, multi_start_mpps
 from s4is.pipeline import (S4isConfig, run_akis_baseline, run_form_baseline,
                            run_mcs_baseline, run_s4is)
