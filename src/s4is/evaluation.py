@@ -110,14 +110,18 @@ class Evaluator:
         """Vectorized evaluation for cheap analytic g (MCS references).
 
         Increments the ledger count per point but skips the point cache, to
-        keep million-sample runs light.
+        keep million-sample runs light. The component values are stacked as
+        (k, n) rows and aggregated over the transposed (n, k) view, so the
+        min or max of a system runs one (n,)-long pass per component rather
+        than a k-long one per point; min and max are exact, so the values
+        are those of the (n, k) stack.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        per_comp = np.stack([np.asarray(c(thetas), dtype=float) for c in self.problem.components], axis=-1)
-        if not np.all(np.isfinite(per_comp)):
+        rows = np.stack([np.asarray(c(thetas), dtype=float) for c in self.problem.components])
+        if not np.isfinite(rows).all():
             raise EvaluationError("non-finite performance value in batch")
         self.ledger.count += thetas.shape[0]
-        return self.problem.aggregate(per_comp)
+        return self.problem.aggregate(rows.T)
 
 
 class ExternalEvaluator:

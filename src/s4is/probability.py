@@ -10,9 +10,18 @@ once, then ``exp`` on the lognormal columns and ``loc + scale * Phi(u)`` on
 the uniform ones; it gives the values of :meth:`Marginal.from_u` column by
 column, bit for bit. :meth:`GaussianMixture.logpdf` takes the log-sum-exp
 over the components with the algorithm of ``scipy.special.logsumexp``, one
-(n,) row per component, summing the k terms of each point over the same
-C-ordered (n, k) layout scipy sums, so it returns scipy's values bit for
-bit without scipy's per-call array-API overhead.
+(n,) row per component, so it returns scipy's values bit for bit without
+scipy's per-call array-API overhead.
+
+Short rows. numpy sums fewer than eight terms over an array's last axis
+one after another, from the first, but runs its inner loop over those few
+terms, a few elements at a time. :func:`log_std_normal_pdf` and
+:meth:`GaussianMixture.logpdf` therefore add d < 8 squared coordinates
+column by column, as the rows of the transposed (d, n) array, and the
+mixture adds its k < 8 component terms row by row over the (k, n) array:
+the same additions in the same order, so the same values bit for bit,
+with (n,)-long inner loops. From eight terms on numpy sums pairwise, and
+both keep numpy's own sum over the last axis.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 KINDS = ("normal", "lognormal", "uniform")
 HYPERCUBE_HALF_WIDTH = 5.0  # of the u-space cube stage 1 draws its candidates from
+# numpy sums fewer terms than this over a last axis left to right, more pairwise.
+_PAIRWISE_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -149,11 +160,24 @@ class RandomVector:
         return theta[0] if squeezed else theta
 
 
+def _short_sum(rows):
+    """The rows of ``rows`` added one after another, from the first: numpy's
+    sum over a last axis of fewer than ``_PAIRWISE_MIN`` terms, bit for bit."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
 def log_std_normal_pdf(u):
     """Log density of the d-variate standard normal, over the last axis."""
     u = np.asarray(u, dtype=float)
     d = u.shape[-1]
-    return -0.5 * (d * _LOG_2PI + np.sum(u * u, axis=-1))
+    if 0 < d < _PAIRWISE_MIN:
+        sq = _short_sum(np.square(np.moveaxis(u, -1, 0)))
+    else:
+        sq = np.sum(u * u, axis=-1)
+    return -0.5 * (d * _LOG_2PI + sq)
 
 
 def hypercube_density(u):
@@ -190,24 +214,46 @@ class GaussianMixture:
     def dim(self):
         return self.centers.shape[1]
 
+    def _component_logpdfs(self, u2):
+        """(k, n) log densities of the (n, d) points under each centre's
+        unit normal; short rows of squared coordinates are added column by
+        column (module docstring)."""
+        k, d = self.centers.shape
+        a = np.empty((k, u2.shape[0]))
+        if d < _PAIRWISE_MIN:
+            cols = np.ascontiguousarray(u2.T)
+            diff = np.empty_like(cols)
+            for row, center in zip(a, self.centers):
+                np.subtract(cols, center[:, None], out=diff)
+                diff *= diff
+                row[:] = _short_sum(diff)
+        else:
+            for row, center in zip(a, self.centers):
+                diff = u2 - center
+                row[:] = np.sum(diff * diff, axis=-1)
+        a += d * _LOG_2PI
+        a *= -0.5
+        return a
+
     def logpdf(self, u):
         u = np.asarray(u, dtype=float)
         u2 = np.atleast_2d(u)
-        # Component log densities, one row per centre; sums over the
-        # components run on a C-ordered (n, k) copy, the layout scipy sums.
-        a = np.empty((self.n_components, u2.shape[0]))
-        for row, center in zip(a, self.centers):
-            diff = u2 - center
-            row[:] = -0.5 * (self.dim * _LOG_2PI + np.sum(diff * diff, axis=-1))
+        if u2.ndim != 2 or u2.shape[1] != self.dim:
+            raise DomainError(f"expected points of dimension {self.dim}, got shape {u.shape}")
+        k = self.n_components
+        a = self._component_logpdfs(u2)
         # scipy.special.logsumexp over the components: the m maximal terms
         # are taken out of the sum, the rest scaled by exp(-a_max).
         a_max = a.max(axis=0)
         at_max = a == a_max
         m = np.sum(at_max, axis=0, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e = np.exp(a - a_max)
+            e = a - a_max
+            np.exp(e, out=e)
             e[at_max] = 0.0
-            s = np.ascontiguousarray(e.T).sum(axis=1)
+            # The k terms of each point in scipy's order: row by row below
+            # eight, else numpy's pairwise sum over the C-ordered (n, k) copy.
+            s = _short_sum(e) if k < _PAIRWISE_MIN else np.ascontiguousarray(e.T).sum(axis=1)
             s = np.where(s == 0, s, s / m)
             out = np.log1p(s) + np.log(m) + a_max
             # Where that is not finite (every term -inf, or NaN input),
@@ -215,7 +261,7 @@ class GaussianMixture:
             bad = ~np.isfinite(out)
             if bad.any():
                 out[bad] = np.log(np.ascontiguousarray(np.exp(a[:, bad]).T).sum(axis=1))
-        out -= math.log(self.n_components)
+        out -= math.log(k)
         return out[0] if u.ndim == 1 else out
 
     def sample(self, n, rng):

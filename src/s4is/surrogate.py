@@ -16,9 +16,13 @@ step, ``GpSurrogate._adopt``.
 Each likelihood evaluation runs one LAPACK ``dpotrf`` and its ``dpotrs``
 solves directly, without scipy's ``cho_factor``/``cho_solve`` wrappers,
 whose per-call overhead exceeds the arithmetic at these sizes (n up to a
-few hundred). Everything that depends on the training inputs alone (the
-ones vector, the identity and the per-dimension squared differences of
-the gradient) is built once per fit, not once per evaluation.
+few hundred). Squared distances come from ``cdist_sqeuclidean``, the C
+routine behind ``cdist(a, b, "sqeuclidean")``, without ``cdist``'s
+Python-side checks; it is a private scipy name, and a test pins it to
+``cdist`` bit for bit. Everything that depends on the training inputs
+alone (the ones vector, the identity and the per-dimension squared
+differences of the gradient) is built once per fit, not once per
+evaluation.
 
 For the same reason each L-BFGS-B start runs ``_lbfgsb``, which drives
 scipy's ``setulb`` routine itself, in place of scipy's own
@@ -57,7 +61,7 @@ import numpy as np
 from scipy import optimize
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize._lbfgsb import setulb
-from scipy.spatial.distance import cdist
+from scipy.spatial._distance_pybind import cdist_sqeuclidean
 
 from .errors import FitError, SupportPointError
 
@@ -175,7 +179,7 @@ class SupportPointSet:
 
 
 def _sq_dists(a, b, lengthscales):
-    return cdist(a / lengthscales, b / lengthscales, "sqeuclidean")
+    return cdist_sqeuclidean(a / lengthscales, b / lengthscales)
 
 
 class GpSurrogate:
@@ -278,7 +282,7 @@ class GpSurrogate:
             ls = np.full(self.x.shape[1], float(ls[0]))
         n = self.x.shape[0]
         xs = self.x / ls
-        sq = cdist(xs, xs, "sqeuclidean")
+        sq = cdist_sqeuclidean(xs, xs)
         r = np.exp(-0.5 * sq)
         r.flat[::n + 1] += delta
         chol, info = dpotrf(r, lower=1, clean=0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from s4is.benchmarks import builtin_problem
-from s4is.errors import ConfigError
-from s4is.evaluation import Evaluator
+from s4is.errors import ConfigError, EvaluationError
+from s4is.evaluation import Evaluator, ProblemSpec
+from s4is.probability import Marginal, RandomVector
 
 
 def test_example1_at_origin():
@@ -85,6 +86,34 @@ def test_g_batch_counts_evaluations():
     g = ev.g_batch(thetas)
     assert g.shape == (100,)
     assert ev.ledger.count == 100
+
+
+def _system(aggregation, last=lambda t: t[:, 0] * t[:, 1]):
+    """Four components with ties, signed zeros and a sign change per row."""
+    components = (lambda t: t[:, 0] - t[:, 1], lambda t: np.round(t[:, 0]),
+                  lambda t: -np.round(t[:, 1]), last)
+    rv = RandomVector((Marginal("normal", 0.0, 1.0), Marginal("normal", 0.0, 1.0)))
+    return ProblemSpec(aggregation, rv, components, aggregation)
+
+
+@pytest.mark.parametrize("aggregation", ["series_min", "parallel_max"])
+def test_g_batch_equals_aggregate_of_the_component_stack(aggregation):
+    problem = _system(aggregation)
+    thetas = np.random.default_rng(3).uniform(-2, 2, size=(20_001, 2))
+    comps = [np.asarray(c(thetas), dtype=float) for c in problem.components]
+    want = problem.aggregate(np.stack(comps, axis=-1))
+    assert np.array_equal(Evaluator(problem).g_batch(thetas), want)
+    assert np.array_equal(Evaluator(problem).g_batch(thetas[5]), want[5:6])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_g_batch_non_finite_component_raises_before_counting(bad):
+    problem = _system("series_min", last=lambda t: np.where(t[:, 0] > 1.5, bad, t[:, 1]))
+    ev = Evaluator(problem)
+    ev.g_batch(np.zeros((4, 2)))
+    with pytest.raises(EvaluationError, match="non-finite"):
+        ev.g_batch(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    assert ev.ledger.count == 4
 
 
 def test_series_min_aggregation():

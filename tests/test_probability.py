@@ -159,9 +159,11 @@ def _logsumexp_reference(centers, u):
     return out[0] if u.ndim == 1 else out
 
 
-# k = 9 and 130 sum the k terms in numpy's blocked and halved pairwise orders.
-@pytest.mark.parametrize("k", [1, 3, 4, 9, 130])
-@pytest.mark.parametrize("d", [2, 10])
+# Below eight terms (k or d) the kernel adds rows one by one, from eight on
+# numpy sums over the last axis; k = 9 and 130 sum the k terms in numpy's
+# blocked and halved pairwise orders.
+@pytest.mark.parametrize("k", [1, 3, 4, 7, 8, 9, 130])
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 10])
 def test_gm_logpdf_equals_scipy_logsumexp(k, d):
     rng = np.random.default_rng(100 * k + d)
     centers = 3.0 * rng.standard_normal((k, d))
@@ -178,6 +180,28 @@ def test_gm_logpdf_equals_scipy_logsumexp(k, d):
     assert want[-1] == -np.inf
     for row in (near[0], centers[0], far[0]):  # 1-d in, scalar out
         assert gm.logpdf(row) == _logsumexp_reference(centers, row)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_gm_logpdf_rejects_rows_of_another_width(width):
+    gm = GaussianMixture([[1.0, 2.0], [0.0, -1.0]])
+    for u in (np.zeros((3, width)), np.zeros(width)):
+        with pytest.raises(DomainError, match=r"^expected points of dimension 2, got shape"):
+            gm.logpdf(u)
+    with pytest.raises(DomainError):
+        gm.logpdf(np.zeros((4, 3, 2)))
+
+
+# d < 8 takes the column-by-column sum, d >= 8 numpy's sum over the last axis.
+@pytest.mark.parametrize("d", range(1, 13))
+def test_log_std_normal_pdf_equals_numpy_sum(d):
+    rng = np.random.default_rng(d)
+    u = rng.standard_normal((5001, d)) * rng.uniform(0.1, 30.0, d)
+    for v in (u, u[7], u[7:8], u[:, ::-1]):  # (n, d), (d,), (1, d), strided
+        want = -0.5 * (d * math.log(2 * math.pi) + np.sum(v * v, axis=-1))
+        got = log_std_normal_pdf(v)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
 
 
 def test_gm_normalization_monte_carlo():

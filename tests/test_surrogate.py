@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial._distance_pybind import cdist_sqeuclidean
 from scipy.spatial.distance import cdist
 
 import s4is.surrogate
@@ -356,6 +357,18 @@ def test_driver_repeats_scipy_lbfgsb_on_every_start_of_the_recorded_fits(monkeyp
     GpSurrogate().fit(*_recorded_dataset(8), seed=8, isotropic=True)
     assert len(pinned.results) == 5 * (len(_RECORDED_FITS) + 1)
     assert all(res.x.shape == (1,) for res in pinned.results[-5:])
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((15, 2), (15, 2)), ((1, 1), (40, 1)),
+                                              ((300, 10), (7, 10)), ((5, 30), (5, 30))])
+def test_sq_dist_routine_equals_cdist(shape_a, shape_b):
+    rng = np.random.default_rng(shape_a[0])
+    a, b = rng.normal(size=shape_a) * 5.0, rng.normal(size=shape_b)
+    assert np.array_equal(cdist_sqeuclidean(a, b), cdist(a, b, "sqeuclidean"))
+    assert np.array_equal(cdist_sqeuclidean(a, a), cdist(a, a, "sqeuclidean"))
+    ls = rng.uniform(0.1, 3.0, shape_a[1])
+    assert np.array_equal(s4is.surrogate._sq_dists(a, b, ls),
+                          cdist(a / ls, b / ls, "sqeuclidean"))
 
 
 def test_driver_repeats_scipy_lbfgsb_at_the_edges():
