@@ -3,12 +3,14 @@ their bands.
 
     python3 scripts/sweep.py s4is_solve
     python3 scripts/sweep.py example5_d10
+    python3 scripts/sweep.py example2
 
 ``s4is_solve`` solves the benchmark's two s4is cases, example1 and
 example4_c5, with its generators ``default_rng([seed, unit, case])``:
 units 0-3, case 0 for example1 and 1 for example4_c5, so 320 solves for
 seeds 1-40. ``example5_d10`` solves example5 (d = 10) with
 ``default_rng([s, u, 0])``, u = 0-4: 200 solves for seeds 1-40.
+``example2`` solves example2 with ``default_rng([s, 0, 7])``: 40 solves.
 
 Every solve uses the default ``S4isConfig`` and is checked against the
 s4is bands of ``reference_table`` (eps_r and n_eval); one that raises an
@@ -43,6 +45,7 @@ SWEEPS = {
     # name -> ((example id, case index), ...), units per seed
     "s4is_solve": ((("example1", 0), ("example4_c5", 1)), 4),
     "example5_d10": ((("example5_d10", 0),), 5),
+    "example2": ((("example2", 7),), 1),
 }
 SEEDS = range(1, 41)
 

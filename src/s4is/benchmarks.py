@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .errors import ConfigError, StageFailureError
+from .errors import ConfigError, S4isError, StageFailureError
 from .estimators import is_estimate_from_log, relative_error
 from .evaluation import Evaluator, ProblemSpec
 from .pipeline import (REFERENCE_BLOCK_ROWS, S4isConfig, check_sample_count,
@@ -355,8 +355,8 @@ def run_experiment(exp: ExperimentDef, rng, config=None):
 
     The relative-error reference is, in order of preference: this run's own
     MCS mean, the true-g oracle when the experiment has no mcs method
-    (example4 c=5), or the reported value.  A method error becomes a failed
-    row, not an aborted report.
+    (example4 c=5), or the reported value.  A method's ``S4isError`` becomes
+    a failed row, not an aborted report; any other exception propagates.
     """
     if config is None:
         config = S4isConfig()
@@ -367,7 +367,7 @@ def run_experiment(exp: ExperimentDef, rng, config=None):
         try:
             estimates[method] = [run_method(method, exp.problem, config, rng, exp.mcs_n)[0]
                                  for _ in range(reps)]
-        except Exception as e:  # deliberate: report the row as failed
+        except S4isError as e:  # an analysis error fails the row, a bug propagates
             errors[method] = f"{type(e).__name__}: {e}"
 
     if "mcs" in estimates:

@@ -1,7 +1,8 @@
 """Two-stage orchestration: exploratory coarse surrogate, Gaussian-mixture
 importance sampling with adaptive refinement, and the single-MPP
-importance-sampling baseline. Both stages and the baseline share one
-refinement loop, :func:`_refine`.
+importance-sampling baseline. Both explorations hand stage 2 its mixture
+centres; both stages and the baseline share one refinement loop,
+:func:`_refine`, with one stop site.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ _TRACE_MAX_POINTS = 300  # and their largest number
 # size whatever the sample count.
 REFERENCE_BLOCK_ROWS = 1 << 16
 
-# S4isConfig fields that count something (int >= 1) or cap iterations (int >= 0).
-_COUNTS = ("n_c1", "n_s1_0", "n_c2", "k_clusters", "a1", "a2", "pool_growth_limit")
-_CAPS = ("max_iter1", "max_iter2")
+# S4isConfig's integer fields and their lowest values: stage 1's design must
+# fit a GP, which takes two points; iteration caps may be 0.
+_LOWEST = {"n_c1": 2, "n_s1_0": 2, "n_c2": 1, "k_clusters": 1, "a1": 1, "a2": 1,
+           "pool_growth_limit": 1, "max_iter1": 0, "max_iter2": 0}
 
 
 @dataclass
@@ -60,11 +62,10 @@ class S4isConfig:
 
     def __post_init__(self):
         # bool is an int subclass; a switch is never a valid count.
-        for name in _COUNTS + _CAPS:
+        for name, lowest in _LOWEST.items():
             value = getattr(self, name)
             if value is None and name in ("n_c1", "n_s1_0"):
                 continue
-            lowest = 1 if name in _COUNTS else 0
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
                     or value < lowest:
                 raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
@@ -186,17 +187,18 @@ def _window_converged(history, window, tol):
     return abs(history[-1] - mean) / mean <= tol
 
 
-def _refine(evaluator, model, support, pool, score, max_iter, window=None):
+def _refine(evaluator, model, support, pool, score, max_iter):
     """The adaptive loop shared by both stages and AK-IS.
 
-    Each iteration scores the pool with ``score(model, means, dmin)`` (None
-    stops the loop), evaluates the true g at the best unselected candidate,
-    updates the surrogate, predicts the pool once and takes the IS estimate
-    against the pool's ``log_q``; ``window`` = (length, tolerance) adds the
-    trailing window stopping rule.
+    Each pass scores the pool with ``score(model, means, dmin, pf_hist)``,
+    which returns None when the caller's stopping rule holds: the one stop
+    site, also reached after the last of ``max_iter`` iterations. Otherwise
+    it evaluates the true g at the best unselected candidate, updates the
+    surrogate, predicts the pool once and appends the IS estimate against
+    the pool's ``log_q``.
 
     Most updates append the new point at fixed hyperparameters. A stopping
-    rule is only taken on a fully optimised model: when one fires on a
+    rule is only taken on a fully optimised model: when it fires on a
     model that carries appended points, the model is re-optimised, the
     last estimate replaced and the rule tested again. The model returned
     is fully optimised under every termination.
@@ -221,13 +223,15 @@ def _refine(evaluator, model, support, pool, score, max_iter, window=None):
         pf_hist[-1], cov_hist[-1] = est.pf, est.cov
 
     termination = "max_iterations"
-    for _ in range(max_iter):
-        scores = score(model, means, dmin)
+    while True:
+        scores = score(model, means, dmin, pf_hist)
         if scores is None and model.n_appended:
             reoptimise()
-            scores = score(model, means, dmin)
+            scores = score(model, means, dmin, pf_hist)
         if scores is None:
             termination = "converged"
+            break
+        if len(pf_hist) == max_iter:
             break
         try:
             idx = select_next(pool, scores)
@@ -242,12 +246,6 @@ def _refine(evaluator, model, support, pool, score, max_iter, window=None):
         pf_hist.append(est.pf)
         cov_hist.append(est.cov)
         ne_hist.append(est.n_eval)
-        if window is not None and _window_converged(pf_hist, *window):
-            if model.n_appended:
-                reoptimise()
-            if _window_converged(pf_hist, *window):
-                termination = "converged"
-                break
     if model.n_appended:
         reoptimise()
     report = StageReport(pf_hist, cov_hist, ne_hist, est, len(support), termination)
@@ -257,9 +255,10 @@ def _refine(evaluator, model, support, pool, score, max_iter, window=None):
 def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     """Exploration stage: uniform candidates on [-hw, hw]^d (hw =
     ``HYPERCUBE_HALF_WIDTH``), space-filling initial design, distance-aware
-    refinement, coarse estimator.
+    refinement until the (a1, eps1) window holds, coarse estimator, then
+    k-means on the candidates it classifies as failed.
 
-    Returns (report, surrogate, support set, failure samples in u-space).
+    Returns (report, surrogate, support set, cluster MPPs), like _form_seed.
     """
     rv = problem.marginals
     d = problem.dim
@@ -272,11 +271,13 @@ def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     support = _evaluate_support(evaluator, cands[init_idx])
     model = fit_surrogate(support, _system_rule(problem), d >= _ISOTROPIC_DIM)
 
-    def score(model, means, dmin):
+    def score(model, means, dmin, pf_hist):
+        if _window_converged(pf_hist, config.a1, config.eps1):
+            return None
         return lf1_scores(np.abs(means), dmin, _scale(support.outputs))
 
     model, means, _, report = _refine(evaluator, model, support, pool, score,
-                                      config.max_iter1, (config.a1, config.eps1))
+                                      config.max_iter1)
     report.coarse = True
     failure_u = cands[means <= 0]
     if failure_u.shape[0] == 0:
@@ -285,30 +286,30 @@ def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
             f"stage 1 classified no candidate of [-{hw:g}, {hw:g}]^{d} as failed; enlarge "
             f"its candidate pool (n_c1, {n_c1} here); FORM-seeded exploration, "
             f"which needs no failed candidate, is used from d = {HIGHDIM_THRESHOLD} on")
-    return report, model, support, failure_u
+    assignment = kmeans(failure_u, config.k_clusters, rng)
+    if assignment.reduced:
+        report.notes["k_reduced_to"] = int(assignment.k)
+    return report, model, support, mpp_per_cluster(failure_u, assignment)
 
 
 def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
-           model, support, failure_u=None, mpps=None):
-    """Importance-sampling stage around the mixture of most probable points."""
+           model, support, mpps):
+    """Importance-sampling stage around the mixture centred on ``mpps``:
+    refinement until the (a2, eps2) window holds, then pool growth."""
     rv = problem.marginals
-    notes = {}
-    if mpps is None:
-        assignment = kmeans(failure_u, config.k_clusters, rng)
-        mpps = mpp_per_cluster(failure_u, assignment)
-        if assignment.reduced:
-            notes["k_reduced_to"] = int(assignment.k)
     gm = GaussianMixture(mpps)
-    notes["n_mixture_components"] = int(gm.n_components)
+    notes = {"n_mixture_components": int(gm.n_components)}
 
     pool = _candidate_pool(rv, gm.sample(config.n_c2, rng), gm.logpdf)
 
-    def score(model, means, dmin):
+    def score(model, means, dmin, pf_hist):
+        if _window_converged(pf_hist, config.a2, config.eps2):
+            return None
         return lf2_scores(np.abs(means), dmin, pool.log_pn, pool.log_q,
                           _scale(support.outputs))
 
     model, means, initial_pf, report = _refine(evaluator, model, support, pool, score,
-                                               config.max_iter2, (config.a2, config.eps2))
+                                               config.max_iter2)
     report.initial_pf = initial_pf
     report.notes = notes
 
@@ -376,16 +377,14 @@ def _form_seed(problem, rng, evaluator):
 
 
 def run_s4is(problem: ProblemSpec, config: S4isConfig, rng):
-    """Full run: exploration (sampling-based or FORM-seeded) then the
-    mixture importance-sampling refinement."""
+    """Full run: exploration (sampling-based or FORM-seeded), which yields
+    the mixture centres, then the mixture importance-sampling refinement."""
     evaluator = Evaluator(problem)
-    failure_u = mpps = None
     if problem.dim >= HIGHDIM_THRESHOLD:
         s1_report, model, support, mpps = _form_seed(problem, rng, evaluator)
     else:
-        s1_report, model, support, failure_u = stage1(problem, config, rng, evaluator)
-    s2_report, model = stage2(problem, config, rng, evaluator, model, support,
-                              failure_u, mpps)
+        s1_report, model, support, mpps = stage1(problem, config, rng, evaluator)
+    s2_report, model = stage2(problem, config, rng, evaluator, model, support, mpps)
     return S4isResult(estimate=s2_report.final, stage1=s1_report, stage2=s2_report)
 
 
@@ -425,7 +424,7 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     support.extend(_evaluate_support(evaluator, pool.points[doe_idx]))
     model = fit_surrogate(support)
 
-    def score(model, means, dmin):
+    def score(model, means, dmin, pf_hist):
         sds = model.predict_sd(pool.x)
         with np.errstate(divide="ignore", invalid="ignore"):
             u_scores = np.where(sds > 0, np.abs(means) / sds,

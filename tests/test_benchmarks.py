@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from s4is import benchmarks
 from s4is.benchmarks import (_EXAMPLES, EXAMPLE_IDS, Band, builtin_problem,
                              oracle_is_reference, reference_table,
                              run_experiment)
-from s4is.errors import ConfigError
+from s4is.errors import ConfigError, StageFailureError
 from s4is.estimators import is_estimate_from_log, mcs_estimate
 from s4is.evaluation import Evaluator, ProblemSpec
 from s4is.pipeline import REFERENCE_BLOCK_ROWS, S4isConfig, run_mcs_baseline
@@ -116,16 +117,34 @@ def test_deterministic_report():
     assert repr(a) == repr(b)
 
 
-def test_method_error_becomes_failed_row():
-    exp = _small_experiment(("mcs", "s4is"))
-    bad = S4isConfig(n_c1=50, n_s1_0=12, max_iter1=1)  # starved exploration
-    report = run_experiment(exp, np.random.default_rng(4), config=bad)
+def _failing_run_method(monkeypatch, failing, error):
+    real = benchmarks.run_method
+
+    def run_method(method, *args, **kwargs):
+        if method == failing:
+            raise error
+        return real(method, *args, **kwargs)
+
+    monkeypatch.setattr(benchmarks, "run_method", run_method)
+
+
+def test_method_error_becomes_failed_row(monkeypatch):
+    _failing_run_method(monkeypatch, "form", StageFailureError("starved"))
+    report = run_experiment(_small_experiment(("mcs", "form")), np.random.default_rng(4))
     by_method = {r.method: r for r in report.rows}
     assert by_method["mcs"].error is None
-    s4 = by_method["s4is"]
-    if s4.error is not None:  # starved run may still squeak through
-        assert s4.passed is False
-        assert math.isnan(s4.mean_pf)
+    row = by_method["form"]
+    assert row.error == "StageFailureError: starved"
+    assert row.passed is False
+    assert math.isnan(row.mean_pf)
+
+
+def test_programming_error_in_a_method_propagates(monkeypatch):
+    # Only an S4isError is an analysis failure; a bug must not read as a
+    # band failure.
+    _failing_run_method(monkeypatch, "form", TypeError("a bug"))
+    with pytest.raises(TypeError, match="a bug"):
+        run_experiment(_small_experiment(("mcs", "form")), np.random.default_rng(4))
 
 
 def test_format_table_mentions_every_method():

@@ -78,7 +78,8 @@ def test_unknown_key_exits_2_without_evaluation(tmp_path, capsys):
                                    {"strict_candidate_sizing": True},
                                    {"n_c2": "abc"}, {"k_clusters": 0},
                                    {"max_iter1": 2.5}, {"n_c1": True},
-                                   {"gp_warm_updates": False}])
+                                   {"gp_warm_updates": False},
+                                   {"n_s1_0": 1}, {"n_c1": 1}])
 def test_bad_s4is_block_exits_2_without_evaluation(tmp_path, capsys, block):
     sentinel = tmp_path / "touched"
     payload = {

@@ -106,6 +106,27 @@ def test_highdim_uses_form_seeding():
     assert res.estimate.cov_defined
 
 
+def test_reduced_k_is_a_stage1_note():
+    # 40 candidates leave fewer failed ones than the 40 clusters asked for:
+    # stage 1 caps k and hands on one mixture centre per cluster.
+    res = run_s4is(builtin_problem("example1"), S4isConfig(n_c1=40, k_clusters=40),
+                   np.random.default_rng(7))
+    k = res.stage1.notes["k_reduced_to"]
+    assert 1 <= k < 40
+    assert res.stage2.notes["n_mixture_components"] == k
+    assert "k_reduced_to" not in res.stage2.notes
+
+
+@pytest.mark.parametrize("max_iter1, termination", [(6, "converged"),
+                                                    (5, "max_iterations")])
+def test_window_is_tested_after_the_last_allowed_iteration(max_iter1, termination):
+    # With this generator the stage-1 window first holds after 6 iterations.
+    res = run_s4is(builtin_problem("example1"), S4isConfig(max_iter1=max_iter1),
+                   np.random.default_rng(7))
+    assert res.stage1.termination == termination
+    assert len(res.stage1.pf_history) == max_iter1
+
+
 def test_safe_problem_raises_stage_failure():
     def comp(t):
         return np.full(np.atleast_2d(t).shape[0], 5.0)
