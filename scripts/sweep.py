@@ -2,7 +2,7 @@
 their bands.
 
     python3 scripts/sweep.py s4is_solve
-    python3 scripts/sweep.py example5_d10
+    python3 scripts/sweep.py example5_d10 --seeds 41-80
     python3 scripts/sweep.py example2
 
 ``s4is_solve`` solves the benchmark's two s4is cases, example1 and
@@ -11,6 +11,7 @@ units 0-3, case 0 for example1 and 1 for example4_c5, so 320 solves for
 seeds 1-40. ``example5_d10`` solves example5 (d = 10) with
 ``default_rng([s, u, 0])``, u = 0-4: 200 solves for seeds 1-40.
 ``example2`` solves example2 with ``default_rng([s, 0, 7])``: 40 solves.
+``--seeds A-B`` takes seeds A to B, both included, in place of 1-40.
 
 Every solve uses the default ``S4isConfig`` and is checked against the
 s4is bands of ``reference_table`` (eps_r and n_eval); one that raises an
@@ -47,7 +48,17 @@ SWEEPS = {
     "example5_d10": ((("example5_d10", 0),), 5),
     "example2": ((("example2", 7),), 1),
 }
-SEEDS = range(1, 41)
+
+
+def _seed_range(text):
+    """``A-B`` as range(A, B + 1), for 0 <= A <= B."""
+    try:
+        low, high = (int(part) for part in text.split("-"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A-B, got {text!r}") from None
+    if not 0 <= low <= high:
+        raise argparse.ArgumentTypeError(f"expected 0 <= A <= B, got {text!r}")
+    return range(low, high + 1)
 
 
 def _solve(example_id, generator):
@@ -71,10 +82,12 @@ def _solve(example_id, generator):
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sweep", choices=sorted(SWEEPS))
+    parser.add_argument("--seeds", type=_seed_range, default=range(1, 41),
+                        metavar="A-B", help="seeds A to B, both included (default 1-40)")
     args = parser.parse_args(argv)
 
     cases, units = SWEEPS[args.sweep]
-    jobs = [(example_id, [seed, unit, index]) for seed in SEEDS
+    jobs = [(example_id, [seed, unit, index]) for seed in args.seeds
             for unit in range(units) for example_id, index in cases]
     target = S4isConfig().cov_target
     n_evals, seconds, out, flagged = [], 0.0, 0, 0
@@ -89,7 +102,8 @@ def main(argv):
             pf = "-" if est is None else f"{est.pf:.4g}"
             print(f"out of band: {example_id} {generator} pf={pf}: {failure}",
                   flush=True)
-    print(f"{args.sweep}: {len(jobs)} solves, {out} out of band, {flagged} with CoV "
+    print(f"{args.sweep}, seeds {args.seeds.start}-{args.seeds.stop - 1}: "
+          f"{len(jobs)} solves, {out} out of band, {flagged} with CoV "
           f"above {target}")
     print(f"n_eval mean {np.mean(n_evals) if n_evals else math.nan:.2f}, "
           f"max {max(n_evals, default=0)}; "

@@ -63,6 +63,7 @@ CONFIG_SCHEMA = {
                                     "items": {"type": "string"}},
                         "marginals": {"type": "array", "minItems": 1,
                                       "items": _MARGINAL_SCHEMA},
+                        "timeout_s": {"type": "number", "exclusiveMinimum": 0},
                     },
                     "required": ["command", "marginals"],
                     "additionalProperties": False,
@@ -162,7 +163,7 @@ def _build_problem(cfg):
     ext = block["external"]
     marginals = RandomVector(tuple(
         Marginal(m["kind"], m["mean"], m["sd"]) for m in ext["marginals"]))
-    return external_problem(ext["command"], marginals)
+    return external_problem(ext["command"], marginals, ext.get("timeout_s"))
 
 
 def build_report(cfg):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import json
 import math
+import queue
 import subprocess
 import threading
 from dataclasses import dataclass, field
@@ -132,11 +133,20 @@ class ExternalEvaluator:
     flight at a time; any protocol violation aborts the run. A daemon thread
     drains the child's stderr, so a chatty child never blocks on a full
     pipe, and keeps its last lines for the error raised if the child dies.
+    Another reads the child's reply lines into a queue, so that a reply
+    can be waited for at most ``timeout_s`` seconds (None: no limit); a
+    child that does not reply in time is killed.
     """
 
-    def __init__(self, command):
+    def __init__(self, command, timeout_s=None):
         if isinstance(command, str):
             raise ConfigError("external command must be a list of arguments, not a string")
+        if timeout_s is not None and (isinstance(timeout_s, bool)
+                                      or not isinstance(timeout_s, (int, float))
+                                      or not 0 < timeout_s <= threading.TIMEOUT_MAX):
+            raise ConfigError(f"external timeout_s must be a number in (0, "
+                              f"{threading.TIMEOUT_MAX:g}], got {timeout_s!r}")
+        self._timeout_s = timeout_s
         self._next_id = 1
         self._lock = threading.Lock()
         try:
@@ -152,6 +162,19 @@ class ExternalEvaluator:
         self._stderr_lock = threading.Lock()
         self._stderr_reader = threading.Thread(target=self._drain_stderr, daemon=True)
         self._stderr_reader.start()
+        self._replies = queue.Queue()
+        self._stdout_reader = threading.Thread(target=self._read_replies, daemon=True)
+        self._stdout_reader.start()
+
+    def _read_replies(self):
+        # Each reply line, then "" at the end of the output; an output that
+        # cannot be decoded ends it with the error instead.
+        try:
+            for line in self._proc.stdout:
+                self._replies.put(line)
+            self._replies.put("")
+        except ValueError as exc:
+            self._replies.put(exc)
 
     def _drain_stderr(self):
         # Bytes, decoded leniently: a child's diagnostics need not be UTF-8.
@@ -173,7 +196,7 @@ class ExternalEvaluator:
     def close(self):
         """Close the child's stdin and wait for it to exit; kill it if it
         is still running after the grace period. Then close its output
-        pipes (stderr once the drain thread has reached its end)."""
+        pipes, each once its reader thread has reached its end."""
         try:
             self._proc.stdin.close()
         except BrokenPipeError:
@@ -186,10 +209,11 @@ class ExternalEvaluator:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
-        self._proc.stdout.close()
-        self._stderr_reader.join(timeout=_STDERR_WAIT_S)
-        if not self._stderr_reader.is_alive():
-            self._proc.stderr.close()
+        for reader, pipe in ((self._stdout_reader, self._proc.stdout),
+                             (self._stderr_reader, self._proc.stderr)):
+            reader.join(timeout=_STDERR_WAIT_S)
+            if not reader.is_alive():
+                pipe.close()
 
     def __call__(self, thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -203,9 +227,17 @@ class ExternalEvaluator:
             try:
                 self._proc.stdin.write(line + "\n")
                 self._proc.stdin.flush()
-                reply = self._proc.stdout.readline()
             except (BrokenPipeError, ValueError) as exc:
                 raise self._died(f"external evaluator died: {exc}") from exc
+            try:
+                reply = self._replies.get(timeout=self._timeout_s)
+            except queue.Empty:
+                self._proc.kill()
+                self._proc.wait()
+                raise self._died(f"external evaluator sent no reply within "
+                                 f"{self._timeout_s:g} s and was killed") from None
+            if isinstance(reply, ValueError):
+                raise self._died(f"external evaluator died: {reply}") from reply
             if not reply:
                 raise self._died("external evaluator closed its output")
             try:
@@ -231,7 +263,9 @@ class ExternalEvaluator:
             return g
 
 
-def external_problem(command, marginals: RandomVector):
+def external_problem(command, marginals: RandomVector, timeout_s=None):
     """Wrap an external command as a single-component problem named
-    "external"; its dimension is the number of marginals."""
-    return ProblemSpec("external", marginals, (ExternalEvaluator(command),), "single")
+    "external"; its dimension is the number of marginals. ``timeout_s``
+    bounds the wait for each reply (None: no limit)."""
+    return ProblemSpec("external", marginals, (ExternalEvaluator(command, timeout_s),),
+                       "single")

@@ -22,19 +22,30 @@ Python-side checks; it is a private scipy name, and a test pins it to
 ``cdist`` bit for bit. Everything that depends on the training inputs
 alone (the ones vector, the identity and the per-dimension squared
 differences of the gradient) is built once per fit, not once per
-evaluation.
+evaluation. The correlation matrix, the gradient's products and the
+prediction's kernel rows are scaled, exponentiated and multiplied in
+place, in buffers reused within a call, with the bits of the plain
+expressions.
 
 For the same reason each L-BFGS-B start runs ``_lbfgsb``, which drives
 scipy's ``setulb`` routine itself, in place of scipy's own
 ``_minimize_lbfgsb`` and its ``ScalarFunction``/``MemoizeJac`` wrapping
 of every evaluation. It takes finite two-sided bounds only, the only
 kind the fit passes, and makes the loop scipy makes, with scipy's default
-tolerances, so every fit is the same bit for bit; that leans on scipy's
-private ``setulb`` signature of scipy >= 1.15, and a test pins the driver
-to ``minimize(method="L-BFGS-B")``. The driver goes in as a custom
-``optimize.minimize`` method, so ``optimize.minimize`` still runs every
-start: the benchmark's tracer stands in for this module's ``optimize``
-to count starts and likelihood evaluations.
+tolerances, but evaluates the likelihood only where the answer is new and
+can still move the iterate. Near a flat optimum the likelihood's rounding
+noise exceeds L-BFGS-B's relative-reduction test; scipy's line search
+then probes points an ulp apart, some of them twice, fails, resets its
+memory, searches again and mostly ends on the iterate it had. The driver
+answers every repeated point from memory and ends a start at its first
+failed line search, on that iterate. So every fit is the same bit for bit
+from run to run, and each start makes scipy's iterates bit for bit up to
+its first failed line search; that leans on scipy's private ``setulb``
+signature of scipy >= 1.15, and a test pins the driver to
+``minimize(method="L-BFGS-B")`` on those terms. The driver goes in as a
+custom ``optimize.minimize`` method, so ``optimize.minimize`` still runs
+every start: the benchmark's tracer stands in for this module's
+``optimize`` to count starts and likelihood evaluations.
 
 The refinement loop adds one support point per step, and
 ``update_surrogate`` takes it one of two ways. Most points are appended
@@ -95,12 +106,23 @@ def _lbfgsb(fun, x0, args, bounds, maxiter=60, **_):
     method. ``bounds`` holds one finite (low, high) pair per coordinate.
 
     The reverse-communication loop over ``setulb`` is the one scipy's
-    ``_minimize_lbfgsb`` runs, with its default tolerances, so the iterates,
-    the result and ``nfev`` are the same bit for bit; what is left out is
-    the ``ScalarFunction``/``MemoizeJac`` wrapping, the callback and the
+    ``_minimize_lbfgsb`` runs, with its default tolerances, and two changes
+    that spend evaluations only where the answer is new and can still move
+    the iterate:
+    - ``fun``, which is deterministic, is called once per distinct point: a
+      request at a point this start has evaluated is answered from memory;
+    - a start ends at its first failed line search. A request that follows
+      more than ``_LBFGSB_MAXLS`` requests with no new iterate (none counts
+      the start's own) is not answered; the driver returns the last iterate
+      and its value. Scipy would reset its memory and search again, and
+      return the same iterate when that search fails too.
+    Up to that point the requests are scipy's, and a start with no failed
+    search (or whose very first search fails, where scipy stops too) ends
+    on scipy's result bit for bit. Left out are the
+    ``ScalarFunction``/``MemoizeJac`` wrapping, the callback and the
     ``maxfun`` check (at most ``maxiter`` x ``maxls`` evaluations here, far
-    below scipy's 15000). ``nfev`` counts the calls of ``fun``; a request
-    at the last evaluated point is answered from memory.
+    below scipy's 15000). ``nfev`` counts the calls of ``fun``; the memory
+    of one start goes when it ends.
     """
     low, high = np.array(bounds, dtype=np.float64).T.copy()
     x = np.clip(np.array(x0, dtype=np.float64).ravel(), low, high)
@@ -115,29 +137,34 @@ def _lbfgsb(fun, x0, args, bounds, maxiter=60, **_):
     isave = np.zeros(44, np.int32)
     dsave = np.zeros(29)
 
-    last_x = x.copy()
-    last_f, last_g = fun(last_x, *args)
-    nfev = 1
-    f, g = last_f, last_g
+    f, g = fun(x.copy(), *args)
+    memo = {x.tobytes(): (f, g)}
+    iterate = (x.copy(), f)
+    requests = -1  # setulb's first request is for the start itself
     nit = 0
     while True:
         g = g.copy()  # setulb may write g back; the memo keeps its own
         setulb(m, x, low, high, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa,
                iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
         if task[0] == _TASK_FG:
-            if not (x == last_x).all():
-                last_x = x.copy()
-                last_f, last_g = fun(last_x, *args)
-                nfev += 1
-            f, g = last_f, last_g
+            requests += 1
+            if requests > _LBFGSB_MAXLS:
+                x, f = iterate
+                break
+            key = x.tobytes()
+            if key not in memo:
+                memo[key] = fun(x.copy(), *args)
+            f, g = memo[key]
         elif task[0] == _TASK_NEW_X:
             nit += 1
+            iterate = (x.copy(), f)
+            requests = 0
             if nit >= maxiter:
                 task[0] = _TASK_STOP
                 task[1] = _TASK_MAXITER
         else:
             break
-    return optimize.OptimizeResult(fun=f, x=x, nfev=nfev, nit=nit)
+    return optimize.OptimizeResult(fun=f, x=x, nfev=len(memo), nit=nit)
 
 
 @dataclass
@@ -283,8 +310,9 @@ class GpSurrogate:
         n = self.x.shape[0]
         xs = self.x / ls
         sq = cdist_sqeuclidean(xs, xs)
-        r = np.exp(-0.5 * sq)
-        r.flat[::n + 1] += delta
+        r = sq * -0.5
+        np.exp(r, out=r)
+        r.reshape(-1)[::n + 1] += delta
         chol, info = dpotrf(r, lower=1, clean=0)
         if info > 0:
             return None
@@ -320,13 +348,17 @@ class GpSurrogate:
         # contiguous memory; the products summed are in C order either
         # way, so the sums add in the same order.
         w = np.ascontiguousarray(w)
-        w -= alpha[:, None] * alpha / sigma2
+        # One (n, n) buffer takes alpha alpha^T / sigma2, then each product
+        # summed for the gradient.
+        buf = np.multiply(alpha[:, None], alpha)
+        buf /= sigma2
+        w -= buf
         w *= r  # the nugget on the diagonal meets D_k[i, i] = 0
         if self.isotropic:
-            return nll, np.array([0.5 * (w * sq).sum()])
+            return nll, np.array([0.5 * np.multiply(w, sq, out=buf).sum()])
         grad = np.empty(len(ls))
         for k, sq_diff in enumerate(self._sq_diffs):
-            grad[k] = 0.5 * (w * sq_diff).sum() / ls[k] ** 2
+            grad[k] = 0.5 * np.multiply(w, sq_diff, out=buf).sum() / ls[k] ** 2
         return nll, grad
 
     def _optimize(self, starts, lo, hi, delta):
@@ -385,7 +417,9 @@ class GpSurrogate:
         self._check()
         if self._constant:
             return np.full(len(u), self._y_mean)
-        k = np.exp(-0.5 * _sq_dists(u, self.x, self.lengthscales))
+        k = _sq_dists(u, self.x, self.lengthscales)
+        k *= -0.5
+        np.exp(k, out=k)
         return self._y_mean + self._y_sd * (self.trend + k @ self._alpha)
 
     def predict_sd(self, u):

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -596,3 +597,34 @@ def test_importing_the_package_does_not_load_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], cwd=src,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_external_reply_timeout_exits_3(tmp_path, capsys):
+    child = tmp_path / "child.py"
+    child.write_text("import sys, time\n"
+                     "sys.stdin.readline()\n"
+                     "time.sleep(60)\n")
+    payload = {
+        "problem": {"external": {
+            "command": [sys.executable, str(child)],
+            "marginals": [{"kind": "normal", "mean": 0, "sd": 1},
+                          {"kind": "normal", "mean": 0, "sd": 1}],
+            "timeout_s": 0.5,
+        }},
+        "method": "form",
+    }
+    t0 = time.perf_counter()
+    assert main(["run", "--config", _config(tmp_path, payload)]) == 3
+    assert time.perf_counter() - t0 < 10.0
+    assert "no reply within 0.5 s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timeout_s", [0, -2, "5", None, 1e10])
+def test_bad_external_timeout_exits_2_without_evaluation(tmp_path, capsys, timeout_s):
+    sentinel = tmp_path / "touched"
+    problem = _touching_problem(sentinel)
+    problem["external"]["timeout_s"] = timeout_s
+    assert main(["run", "--config", _config(tmp_path, {"problem": problem,
+                                                         "method": "form"})]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not sentinel.exists()

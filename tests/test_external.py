@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import textwrap
+import time
 from unittest import mock
 
 import numpy as np
@@ -239,3 +240,32 @@ print(json.dumps({"id": req["id"], "g": 1.0}), flush=True)
         assert Evaluator(problem).g(np.zeros(2)) == 1.0
     finally:
         problem.components[0].close()
+
+
+def test_child_that_does_not_reply_in_time_is_killed(tmp_path):
+    # The child reads one request, says so on stderr and sleeps.
+    cmd = _child(tmp_path, """\
+print("got request", req["id"], file=sys.stderr, flush=True)
+import time
+time.sleep(60)
+""")
+    problem = external_problem(cmd, TWO_NORMALS, timeout_s=0.5)
+    child = problem.components[0]
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(EvaluationError, match="no reply within 0.5 s") as info:
+            Evaluator(problem).g(np.zeros(2))
+        assert time.perf_counter() - t0 < 10.0
+        assert child._proc.poll() is not None
+    finally:
+        child.close()
+    assert "got request 1" in str(info.value)  # the stderr tail
+    assert child._proc.stdout.closed and child._proc.stderr.closed
+
+
+@pytest.mark.parametrize("timeout_s", [0, -1.0, math.nan, math.inf, True, "1", 1e10])
+def test_bad_timeout_is_a_config_error_before_any_child_starts(timeout_s):
+    with mock.patch.object(s4is.evaluation.subprocess, "Popen",
+                           side_effect=AssertionError("a child was started")):
+        with pytest.raises(ConfigError, match="timeout_s"):
+            external_problem(["no-child-is-started"], TWO_NORMALS, timeout_s=timeout_s)

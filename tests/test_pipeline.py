@@ -33,8 +33,8 @@ def test_library_functions_take_exactly_the_parameters_callers_set():
         sample_hypercube: ["d", "n", "rng"],
         oracle_is_reference: ["problem", "rng", "n"],
         Evaluator: ["problem"],
-        ExternalEvaluator: ["command"],
-        external_problem: ["command", "marginals"],
+        ExternalEvaluator: ["command", "timeout_s"],
+        external_problem: ["command", "marginals", "timeout_s"],
     }
     for fn, params in expected.items():
         assert list(inspect.signature(fn).parameters) == params, fn.__name__

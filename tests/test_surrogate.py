@@ -1,9 +1,16 @@
 """Gaussian-process surrogate: interpolation, invariances and updates."""
 
+import hashlib
+import math
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.optimize import _lbfgsb_py
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial._distance_pybind import cdist_sqeuclidean
 from scipy.spatial.distance import cdist
 
@@ -278,6 +285,47 @@ def test_nll_gradient_matches_central_differences(n, d, isotropic, ls_range):
         assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
 
 
+def _plain_nll(model, log_ls, delta):
+    """The concentrated NLL and its gradient written with plain
+    expressions, step for step as ``GpSurrogate._nll`` computes them."""
+    ls = np.exp(log_ls)
+    if model.isotropic:
+        ls = np.full(model.x.shape[1], float(ls[0]))
+    n = model.x.shape[0]
+    sq = cdist(model.x / ls, model.x / ls, "sqeuclidean")
+    r = np.exp(-0.5 * sq)
+    r.flat[::n + 1] += delta
+    chol, info = dpotrf(r, lower=1, clean=0)
+    assert info == 0
+    rz, _ = dpotrs(chol, model._z, lower=1)
+    r1, _ = dpotrs(chol, model._ones, lower=1)
+    resid = model._z - (model._ones @ rz) / (model._ones @ r1)
+    alpha, _ = dpotrs(chol, resid, lower=1)
+    sigma2 = max(float(resid @ alpha) / n, 1e-300)
+    nll = 0.5 * (n * math.log(sigma2) + 2.0 * np.log(chol.diagonal()).sum())
+    w = np.ascontiguousarray(dpotrs(chol, np.eye(n), lower=1)[0])
+    w = (w - alpha[:, None] * alpha / sigma2) * r
+    if model.isotropic:
+        return nll, np.array([0.5 * (w * sq).sum()])
+    diffs = [np.subtract.outer(col, col) ** 2 for col in model.x.T]
+    return nll, np.array([0.5 * (w * dk).sum() / lk ** 2 for dk, lk in zip(diffs, ls)])
+
+
+@pytest.mark.parametrize("n, d, isotropic", [(12, 2, False), (30, 6, False), (25, 4, True)])
+def test_in_place_kernels_equal_the_plain_expressions(n, d, isotropic):
+    x, y = _training_data(n, d, seed=n)
+    model = GpSurrogate().fit(x, y, n_restarts=1, isotropic=isotropic)
+    rng = np.random.default_rng(d)
+    for p in rng.uniform(-1.0, 2.0, size=(4, 1 if isotropic else d)):
+        nll, grad = model._nll(p, model._delta)
+        plain_nll, plain_grad = _plain_nll(model, p, model._delta)
+        assert nll == plain_nll and np.array_equal(grad, plain_grad)
+    u = rng.normal(size=(50, d))
+    k = np.exp(-0.5 * cdist(u / model.lengthscales, x / model.lengthscales, "sqeuclidean"))
+    plain = model._y_mean + model._y_sd * (model.trend + k @ model._alpha)
+    assert np.array_equal(model.predict_mean(u), plain)
+
+
 # (n, d, best NLL) of fits with finite-difference gradients on the datasets
 # built by _recorded_dataset(i), with GpSurrogate().fit(x, y, seed=i).
 _RECORDED_FITS = (
@@ -310,43 +358,91 @@ def test_recorded_fits_reach_recorded_likelihood():
     assert sum(best) <= sum(nll for _, _, nll in _RECORDED_FITS)
 
 
-def _driver_equals_scipy(fun, x0, args, bounds, maxiter=60):
+def _scipy_lbfgsb_requests(fun, x0, args, bounds, options):
+    """scipy's own L-BFGS-B from ``x0`` and what its ``setulb`` asked for:
+    the result, and one ("fg", x) per evaluation request and one
+    ("iterate", x) per new iterate, in order. scipy answers a request at
+    the point it evaluated last from memory, so counting its calls of
+    ``fun`` would miss those requests."""
+    events = []
+    setulb = _lbfgsb_py._lbfgsb.setulb
+
+    def recorded(*a):
+        setulb(*a)
+        x, task = a[1], a[11]
+        if task[0] == s4is.surrogate._TASK_FG:
+            events.append(("fg", x.copy()))
+        elif task[0] == s4is.surrogate._TASK_NEW_X:
+            events.append(("iterate", x.copy()))
+
+    with mock.patch.object(_lbfgsb_py, "_lbfgsb", SimpleNamespace(setulb=recorded)):
+        ref = optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
+                                bounds=bounds, options=options)
+    return ref, events
+
+
+def _check_driver_against_scipy(fun, x0, args, bounds, maxiter=60):
     """Run ``fun`` from ``x0`` through the L-BFGS-B driver and through
-    scipy's own L-BFGS-B; assert that both give the same x, value,
-    evaluation and iteration counts bit for bit, and that the driver's
-    ``nfev`` counts its calls of ``fun``. Returns the driver's result."""
+    scipy's own L-BFGS-B and check the driver's contract:
+    - it calls ``fun`` once per distinct point, and ``nfev`` counts the calls;
+    - it evaluates the points scipy requests up to scipy's first run of more
+      than ``_LBFGSB_MAXLS`` requests with no new iterate, and no others;
+    - without such a run its x, value and iteration count are scipy's bit
+      for bit; with one, it returns scipy's iterate at the start of the
+      run, the value there and the iterations before it.
+    Returns the driver's result and whether scipy's run had such a run."""
     calls = []
 
     def counted(p, *a):
-        calls.append(p)
+        calls.append(p.tobytes())
         return fun(p, *a)
 
     options = {"maxiter": maxiter}
     res = optimize.minimize(counted, x0, args=args, method=s4is.surrogate._lbfgsb,
                             bounds=bounds, options=options)
-    ref = optimize.minimize(fun, x0, args=args, jac=True, method="L-BFGS-B",
-                            bounds=bounds, options=options)
-    assert np.array_equal(res.x, ref.x)
-    assert res.fun == ref.fun
-    assert res.nfev == ref.nfev == len(calls)
-    assert res.nit == ref.nit
-    return res
+    ref, events = _scipy_lbfgsb_requests(fun, x0, args, bounds, options)
+    assert res.nfev == len(calls) == len(set(calls))
+    requested, nit, since_iterate = set(), 0, -1  # the first request is for x0
+    for kind, x in events:
+        if kind == "iterate":
+            iterate, nit, since_iterate = x, nit + 1, 0
+            continue
+        since_iterate += 1
+        if since_iterate > s4is.surrogate._LBFGSB_MAXLS:
+            break
+        requested.add(x.tobytes())
+    else:
+        assert np.array_equal(res.x, ref.x)
+        assert res.fun == ref.fun
+        assert res.nit == ref.nit
+        assert set(calls) == requested
+        return res, False
+    assert nit > 0  # a first search that fails ends scipy's run after maxls requests
+    assert np.array_equal(res.x, iterate)
+    assert res.fun == fun(iterate, *args)[0]
+    assert res.nit == nit
+    assert set(calls) == requested
+    return res, True
 
 
 class _PinnedOptimize:
     """``scipy.optimize`` for ``s4is.surrogate`` in which every start is
-    also run through scipy's L-BFGS-B and must agree with the driver."""
+    also run through scipy's L-BFGS-B and must keep the driver's contract
+    with it; ``cut`` records which starts ended at a failed line search."""
 
     def __init__(self):
         self.results = []
+        self.cut = []
 
     def __getattr__(self, name):
         return getattr(optimize, name)
 
     def minimize(self, fun, x0, args, method, bounds, options):
         assert method is s4is.surrogate._lbfgsb
-        self.results.append(_driver_equals_scipy(fun, x0, args, bounds, **options))
-        return self.results[-1]
+        res, cut = _check_driver_against_scipy(fun, x0, args, bounds, **options)
+        self.results.append(res)
+        self.cut.append(cut)
+        return res
 
 
 def test_driver_repeats_scipy_lbfgsb_on_every_start_of_the_recorded_fits(monkeypatch):
@@ -357,6 +453,26 @@ def test_driver_repeats_scipy_lbfgsb_on_every_start_of_the_recorded_fits(monkeyp
     GpSurrogate().fit(*_recorded_dataset(8), seed=8, isotropic=True)
     assert len(pinned.results) == 5 * (len(_RECORDED_FITS) + 1)
     assert all(res.x.shape == (1,) for res in pinned.results[-5:])
+    assert any(pinned.cut) and not all(pinned.cut)  # both sides of the contract ran
+
+
+def _rosenbrock_with_jitter(x):
+    """Rosenbrock's function plus a jitter below 1e-6 fixed by the bytes of
+    ``x``, and its exact gradient: deterministic, but noisy in its values."""
+    h = int.from_bytes(hashlib.blake2b(x.tobytes(), digest_size=8).digest(), "little")
+    return optimize.rosen(x) + 1e-6 * (2.0 * h / 2.0**64 - 1.0), optimize.rosen_der(x)
+
+
+def test_driver_ends_a_start_at_its_first_failed_line_search():
+    x0, bounds = np.array([-1.2, 1.0]), [(-3.0, 3.0)] * 2
+    res, cut = _check_driver_against_scipy(_rosenbrock_with_jitter, x0, (), bounds)
+    ref = optimize.minimize(_rosenbrock_with_jitter, x0, jac=True, method="L-BFGS-B",
+                            bounds=bounds)
+    # scipy searches again after the first failure, fails again and ends
+    # on the same iterate, at a cost of 20 more evaluations or so.
+    assert cut and ref.message.startswith("ABNORMAL")
+    assert np.array_equal(res.x, ref.x) and res.nit == ref.nit
+    assert res.nfev <= ref.nfev - 20
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [((15, 2), (15, 2)), ((1, 1), (40, 1)),
@@ -377,17 +493,17 @@ def test_driver_repeats_scipy_lbfgsb_at_the_edges():
     lo, hi = np.log(s4is.surrogate._LS_BOUNDS)
     bounds = [(lo, hi)] * 2
     # A start outside the bounds is clipped onto them.
-    res = _driver_equals_scipy(model._nll, np.array([hi + 2.0, lo - 3.0]),
-                               (model._delta,), bounds)
+    res, _ = _check_driver_against_scipy(model._nll, np.array([hi + 2.0, lo - 3.0]),
+                                  (model._delta,), bounds)
     assert np.all((res.x >= lo) & (res.x <= hi))
     # A run cut off by maxiter.
-    res = _driver_equals_scipy(model._nll, np.zeros(2), (model._delta,), bounds,
-                               maxiter=2)
+    res, _ = _check_driver_against_scipy(model._nll, np.zeros(2), (model._delta,), bounds,
+                                  maxiter=2)
     assert res.nit == 2
     # A start where R is singular: _nll returns _BIG with a zero gradient.
     x[1] = x[0] + 1e-9
     singular = GpSurrogate().fit(x, y)
-    res = _driver_equals_scipy(singular._nll, np.full(2, hi), (0.0,), bounds)
+    res, _ = _check_driver_against_scipy(singular._nll, np.full(2, hi), (0.0,), bounds)
     assert res.fun == s4is.surrogate._BIG
 
 
