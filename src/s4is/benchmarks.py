@@ -20,7 +20,7 @@ from scipy import optimize
 from .errors import ConfigError, S4isError, StageFailureError
 from .estimators import is_estimate_from_log, relative_error
 from .evaluation import Evaluator, ProblemSpec
-from .pipeline import (REFERENCE_BLOCK_ROWS, S4isConfig, check_sample_count,
+from .pipeline import (S4isConfig, check_sample_count, prefetch_blocks,
                        run_akis_baseline, run_form_baseline, run_mcs_baseline,
                        run_s4is)
 from .probability import (GaussianMixture, Marginal, RandomVector,
@@ -254,8 +254,14 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     oscillates on some component geometries and a missed branch would bias
     the reference low.
 
-    The n samples are drawn at once; the true g and both log densities are
-    then taken ``REFERENCE_BLOCK_ROWS`` rows at a time.
+    The n component indices are drawn at once, then the samples
+    ``REFERENCE_BLOCK_ROWS`` rows at a time, the stream of one
+    :meth:`GaussianMixture.sample` (:meth:`GaussianMixture.block_sampler`).
+    A worker thread draws the next block while the caller takes the true g
+    and both log densities on the current one
+    (:func:`s4is.pipeline.prefetch_blocks`): every g call, and every error
+    it raises, stays on the caller's thread. After an error the generator
+    may be one block further on than the failed block.
     """
     n = check_sample_count(n)
     d = problem.dim
@@ -282,15 +288,16 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
         raise StageFailureError("no MPP found on any component")
     evaluator = Evaluator(problem)
     gm = GaussianMixture(np.array(centers))
-    u = gm.sample(n, rng)
     failed = np.empty(n, dtype=bool)
     log_p = np.empty(n)
     log_q = np.empty(n)
-    for start in range(0, n, REFERENCE_BLOCK_ROWS):
-        block = slice(start, start + REFERENCE_BLOCK_ROWS)
-        failed[block] = evaluator.g_batch(rv.from_standard_normal(u[block])) <= 0
-        log_p[block] = log_std_normal_pdf(u[block])
-        log_q[block] = gm.logpdf(u[block])
+
+    def evaluate(block, u):
+        failed[block] = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
+        log_p[block] = log_std_normal_pdf(u)
+        log_q[block] = gm.logpdf(u)
+
+    prefetch_blocks(n, gm.block_sampler(n, rng), evaluate)
     return is_estimate_from_log(failed, log_p, log_q)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -447,20 +448,49 @@ def check_sample_count(n):
     return int(n)
 
 
+def prefetch_blocks(n, draw, work):
+    """``work(block, draw(block))`` for the slices ``block`` of range(n),
+    ``REFERENCE_BLOCK_ROWS`` rows each, in order.
+
+    One worker thread runs ``draw`` for the next block while the caller
+    runs ``work`` on the current one, so ``draw`` must touch nothing that
+    ``work`` uses. At most one draw is in flight, and the worker has ended
+    when this returns or raises.
+    """
+    blocks = [slice(start, min(start + REFERENCE_BLOCK_ROWS, n))
+              for start in range(0, n, REFERENCE_BLOCK_ROWS)]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(draw, blocks[0])
+        for block, following in zip(blocks, blocks[1:] + [None]):
+            drawn = pending.result()
+            if following is not None:
+                pending = worker.submit(draw, following)
+            work(block, drawn)
+
+
 def run_mcs_baseline(problem: ProblemSpec, n: int, rng):
     """Crude Monte Carlo with n samples of the true performance function.
 
     The samples are drawn ``REFERENCE_BLOCK_ROWS`` rows at a time; the
-    generator's normal stream is the same as for one (n, d) draw.
+    generator's normal stream is the same as for one (n, d) draw. A worker
+    thread draws the next block while the caller transforms the current
+    one and evaluates g on it (:func:`prefetch_blocks`): every g call, and
+    every error it raises, stays on the caller's thread. After an error the
+    generator may be one block further on than the failed block.
     """
     n = check_sample_count(n)
     rv = problem.marginals
+    d = problem.dim
     evaluator = Evaluator(problem)
     failed = np.empty(n, dtype=bool)
-    for start in range(0, n, REFERENCE_BLOCK_ROWS):
-        rows = min(REFERENCE_BLOCK_ROWS, n - start)
-        u = rng.standard_normal(size=(rows, problem.dim))
-        failed[start:start + rows] = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
+
+    def draw(block):
+        return rng.standard_normal(size=(block.stop - block.start, d))
+
+    def evaluate(block, u):
+        failed[block] = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
+
+    prefetch_blocks(n, draw, evaluate)
     est = mcs_estimate(failed)
     est.n_eval = evaluator.ledger.count
     return est

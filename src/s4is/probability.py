@@ -4,14 +4,14 @@ All densities and samplers work in u-space (independent standard normal
 coordinates). Original-space inputs are mapped componentwise through
 u_i = Phi^-1(F_i(theta_i)); only independent marginals are supported.
 
-:meth:`RandomVector.from_standard_normal` maps u to theta in one pass over
-the whole array, ``loc + scale * u`` with per-column parameters computed
-once, then ``exp`` on the lognormal columns and ``loc + scale * Phi(u)`` on
-the uniform ones; it gives the values of :meth:`Marginal.from_u` column by
-column, bit for bit. :meth:`GaussianMixture.logpdf` takes the log-sum-exp
-over the components with the algorithm of ``scipy.special.logsumexp``, one
-(n,) row per component, so it returns scipy's values bit for bit without
-scipy's per-call array-API overhead.
+:meth:`RandomVector.from_standard_normal` maps u to theta as
+``loc + scale * u`` with per-column parameters computed once, then ``exp``
+on the lognormal columns and ``loc + scale * Phi(u)`` on the uniform ones;
+it gives the values of :meth:`Marginal.from_u` column by column, bit for
+bit. :meth:`GaussianMixture.logpdf` takes the log-sum-exp over the
+components with the algorithm of ``scipy.special.logsumexp``, one (n,) row
+per component, so it returns scipy's values bit for bit without scipy's
+per-call array-API overhead.
 
 Short rows. numpy sums fewer than eight terms over an array's last axis
 one after another, from the first, but runs its inner loop over those few
@@ -21,7 +21,10 @@ column by column, as the rows of the transposed (d, n) array, and the
 mixture adds its k < 8 component terms row by row over the (k, n) array:
 the same additions in the same order, so the same values bit for bit,
 with (n,)-long inner loops. From eight terms on numpy sums pairwise, and
-both keep numpy's own sum over the last axis.
+both keep numpy's own sum over the last axis. For the same reason
+:meth:`RandomVector.from_standard_normal` writes a long array of at most
+three columns one column at a time; wider or shorter arrays take one
+whole-array pass, which is faster there (2-core x86, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ KINDS = ("normal", "lognormal", "uniform")
 HYPERCUBE_HALF_WIDTH = 5.0  # of the u-space cube stage 1 draws its candidates from
 # numpy sums fewer terms than this over a last axis left to right, more pairwise.
 _PAIRWISE_MIN = 8
+# from_standard_normal goes column by column for at most this many columns
+# and at least this many rows, where that was measured to be faster.
+_COLUMNWISE_MAX_DIM = 3
+_COLUMNWISE_MIN_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,15 @@ class RandomVector:
         if not finite.all():
             i = int(np.argmin(finite.all(axis=0)))
             raise DomainError(f"component {i}: non-finite u-space input")
+        if self.dim <= _COLUMNWISE_MAX_DIM and u2.shape[0] >= _COLUMNWISE_MIN_ROWS:
+            theta = np.empty(u2.shape)
+            for m, col, u_col, loc, scale in zip(self.marginals, theta.T, u2.T,
+                                                 self._loc, self._scale):
+                np.multiply(ndtr(u_col) if m.kind == "uniform" else u_col, scale, out=col)
+                col += loc
+                if m.kind == "lognormal":
+                    np.exp(col, out=col)
+            return theta
         theta = u2 * self._scale
         theta += self._loc
         ln, uni = self._lognormal, self._uniform
@@ -196,7 +212,12 @@ def sample_hypercube(d, n, rng):
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Equal-weight, identity-covariance Gaussian mixture in u-space."""
+    """Equal-weight, identity-covariance Gaussian mixture in u-space.
+
+    Draws go through :meth:`block_sampler`, which also serves a caller that
+    takes the n draws a block at a time; :meth:`sample` is its one-block
+    case.
+    """
 
     centers: np.ndarray
 
@@ -248,9 +269,12 @@ class GaussianMixture:
         at_max = a == a_max
         m = np.sum(at_max, axis=0, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # The maximal terms' exp(0.0) = 1.0 become 0.0 as a product with
+            # the mask, one pass without the index arrays of a masked store.
+            # Rows with a non-finite a_max fall to the direct form below.
             e = a - a_max
             np.exp(e, out=e)
-            e[at_max] = 0.0
+            e *= ~at_max
             # The k terms of each point in scipy's order: row by row below
             # eight, else numpy's pairwise sum over the C-ordered (n, k) copy.
             s = _short_sum(e) if k < _PAIRWISE_MIN else np.ascontiguousarray(e.T).sum(axis=1)
@@ -264,7 +288,22 @@ class GaussianMixture:
         out -= math.log(k)
         return out[0] if u.ndim == 1 else out
 
+    def block_sampler(self, n, rng):
+        """n i.i.d. draws, taken block by block: the n component indices are
+        drawn here, at once, and ``draw(block)`` returns the rows of the
+        slice ``block`` of range(n), a unit-normal jitter on each picked
+        centre. Blocks drawn in order give the points of :meth:`sample`,
+        bit for bit: the generator's normal stream is that of one (n, d)
+        draw."""
+        idx = rng.integers(0, self.n_components, size=n)
+
+        def draw(block):
+            picked = idx[block]
+            u = rng.standard_normal(size=(picked.size, self.dim))
+            u += self.centers[picked]
+            return u
+        return draw
+
     def sample(self, n, rng):
         """n i.i.d. draws; component picked uniformly, then a unit-normal jitter."""
-        idx = rng.integers(0, self.n_components, size=n)
-        return self.centers[idx] + rng.standard_normal(size=(n, self.dim))
+        return self.block_sampler(n, rng)(slice(0, n))

@@ -1,6 +1,7 @@
 """Reference experiment tables and the comparison runner."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from s4is import benchmarks
 from s4is.benchmarks import (_EXAMPLES, EXAMPLE_IDS, Band, builtin_problem,
                              oracle_is_reference, reference_table,
                              run_experiment)
-from s4is.errors import ConfigError, StageFailureError
+from s4is.errors import ConfigError, EvaluationError, StageFailureError
 from s4is.estimators import is_estimate_from_log, mcs_estimate
 from s4is.evaluation import Evaluator, ProblemSpec
 from s4is.pipeline import REFERENCE_BLOCK_ROWS, S4isConfig, run_mcs_baseline
@@ -180,21 +181,66 @@ def test_blockwise_mcs_equals_one_shot(problem_args, n):
 
 @pytest.mark.parametrize("n", [REFERENCE_BLOCK_ROWS + 17, 5000])
 def test_blockwise_oracle_equals_one_shot(n, monkeypatch):
+    """The oracle's estimate is that of one ``gm.sample(n, rng)`` draw,
+    replayed from the generator's state where its mixture draw started."""
     problem = builtin_problem("example1")
     drawn = []
-    sample = GaussianMixture.sample
+    block_sampler = GaussianMixture.block_sampler
 
-    def recording_sample(self, count, rng):
-        u = sample(self, count, rng)
-        drawn.append((self, u))
-        return u
+    def recording_block_sampler(self, count, rng):
+        drawn.append((self, rng.bit_generator.state))
+        return block_sampler(self, count, rng)
 
-    monkeypatch.setattr(GaussianMixture, "sample", recording_sample)
+    monkeypatch.setattr(GaussianMixture, "block_sampler", recording_block_sampler)
     got = oracle_is_reference(problem, np.random.default_rng(6), n=n)
-    [(gm, u)] = drawn
+    monkeypatch.undo()
+    [(gm, state)] = drawn
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    u = gm.sample(n, rng)
     want = is_estimate_from_log(_one_shot_failed(problem, u),
                                 log_std_normal_pdf(u), gm.logpdf(u))
     assert _fields(got) == _fields(want)
+
+
+def _reference(method, problem, n):
+    rng = np.random.default_rng(8)
+    if method == "mcs":
+        return run_mcs_baseline(problem, n, rng)
+    return oracle_is_reference(problem, rng, n=n)
+
+
+@pytest.mark.parametrize("method", ["mcs", "oracle"])
+def test_reference_g_stays_on_the_caller_thread_and_no_thread_outlives_it(method):
+    """g runs only on the calling thread; a non-finite value in the second
+    block raises EvaluationError there, and neither a return nor a raise
+    leaves the block-drawing worker running."""
+    batches, threads = [], set()
+    poisoned = [False]
+
+    def g(theta):
+        threads.add(threading.get_ident())
+        out = 3.0 - theta[:, 0]
+        if len(theta) > 1:  # a block; the oracle's MPP search takes single rows
+            batches.append(len(theta))
+            if poisoned[0] and len(batches) == 2:
+                out[-1] = np.inf
+        return out
+
+    problem = ProblemSpec("second_block", RandomVector((Marginal("normal", 0.0, 1.0),) * 2),
+                          (g,))
+    n = 3 * REFERENCE_BLOCK_ROWS
+    before = threading.active_count()
+    est = _reference(method, problem, n)
+    assert est.n_samples == n and batches == [REFERENCE_BLOCK_ROWS] * 3
+    assert threading.active_count() == before
+    batches.clear()
+    poisoned[0] = True
+    with pytest.raises(EvaluationError, match="^non-finite performance value in batch$"):
+        _reference(method, problem, n)
+    assert batches == [REFERENCE_BLOCK_ROWS] * 2
+    assert threading.active_count() == before
+    assert threads == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("n", [0, -5, True, 2.5, "10", None])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from s4is.errors import DomainError
-from s4is.probability import (GaussianMixture, Marginal, RandomVector,
-                              hypercube_density, log_std_normal_pdf,
+from s4is.probability import (_COLUMNWISE_MIN_ROWS, GaussianMixture, Marginal,
+                              RandomVector, hypercube_density, log_std_normal_pdf,
                               sample_hypercube)
 
 RNG = np.random.default_rng(0)
@@ -84,7 +84,9 @@ def _stacked_from_u(rv, u):
 def test_from_standard_normal_equals_columnwise(marginals):
     rv = RandomVector(tuple(marginals))
     u = np.random.default_rng(11).standard_normal((70_001, rv.dim)) * 2.0
-    assert np.array_equal(rv.from_standard_normal(u), _stacked_from_u(rv, u))
+    # Short rows go column by column from _COLUMNWISE_MIN_ROWS rows on.
+    for rows in (u, u[:_COLUMNWISE_MIN_ROWS], u[:_COLUMNWISE_MIN_ROWS - 1]):
+        assert np.array_equal(rv.from_standard_normal(rows), _stacked_from_u(rv, rows))
     assert np.array_equal(rv.from_standard_normal(u[5]), _stacked_from_u(rv, u[5:6])[0])
 
 
@@ -172,12 +174,13 @@ def test_gm_logpdf_equals_scipy_logsumexp(k, d):
     gm = GaussianMixture(centers)
     near = centers[rng.integers(0, k, 3000)] + rng.standard_normal((3000, d))
     far = centers.max() + 60.0 + rng.random((50, d))  # every term underflows exp
-    u = np.vstack([near, far, np.full((1, d), 1e200)])  # 1e200: non-finite path
+    # 1e200: every term -inf; NaN: a NaN maximum. Both take the direct form.
+    u = np.vstack([near, far, np.full((1, d), 1e200), np.full((1, d), np.nan)])
     with np.errstate(over="ignore"):  # (1e200)^2
         want = _logsumexp_reference(centers, u)
-        assert np.array_equal(gm.logpdf(u), want)
+        assert np.array_equal(gm.logpdf(u), want, equal_nan=True)
     assert np.all(np.exp(want[3000:3050]) == 0.0) and np.all(np.isfinite(want[3000:3050]))
-    assert want[-1] == -np.inf
+    assert want[-2] == -np.inf and np.isnan(want[-1])
     for row in (near[0], centers[0], far[0]):  # 1-d in, scalar out
         assert gm.logpdf(row) == _logsumexp_reference(centers, row)
 
@@ -210,6 +213,15 @@ def test_gm_normalization_monte_carlo():
     u = gm.sample(200_000, np.random.default_rng(3))
     ratio = np.exp(log_std_normal_pdf(u) - gm.logpdf(u))
     assert ratio.mean() == pytest.approx(1.0, rel=0.01)
+
+
+@pytest.mark.parametrize("n", [(1 << 16) + 17, 5000])
+def test_gm_block_draws_concatenate_to_one_sample(n):
+    gm = GaussianMixture(np.array([[1.0, -1.0], [-2.0, 0.5], [0.0, 3.0]]))
+    draw = gm.block_sampler(n, np.random.default_rng(7))
+    cuts = list(range(0, n, 1 << 12)) + [n]
+    blocks = [draw(slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.vstack(blocks), gm.sample(n, np.random.default_rng(7)))
 
 
 def test_gm_sampling_matches_density():
