@@ -1,4 +1,4 @@
-"""Write the 20 fixed-seed CLI reports, the dump of the reference tables
+"""Write the 22 fixed-seed CLI reports, the dump of the reference tables
 and the true-g oracle's estimates that a behaviour-preserving change must
 leave byte-identical.
 
@@ -6,8 +6,10 @@ leave byte-identical.
 
 Runs ``s4is run --seed 7`` for each of mcs (n = 1e6), form, akis and s4is
 on example1, example2, example3, example4 (c = 5) and example5 (d = 10),
-one fresh interpreter per report, with the package imported from this
-checkout's ``src/``. Each report lands in ``OUTDIR/<method>_<problem>.json``.
+and for form and akis on example5 (d = 50), where the d >= 20 rules of the
+GP and of HL-RF apply; one fresh interpreter per report, with the package
+imported from this checkout's ``src/``. Each report lands in
+``OUTDIR/<method>_<problem>.json``.
 ``OUTDIR/reference_tables.txt`` records, for every example id, what
 ``reference_table`` returns: methods, mcs_n, replicates, the problem's
 reference pf and each method's bands (quantity, value, low, high,
@@ -35,6 +37,9 @@ PROBLEMS = (
     ("example4_c5", {"name": "example4", "c": 5}),
     ("example5_d10", {"name": "example5", "d": 10}),
 )
+RUNS = [(method, label, builtin) for label, builtin in PROBLEMS for method in METHODS]
+RUNS += [(method, "example5_d50", {"name": "example5", "d": 50})
+         for method in ("form", "akis")]
 # Prints every reference table; floats as repr, so any change shows.
 DUMP_TABLES = """
 from s4is.benchmarks import EXAMPLE_IDS, reference_table
@@ -70,18 +75,17 @@ def main(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     with tempfile.TemporaryDirectory() as tmp:
-        for label, builtin in PROBLEMS:
-            for method in METHODS:
-                cfg = {"problem": {"builtin": builtin}, "method": method}
-                if method == "mcs":
-                    cfg["mcs"] = {"n": MCS_N}
-                cfg_path = Path(tmp) / f"{method}_{label}.json"
-                cfg_path.write_text(json.dumps(cfg))
-                report = out / f"{method}_{label}.json"
-                subprocess.run([sys.executable, "-m", "s4is.cli", "run",
-                                "--config", str(cfg_path), "--seed", str(SEED),
-                                "--output", str(report)], env=env, check=True)
-                print(report, flush=True)
+        for method, label, builtin in RUNS:
+            cfg = {"problem": {"builtin": builtin}, "method": method}
+            if method == "mcs":
+                cfg["mcs"] = {"n": MCS_N}
+            cfg_path = Path(tmp) / f"{method}_{label}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            report = out / f"{method}_{label}.json"
+            subprocess.run([sys.executable, "-m", "s4is.cli", "run",
+                            "--config", str(cfg_path), "--seed", str(SEED),
+                            "--output", str(report)], env=env, check=True)
+            print(report, flush=True)
     tables = out / "reference_tables.txt"
     with open(tables, "w", encoding="utf-8") as fh:
         subprocess.run([sys.executable, "-c", DUMP_TABLES], env=env,

@@ -1,6 +1,7 @@
 """First-order reliability method: HL-RF search for the most probable point
-in u-space with central or forward finite-difference gradients, plus a
-multi-start variant that collects distinct MPPs and all paid-for
+in u-space with finite-difference gradients, central below
+``_FORWARD_FD_DIM`` inputs and forward from there on, plus a multi-start
+variant that collects distinct MPPs and all paid-for
 evaluations. A search's trace holds the u and g of every evaluation it
 made, finite-difference probes included.
 """
@@ -20,6 +21,10 @@ _STEP_TOL = 1e-6  # HL-RF has converged once a step is this short ...
 _G_TOL_REL = 1e-6  # ... and |g| <= this times (|g at the start| + 1)
 _MAX_ITER = 100  # HL-RF iterations before a search ends unconverged
 _DEDUP_DISTANCE = 0.5  # u-space distance below which two MPPs are one
+# From this many inputs on, central-difference gradients dominate the
+# evaluation budget, and forward differences, which reuse g at the
+# iterate, halve their cost.
+_FORWARD_FD_DIM = 20
 
 
 @dataclass
@@ -48,27 +53,28 @@ class _UspaceG:
         self.trace_g.append(g)
         return g
 
-    def gradient(self, u, g_center=None, scheme="central"):
+    def gradient(self, u, g_center):
+        """Finite-difference gradient at ``u``, where g is ``g_center``."""
         u = np.asarray(u, dtype=float)
         grad = np.empty(u.size)
         for i in range(u.size):
             step = np.zeros(u.size)
             step[i] = _FD_STEP
-            if scheme == "forward":
+            if u.size >= _FORWARD_FD_DIM:
                 grad[i] = (self(u + step) - g_center) / _FD_STEP
             else:
                 grad[i] = (self(u + step) - self(u - step)) / (2 * _FD_STEP)
         return grad
 
 
-def hlrf_search(evaluator: Evaluator, start_u, fd_scheme="central"):
+def hlrf_search(evaluator: Evaluator, start_u):
     """HL-RF iteration from one start point.
 
-    Divergence past ``_MAX_ITER`` iterations yields an unconverged result
-    rather than an exception; a vanishing gradient away from the limit
-    state raises.
-    ``fd_scheme`` "forward" halves the gradient cost per iteration, which
-    matters when the dimension is large.
+    Each iteration spends one g call at the new iterate and the gradient's
+    probes: 2d central differences below ``_FORWARD_FD_DIM`` inputs, d
+    forward ones from there on. Divergence past ``_MAX_ITER`` iterations
+    yields an unconverged result rather than an exception; a vanishing
+    gradient away from the limit state raises.
     """
     gfun = _UspaceG(evaluator)
     u = np.asarray(start_u, dtype=float).copy()
@@ -80,7 +86,7 @@ def hlrf_search(evaluator: Evaluator, start_u, fd_scheme="central"):
     iterations = 0
     for k in range(_MAX_ITER):
         iterations = k + 1
-        grad = gfun.gradient(u, g_center=g, scheme=fd_scheme)
+        grad = gfun.gradient(u, g)
         norm2 = float(grad @ grad)
         if norm2 < 1e-20:
             raise StationaryPointError(f"gradient vanished at u={u.tolist()}")
@@ -106,7 +112,7 @@ def form_pf(beta):
     return float(ndtr(-beta))
 
 
-def multi_start_mpps(evaluator: Evaluator, n_starts, rng, fd_scheme="central"):
+def multi_start_mpps(evaluator: Evaluator, n_starts, rng):
     """HL-RF from the origin plus ``n_starts - 1`` uniform starts on [-4, 4]^d.
 
     Returns the converged results sorted by beta, less those within
@@ -121,7 +127,7 @@ def multi_start_mpps(evaluator: Evaluator, n_starts, rng, fd_scheme="central"):
     results = []
     for s in starts:
         try:
-            results.append(hlrf_search(evaluator, s, fd_scheme=fd_scheme))
+            results.append(hlrf_search(evaluator, s))
         except StationaryPointError:
             continue
     converged = sorted([r for r in results if r.converged], key=lambda r: r.beta)

@@ -25,9 +25,6 @@ from .probability import (HYPERCUBE_HALF_WIDTH, GaussianMixture, hypercube_densi
 from .surrogate import SupportPointSet, fit_surrogate, update_surrogate
 
 HIGHDIM_THRESHOLD = 10  # stage 1 is FORM-seeded from this dimension on
-# Per-input lengthscales stop being identifiable once their count rivals
-# the support size; from this dimension on the GPs share one lengthscale.
-_ISOTROPIC_DIM = 20
 _TRACE_MIN_SEP = 0.05  # u-space separation of the points kept from an HL-RF trace
 _TRACE_MAX_POINTS = 300  # and their largest number
 # Rows transformed and evaluated at a time by the sample-based references
@@ -45,8 +42,8 @@ _LOWEST = {"n_c1": 2, "n_s1_0": 2, "n_c2": 1, "k_clusters": 1, "a1": 1, "a2": 1,
 class S4isConfig:
     """The run parameters of the two-stage method; defaults follow the
     reference settings (trailing window 5, tolerances 0.01 / 0.001).
-    Everything else (FORM-seeded exploration, isotropic kernels, the
-    composite surrogate) is decided by the problem."""
+    Everything else (FORM-seeded exploration, isotropic kernels, forward
+    differences, the composite surrogate) is decided by the problem."""
 
     n_c1: int | None = None        # None: min(1e4, max(1e3, 10^d))
     n_s1_0: int | None = None      # None: max(12, (d+1)(d+2)/2)
@@ -135,12 +132,6 @@ def _feature_map(rv, thetas):
 def _scale(outputs):
     s = float(np.std(outputs))
     return s if s > 1e-12 else 1.0
-
-
-def _system_rule(problem: ProblemSpec):
-    """The rule a composite surrogate combines component means with, or None
-    when g has a single component."""
-    return None if problem.aggregation == "single" else problem.aggregate
 
 
 def _maximin_indices(points, n_pick):
@@ -270,7 +261,7 @@ def stage1(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator):
     init_idx = _maximin_indices(cands, config.initial_support(d))
     pool.selected[init_idx] = True
     support = _evaluate_support(evaluator, cands[init_idx])
-    model = fit_surrogate(support, _system_rule(problem), d >= _ISOTROPIC_DIM)
+    model = fit_surrogate(support, problem.aggregate)
 
     def score(model, means, dmin, pf_hist):
         if _window_converged(pf_hist, config.a1, config.eps1):
@@ -360,13 +351,10 @@ def _thin_trace(evaluator, results):
 def _form_seed(problem, rng, evaluator):
     """FORM-driven exploration for high dimension: multi-start HL-RF supplies
     both the mixture centers and the initial support set."""
-    # Past ~20 inputs, central-difference gradients dominate the evaluation
-    # budget; forward differences halve the per-iteration cost.
-    fd = "forward" if problem.dim >= 20 else "central"
-    distinct, all_results = multi_start_mpps(evaluator, 1, rng, fd_scheme=fd)
+    distinct, all_results = multi_start_mpps(evaluator, 1, rng)
     # Keep every converged MPP in the training set.
     support = _thin_trace(evaluator, all_results)
-    model = fit_surrogate(support, _system_rule(problem), problem.dim >= _ISOTROPIC_DIM)
+    model = fit_surrogate(support, problem.aggregate)
     mpps = np.array([r.u_star for r in distinct])
     beta_min = distinct[0].beta
     pf_form = form_pf(beta_min)

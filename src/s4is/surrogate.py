@@ -6,7 +6,8 @@ Inputs are the training coordinates a ``SupportPointSet`` stores in
 Outputs are standardized internally and de-normalized on prediction.
 Every predict method takes (n, d) rows and returns (n,) values; the
 composite combines the component means only. Hyperparameters
-(per-dimension lengthscales) maximize the concentrated log marginal
+(per-dimension lengthscales, or one shared lengthscale once the inputs
+have ``_ISOTROPIC_DIM`` columns) maximize the concentrated log marginal
 likelihood with the constant trend and signal variance profiled out.
 L-BFGS-B fits the log-lengthscales with the analytic gradient of that
 likelihood, so one Cholesky factorisation serves both the value and the
@@ -57,7 +58,7 @@ an output more than three predictive standard deviations from the
 model's mean (``_SURPRISE_SD``), constant outputs, a constant GP and a
 grown matrix that is not positive definite take the full warm refit
 instead: three starts, one at the previous lengthscales (a constant GP
-has none and gets five fresh ones). A call with no new point
+has none and gets a fresh fit's five). A call with no new point
 re-optimises every GP that carries appended points; the pipeline makes
 it before it accepts any stop, so every stage ends on a re-optimised
 model.
@@ -80,6 +81,10 @@ _LS_BOUNDS = (1e-2, 1e3)
 _NUGGET_START = 1e-10
 _NUGGET_MAX = 1e-4
 _BIG = 1e25
+# Per-input lengthscales stop being identifiable once their count rivals
+# the support size: a GP on inputs of this many columns or more shares one
+# lengthscale across them.
+_ISOTROPIC_DIM = 20
 # Points added by update_surrogate between full fits: two are appended at
 # fixed hyperparameters, the third re-optimises them.
 _REFIT_EVERY = 3
@@ -210,7 +215,9 @@ def _sq_dists(a, b, lengthscales):
 
 
 class GpSurrogate:
-    """Anisotropic squared-exponential GP with a constant trend.
+    """Squared-exponential GP with a constant trend: one lengthscale per
+    input, or one shared by all of them on inputs of ``_ISOTROPIC_DIM``
+    columns or more (``isotropic``).
 
     Invariants: the posterior mean reproduces training outputs up to the
     stabilizing jitter on the kernel diagonal (within 1e-3 in output units
@@ -225,7 +232,6 @@ class GpSurrogate:
         self.signal_variance = None  # in standardized output units
         self.trend = None            # constant trend, standardized units
         self.nugget = None           # absolute output-space noise variance
-        self.isotropic = False       # one shared lengthscale across inputs
         self.nll_history = []        # best objective after each accepted restart
         self.n_appended = 0          # points appended since the last full fit
 
@@ -245,6 +251,7 @@ class GpSurrogate:
             raise SupportPointError("duplicate inputs in training data")
         self.x = x
         self.y = y
+        self.isotropic = x.shape[1] >= _ISOTROPIC_DIM
         self._y_mean = float(y.mean())
         self._y_sd = float(y.std())
         self._constant = self._y_sd < 1e-12 * (abs(self._y_mean) + 1.0)
@@ -253,9 +260,9 @@ class GpSurrogate:
             self._ones = np.ones(n)
         return not self._constant
 
-    def fit(self, x, y, n_restarts=5, seed=0, init_lengthscales=None,
-            isotropic=False):
-        self.isotropic = bool(isotropic)
+    def fit(self, x, y, seed=0, init_lengthscales=None):
+        """Maximise the likelihood from five L-BFGS-B starts, or from three
+        when ``init_lengthscales`` gives the first."""
         if not self._set_data(x, y):
             # Degenerate constant data: the trend absorbs everything.
             self.lengthscales = np.ones(self.x.shape[1])
@@ -268,8 +275,8 @@ class GpSurrogate:
         n_params = 1 if self.isotropic else d
         # Terms of the likelihood that depend on x alone, shared by every
         # evaluation of this fit (the ones vector comes with the data).
-        # The squared differences take d n^2 doubles; the pipeline fits
-        # isotropic GPs, which use the total distance instead, from d = 20 on.
+        # The squared differences take d n^2 doubles; isotropic GPs use the
+        # total distance instead.
         self._eye = np.eye(n)
         self._sq_diffs = []
         if not self.isotropic:
@@ -286,7 +293,7 @@ class GpSurrogate:
                 init = np.atleast_1d(np.median(init))
             starts.append(np.clip(init, lo, hi))
         starts.append(np.zeros(n_params))  # unit lengthscales
-        while len(starts) < max(n_restarts, 1):
+        while len(starts) < (5 if init_lengthscales is None else 3):
             starts.append(rng.uniform(math.log(0.1), math.log(10.0), size=n_params))
 
         delta = _NUGGET_START
@@ -400,7 +407,6 @@ class GpSurrogate:
         definite (the new point is numerically a copy of the old ones).
         """
         grown = GpSurrogate()
-        grown.isotropic = self.isotropic
         if not (grown._set_data(np.vstack([self.x, x_new]), np.append(self.y, y_new))
                 and grown._adopt(np.log(self.lengthscales), self._delta)):
             return None
@@ -458,14 +464,15 @@ class CompositeMinSurrogate:
         return self.aggregate(np.stack([m.predict_mean(u) for m in self.models], axis=1))
 
 
-def fit_surrogate(points: SupportPointSet, aggregate=None, isotropic=False):
+def fit_surrogate(points: SupportPointSet, aggregate=None):
     """Fit one GP on the outputs of a support point set, or, given the
-    system's rule ``aggregate``, one GP per component combined by it."""
-    if aggregate is not None:
+    system's rule ``aggregate`` and more than one component, one GP per
+    component combined by it."""
+    if aggregate is not None and points.component_outputs.shape[1] > 1:
         return CompositeMinSurrogate(
-            (GpSurrogate().fit(points.x, y, seed=j, isotropic=isotropic)
+            (GpSurrogate().fit(points.x, y, seed=j)
              for j, y in enumerate(points.component_outputs.T)), aggregate)
-    return GpSurrogate().fit(points.x, points.outputs, isotropic=isotropic)
+    return GpSurrogate().fit(points.x, points.outputs)
 
 
 def _update(gp, x, y, seed):
@@ -478,12 +485,10 @@ def _update(gp, x, y, seed):
             grown = gp._append(x[n], y[n])
             if grown is not None:
                 return grown
-    # The warm refit: three restarts, one at gp's lengthscales; a constant
+    # The warm refit: three starts, one at gp's lengthscales; a constant
     # GP has none and gets a full fresh fit.
-    if gp._constant:
-        return GpSurrogate().fit(x, y, seed=seed, isotropic=gp.isotropic)
-    return GpSurrogate().fit(x, y, n_restarts=3, seed=seed,
-                             init_lengthscales=gp.lengthscales, isotropic=gp.isotropic)
+    return GpSurrogate().fit(x, y, seed=seed,
+                             init_lengthscales=None if gp._constant else gp.lengthscales)
 
 
 def update_surrogate(model, points: SupportPointSet):

@@ -70,6 +70,17 @@ def test_evaluations_are_counted():
     assert ev.ledger.count >= 5 * res.iterations
 
 
+@pytest.mark.parametrize("d, probes", [(19, 2 * 19), (20, 20)])
+def test_gradients_take_forward_differences_from_20_inputs(d, probes):
+    # Central differences spend 2d probes per iteration below 20 inputs,
+    # forward ones d from there on; each iteration adds its new iterate.
+    ev = Evaluator(_linear_problem(np.linspace(1.0, 2.0, d), 3.0))
+    res = hlrf_search(ev, np.zeros(d))
+    assert res.converged
+    assert res.beta == pytest.approx(3.0 / np.linalg.norm(np.linspace(1.0, 2.0, d)))
+    assert res.n_eval == ev.ledger.count == 1 + res.iterations * (probes + 1)
+
+
 def test_trace_records_path():
     res = hlrf_search(Evaluator(_linear_problem([1.0, 0.0], 3.0)), np.zeros(2))
     assert res.trace_u.shape[1] == 2

@@ -20,14 +20,17 @@ from s4is.pipeline import (S4isConfig, run_akis_baseline, run_form_baseline,
                            run_mcs_baseline, run_s4is)
 from s4is.probability import (Marginal, RandomVector, hypercube_density,
                               sample_hypercube)
+from s4is.surrogate import GpSurrogate, fit_surrogate
 
 
 def test_library_functions_take_exactly_the_parameters_callers_set():
     # Tolerances, restart counts and widths no caller varies are module
     # constants; a new parameter is a new knob: add it here on purpose.
     expected = {
-        hlrf_search: ["evaluator", "start_u", "fd_scheme"],
-        multi_start_mpps: ["evaluator", "n_starts", "rng", "fd_scheme"],
+        hlrf_search: ["evaluator", "start_u"],
+        multi_start_mpps: ["evaluator", "n_starts", "rng"],
+        GpSurrogate.fit: ["self", "x", "y", "seed", "init_lengthscales"],
+        fit_surrogate: ["points", "aggregate"],
         kmeans: ["points", "k", "rng"],
         hypercube_density: ["u"],
         sample_hypercube: ["d", "n", "rng"],

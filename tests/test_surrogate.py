@@ -102,7 +102,6 @@ def _fixed_hyperparameter_fit(model, x, y):
     """A GP on (x, y) at ``model``'s lengthscales and relative nugget, from
     one full ``_factor``."""
     ref = GpSurrogate()
-    ref.isotropic = model.isotropic
     assert ref._set_data(x, y) and ref._adopt(np.log(model.lengthscales), model._delta)
     return ref
 
@@ -114,7 +113,8 @@ def test_append_matches_a_full_factor_at_fixed_hyperparameters(n, d, isotropic):
     x = rng.uniform(-3, 3, size=(n, d))
     y = np.sin(x).sum(axis=1) + 0.1 * (x ** 2).sum(axis=1)
     pts = SupportPointSet(x[:-2], x[:-2], y[:-2], y[:-2, None])
-    model = fit_surrogate(pts, isotropic=isotropic)
+    model = fit_surrogate(pts)
+    assert model.isotropic == isotropic
     for i in (n - 2, n - 1):
         pts.append(x[i], x[i], y[i], y[i:i + 1])
         model = update_surrogate(model, pts)
@@ -274,7 +274,8 @@ def test_nll_gradient_matches_central_differences(n, d, isotropic, ls_range):
     rng = np.random.default_rng(n + d)
     x = rng.uniform(-3, 3, size=(n, d))
     y = np.sin(x).sum(axis=1) + 0.1 * (x ** 2).sum(axis=1)
-    model = GpSurrogate().fit(x, y, n_restarts=1, isotropic=isotropic)
+    model = GpSurrogate().fit(x, y)
+    assert model.isotropic == isotropic
     h = 1e-4  # smaller steps drown in round-off once R is ill-conditioned
     for _ in range(3):
         p = rng.uniform(*np.log(ls_range), size=1 if isotropic else d)
@@ -311,10 +312,11 @@ def _plain_nll(model, log_ls, delta):
     return nll, np.array([0.5 * (w * dk).sum() / lk ** 2 for dk, lk in zip(diffs, ls)])
 
 
-@pytest.mark.parametrize("n, d, isotropic", [(12, 2, False), (30, 6, False), (25, 4, True)])
+@pytest.mark.parametrize("n, d, isotropic", [(12, 2, False), (30, 6, False), (25, 20, True)])
 def test_in_place_kernels_equal_the_plain_expressions(n, d, isotropic):
     x, y = _training_data(n, d, seed=n)
-    model = GpSurrogate().fit(x, y, n_restarts=1, isotropic=isotropic)
+    model = GpSurrogate().fit(x, y)
+    assert model.isotropic == isotropic
     rng = np.random.default_rng(d)
     for p in rng.uniform(-1.0, 2.0, size=(4, 1 if isotropic else d)):
         nll, grad = model._nll(p, model._delta)
@@ -343,8 +345,11 @@ _RECORDED_FITS = (
 )
 
 
-def _recorded_dataset(i):
-    n, d, _ = _RECORDED_FITS[i]
+def _recorded_dataset(i, d=None):
+    """The dataset of ``_RECORDED_FITS[i]``, or one built the same way on
+    ``d`` inputs."""
+    n, recorded_d, _ = _RECORDED_FITS[i]
+    d = recorded_d if d is None else d
     rng = np.random.default_rng([31, i])
     x = rng.uniform(-3.0, 3.0, size=(n, d))
     a = rng.normal(size=d)
@@ -450,7 +455,8 @@ def test_driver_repeats_scipy_lbfgsb_on_every_start_of_the_recorded_fits(monkeyp
     monkeypatch.setattr(s4is.surrogate, "optimize", pinned)
     for i in range(len(_RECORDED_FITS)):
         GpSurrogate().fit(*_recorded_dataset(i), seed=i)
-    GpSurrogate().fit(*_recorded_dataset(8), seed=8, isotropic=True)
+    # An isotropic fit: 40 points on 20 inputs.
+    GpSurrogate().fit(*_recorded_dataset(8, d=20), seed=8)
     assert len(pinned.results) == 5 * (len(_RECORDED_FITS) + 1)
     assert all(res.x.shape == (1,) for res in pinned.results[-5:])
     assert any(pinned.cut) and not all(pinned.cut)  # both sides of the contract ran
@@ -509,7 +515,7 @@ def test_driver_repeats_scipy_lbfgsb_at_the_edges():
 
 def test_composite_honours_isotropic_through_updates():
     rng = np.random.default_rng(9)
-    u = rng.uniform(-3, 3, size=(15, 3))
+    u = rng.uniform(-3, 3, size=(15, 20))
     comps = lambda v: np.column_stack([v[:, 0] + 0.5 * v[:, 1] ** 2 + 2.0,
                                        np.full(len(v), 1.5)])
     pts = SupportPointSet(u, u, comps(u).min(axis=1), comps(u))
@@ -520,12 +526,63 @@ def test_composite_honours_isotropic_through_updates():
             assert m.isotropic
             np.testing.assert_array_equal(m.lengthscales, m.lengthscales[0])
 
-    model = fit_surrogate(pts, lambda v: np.min(v, axis=-1), isotropic=True)
+    model = fit_surrogate(pts, lambda v: np.min(v, axis=-1))
     assert_isotropic(model)
-    v = rng.uniform(-3, 3, size=(1, 3))
+    v = rng.uniform(-3, 3, size=(1, 20))
     pts.append(v[0], v[0], comps(v).min(), comps(v)[0])
     model = update_surrogate(model, pts)
     assert_isotropic(model)
+
+
+class _StartCounter:
+    """``scipy.optimize`` for ``s4is.surrogate`` that records the number
+    of coordinates of every L-BFGS-B start."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(optimize, name)
+
+    def minimize(self, fun, x0, **kwargs):
+        self.sizes.append(len(x0))
+        return optimize.minimize(fun, x0, **kwargs)
+
+
+@pytest.mark.parametrize("d, free", [(19, 19), (20, 1)])
+def test_gps_share_one_lengthscale_from_20_inputs(monkeypatch, d, free):
+    counter = _StartCounter()
+    monkeypatch.setattr(s4is.surrogate, "optimize", counter)
+    x, y = _recorded_dataset(8, d=d)
+    model = GpSurrogate().fit(x, y)
+    assert model.isotropic == (free == 1)
+    assert counter.sizes == [free] * 5
+
+
+def test_fresh_fits_make_five_starts_and_warm_fits_three(monkeypatch):
+    counter = _StartCounter()
+    monkeypatch.setattr(s4is.surrogate, "optimize", counter)
+    x, y = _training_data(15)
+    model = GpSurrogate().fit(x[:12], y[:12])
+    assert len(counter.sizes) == 5
+    GpSurrogate().fit(x[:12], y[:12], init_lengthscales=model.lengthscales)
+    assert len(counter.sizes) == 8
+    # Two appends, then the warm refit of update_surrogate.
+    pts = SupportPointSet(x[:12], x[:12], y[:12], y[:12, None])
+    for i in range(12, 15):
+        pts.append(x[i], x[i], y[i], y[i:i + 1])
+        model = update_surrogate(model, pts)
+    assert model.n_appended == 0 and len(counter.sizes) == 11
+
+
+def test_a_system_rule_on_one_component_fits_one_gp():
+    x, y = _training_data()
+    rule = lambda v: np.min(v, axis=-1)
+    model = fit_surrogate(SupportPointSet(x, x, y, y[:, None]), rule)
+    assert isinstance(model, GpSurrogate)
+    grid = np.random.default_rng(1).uniform(-3, 3, size=(30, 2))
+    assert np.array_equal(model.predict_mean(grid),
+                          GpSurrogate().fit(x, y).predict_mean(grid))
 
 
 @pytest.mark.parametrize("make", [
@@ -618,7 +675,8 @@ def test_likelihood_kernel_equals_the_cho_solve_reference(n, d, isotropic):
     rng = np.random.default_rng([n, d])
     x = rng.uniform(-3, 3, size=(n, d))
     y = np.sin(x).sum(axis=1) + 0.1 * (x ** 2).sum(axis=1)
-    model = GpSurrogate().fit(x, y, n_restarts=2, isotropic=isotropic)
+    model = GpSurrogate().fit(x, y)
+    assert model.isotropic == isotropic
     n_params = 1 if isotropic else d
     points = [rng.uniform(np.log(0.3), np.log(30.0), size=n_params)
               for _ in range(3)]
