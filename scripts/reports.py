@@ -8,7 +8,8 @@ Runs ``s4is run --seed 7`` for each of mcs (n = 1e6), form, akis and s4is
 on example1, example2, example3, example4 (c = 5) and example5 (d = 10),
 and for form and akis on example5 (d = 50), where the d >= 20 rules of the
 GP and of HL-RF apply; one fresh interpreter per report, with the package
-imported from this checkout's ``src/``. Each report lands in
+imported from this checkout's ``src/`` and BLAS pinned to one thread, so
+the files do not depend on the host's thread count. Each report lands in
 ``OUTDIR/<method>_<problem>.json``.
 ``OUTDIR/reference_tables.txt`` records, for every example id, what
 ``reference_table`` returns: methods, mcs_n, replicates, the problem's
@@ -54,6 +55,9 @@ for example_id in EXAMPLE_IDS:
                   repr(b.high), b.provenance)
 """
 
+# Pinned to one thread in every child: LAPACK solves with many right-hand
+# sides give different bits under different thread counts.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ORACLE_PROBLEMS = ("example1", "example4_c5")
 # The oracle's estimate on each of ORACLE_PROBLEMS; floats as repr.
 DUMP_ORACLE = """
@@ -74,6 +78,7 @@ def main(argv):
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     with tempfile.TemporaryDirectory() as tmp:
         for method, label, builtin in RUNS:
             cfg = {"problem": {"builtin": builtin}, "method": method}

@@ -1,9 +1,9 @@
 """First-order reliability method: HL-RF search for the most probable point
 in u-space with finite-difference gradients, central below
-``_FORWARD_FD_DIM`` inputs and forward from there on, plus a multi-start
-variant that collects distinct MPPs and all paid-for
-evaluations. A search's trace holds the u and g of every evaluation it
-made, finite-difference probes included.
+``_FORWARD_FD_DIM`` inputs (one-sided at a kink, where they cancel) and
+forward from there on, plus a multi-start variant that collects distinct
+MPPs and all paid-for evaluations. A search's trace holds the u and g of
+every evaluation it made, finite-difference probes included.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .errors import StageFailureError, StationaryPointError
 from .evaluation import Evaluator
 
 _FD_STEP = 1e-4
+_VANISHED = 1e-20  # squared gradient norm below which a gradient vanished
 _STEP_TOL = 1e-6  # HL-RF has converged once a step is this short ...
 _G_TOL_REL = 1e-6  # ... and |g| <= this times (|g at the start| + 1)
 _MAX_ITER = 100  # HL-RF iterations before a search ends unconverged
@@ -54,16 +55,24 @@ class _UspaceG:
         return g
 
     def gradient(self, u, g_center):
-        """Finite-difference gradient at ``u``, where g is ``g_center``."""
+        """Finite-difference gradient at ``u``, where g is ``g_center``; a
+        vanished central gradient gives way to the forward differences of
+        its +h probes when their squared norm exceeds ``_FD_STEP``: a kink's
+        slope of order one, not a smooth stationary point's O(h)."""
         u = np.asarray(u, dtype=float)
+        plus = np.empty(u.size)
         grad = np.empty(u.size)
         for i in range(u.size):
             step = np.zeros(u.size)
             step[i] = _FD_STEP
+            plus[i] = self(u + step)
             if u.size >= _FORWARD_FD_DIM:
-                grad[i] = (self(u + step) - g_center) / _FD_STEP
+                grad[i] = (plus[i] - g_center) / _FD_STEP
             else:
-                grad[i] = (self(u + step) - self(u - step)) / (2 * _FD_STEP)
+                grad[i] = (plus[i] - self(u - step)) / (2 * _FD_STEP)
+        forward = (plus - g_center) / _FD_STEP
+        if grad @ grad < _VANISHED and forward @ forward > _FD_STEP:
+            return forward
         return grad
 
 
@@ -73,8 +82,8 @@ def hlrf_search(evaluator: Evaluator, start_u):
     Each iteration spends one g call at the new iterate and the gradient's
     probes: 2d central differences below ``_FORWARD_FD_DIM`` inputs, d
     forward ones from there on. Divergence past ``_MAX_ITER`` iterations
-    yields an unconverged result rather than an exception; a vanishing
-    gradient away from the limit state raises.
+    yields an unconverged result rather than an exception; a gradient that
+    vanishes on both sides (a smooth stationary point, not a kink) raises.
     """
     gfun = _UspaceG(evaluator)
     u = np.asarray(start_u, dtype=float).copy()
@@ -88,7 +97,7 @@ def hlrf_search(evaluator: Evaluator, start_u):
         iterations = k + 1
         grad = gfun.gradient(u, g)
         norm2 = float(grad @ grad)
-        if norm2 < 1e-20:
+        if norm2 < _VANISHED:
             raise StationaryPointError(f"gradient vanished at u={u.tolist()}")
         u_next = ((grad @ u - g) / norm2) * grad
         step = float(np.linalg.norm(u_next - u))

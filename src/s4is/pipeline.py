@@ -377,34 +377,24 @@ def run_s4is(problem: ProblemSpec, config: S4isConfig, rng):
     return S4isResult(estimate=s2_report.final, stage1=s1_report, stage2=s2_report)
 
 
-def _fallback_mpp(evaluator, rng):
-    """The baselines' MPP when the search from the mean point fails: the
-    lowest-beta result of a 10-start HL-RF search."""
-    distinct, _ = multi_start_mpps(evaluator, 10, rng)
-    return distinct[0]
+def _baseline_mpp(evaluator, rng):
+    """The MPP of the FORM and AK-IS baselines: the last iterate of one HL-RF
+    search from the mean point, converged or not; when the mean point is a
+    stationary point, the lowest-beta result of a 10-start search."""
+    try:
+        return hlrf_search(evaluator, np.zeros(evaluator.problem.dim))
+    except StationaryPointError:
+        distinct, _ = multi_start_mpps(evaluator, 10, rng)
+        return distinct[0]
 
 
 def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
-    """Single-MPP importance-sampling baseline: HL-RF, a single shifted
+    """Single-MPP importance-sampling baseline: FORM's MPP, a single shifted
     Gaussian instrumental density, and min-U refinement of an aggregated
     surrogate until the classification is certain (min U >= 2)."""
     rv = problem.marginals
     evaluator = Evaluator(problem)
-    start = np.zeros(problem.dim)
-    res = None
-    for attempt in range(10):
-        try:
-            cand = hlrf_search(evaluator, start)
-        except StationaryPointError:
-            # Symmetric systems can have a vanishing finite-difference
-            # gradient at the mean point; jitter the start and retry.
-            cand = None
-        if cand is not None and cand.converged:
-            res = cand
-            break
-        start = rng.uniform(-2.0, 2.0, size=problem.dim)
-    if res is None:
-        res = _fallback_mpp(evaluator, rng)
+    res = _baseline_mpp(evaluator, rng)
     gm = GaussianMixture(res.u_star[None, :])
     pool = _candidate_pool(rv, gm.sample(config.n_c2, rng), gm.logpdf)
     support = _thin_trace(evaluator, [res])
@@ -485,16 +475,10 @@ def run_mcs_baseline(problem: ProblemSpec, n: int, rng):
 
 
 def run_form_baseline(problem: ProblemSpec, rng):
-    """Classical first-order estimate: a single HL-RF search from the mean
-    point, reporting Phi(-beta) at the final iterate whether or not the
-    search converged (oscillation on multimodal limit states is part of the
-    method's documented behaviour).  A vanishing gradient at the mean point
-    falls back to a multi-start search."""
+    """Classical first-order estimate Phi(-beta) at the MPP of
+    :func:`_baseline_mpp`, converged or not (oscillation on multimodal
+    limit states is part of the method's documented behaviour)."""
     evaluator = Evaluator(problem)
-    try:
-        res = hlrf_search(evaluator, np.zeros(problem.dim))
-    except StationaryPointError:
-        res = _fallback_mpp(evaluator, rng)
-    pf = form_pf(res.beta)
+    pf = form_pf(_baseline_mpp(evaluator, rng).beta)
     return ReliabilityEstimate(pf, 0.0, float("nan"),
                                n_eval=evaluator.ledger.count, n_samples=0)

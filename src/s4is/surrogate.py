@@ -247,8 +247,6 @@ class GpSurrogate:
         n = x.shape[0]
         if n < 2:
             raise SupportPointError("need at least 2 support points")
-        if np.unique(x, axis=0).shape[0] != n:
-            raise SupportPointError("duplicate inputs in training data")
         self.x = x
         self.y = y
         self.isotropic = x.shape[1] >= _ISOTROPIC_DIM
@@ -263,7 +261,10 @@ class GpSurrogate:
     def fit(self, x, y, seed=0, init_lengthscales=None):
         """Maximise the likelihood from five L-BFGS-B starts, or from three
         when ``init_lengthscales`` gives the first."""
-        if not self._set_data(x, y):
+        varies = self._set_data(x, y)
+        if np.unique(self.x, axis=0).shape[0] != self.x.shape[0]:
+            raise SupportPointError("duplicate inputs in training data")
+        if not varies:
             # Degenerate constant data: the trend absorbs everything.
             self.lengthscales = np.ones(self.x.shape[1])
             self.signal_variance = 0.0
@@ -405,7 +406,10 @@ class GpSurrogate:
         sigma2, alpha and R^-1 1 re-profiled; None when the point needs a
         full fit: the grown outputs are constant, or R is not positive
         definite (the new point is numerically a copy of the old ones).
+        Only the new row is checked for a duplicate: the old are distinct.
         """
+        if (self.x == x_new).all(axis=1).any():
+            raise SupportPointError("duplicate inputs in training data")
         grown = GpSurrogate()
         if not (grown._set_data(np.vstack([self.x, x_new]), np.append(self.y, y_new))
                 and grown._adopt(np.log(self.lengthscales), self._delta)):

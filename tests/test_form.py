@@ -61,6 +61,16 @@ def test_stationary_start_raises():
         hlrf_search(Evaluator(problem), np.zeros(2))
 
 
+def test_kink_at_the_start_takes_the_one_sided_slope():
+    # example1's central differences cancel at its symmetric mean point;
+    # the forward differences of the same probes see the kink.
+    ev = Evaluator(builtin_problem("example1"))
+    res = hlrf_search(ev, np.zeros(2))
+    assert res.converged
+    assert abs(form_pf(res.beta) - form_pf(3.0)) <= 1e-6
+    assert res.n_eval == ev.ledger.count <= 20
+
+
 def test_evaluations_are_counted():
     problem = _linear_problem([1.0, 0.0], 3.0)
     ev = Evaluator(problem)

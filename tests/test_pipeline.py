@@ -284,10 +284,21 @@ def test_form_baseline_example2():
 
 
 def test_form_baseline_survives_stationary_origin():
-    # example1's symmetric system has a vanishing gradient at the mean point
+    # example1's symmetric system has a vanishing central gradient at the
+    # mean point; one search from there takes the kink's one-sided slope.
     est = run_form_baseline(builtin_problem("example1"),
                             np.random.default_rng(0))
     assert est.pf == pytest.approx(1.3499e-3, rel=0.01)
+    assert est.n_eval <= 20
+
+
+def test_akis_baseline_on_example3_keeps_its_unconverged_mpp():
+    # The search from the mean point does not converge on example3; its last
+    # iterate centres the density, without restarts.
+    problem = builtin_problem("example3")
+    est = run_akis_baseline(problem, S4isConfig(), np.random.default_rng(7))
+    assert est.n_eval <= 600
+    assert abs(est.pf / problem.reference_pf - 1) <= 0.10
 
 
 def test_akis_baseline_runs_and_counts():
