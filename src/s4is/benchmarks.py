@@ -258,7 +258,7 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     ``REFERENCE_BLOCK_ROWS`` rows at a time, the stream of one
     :meth:`GaussianMixture.sample` (:meth:`GaussianMixture.block_sampler`).
     A worker thread draws the next block while the caller takes the true g
-    and both log densities on the current one
+    and the log weights on the current one
     (:func:`s4is.pipeline.prefetch_blocks`): every g call, and every error
     it raises, stays on the caller's thread. After an error the generator
     may be one block further on than the failed block.
@@ -289,16 +289,14 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     evaluator = Evaluator(problem)
     gm = GaussianMixture(np.array(centers))
     failed = np.empty(n, dtype=bool)
-    log_p = np.empty(n)
-    log_q = np.empty(n)
+    log_w = np.empty(n)
 
     def evaluate(block, u):
         failed[block] = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
-        log_p[block] = log_std_normal_pdf(u)
-        log_q[block] = gm.logpdf(u)
+        log_w[block] = log_std_normal_pdf(u) - gm.logpdf(u)
 
     prefetch_blocks(n, gm.block_sampler(n, rng), evaluate)
-    return is_estimate_from_log(failed, log_p, log_q)
+    return is_estimate_from_log(failed, log_w)
 
 
 @dataclass

@@ -44,9 +44,9 @@ def _finish(pf, variance, n_samples):
 
 def mcs_estimate(indicators):
     """Binomial estimate from 0/1 indicator values."""
-    ind = np.asarray(indicators, dtype=float)
+    ind = np.asarray(indicators)
     n = ind.size
-    pf = ind.mean()
+    pf = np.float64(np.count_nonzero(ind)) / n  # NaN, not an error, at n = 0
     variance = pf * (1.0 - pf) / n
     return _finish(pf, variance, n)
 
@@ -57,7 +57,8 @@ def is_variance_deviation(weighted, pf):
     n = w.size
     if n < 2:
         return 0.0
-    return float(np.sum((w - pf) ** 2) / (n * (n - 1)))
+    dev = w - pf
+    return float(np.sum(np.square(dev, out=dev)) / (n * (n - 1)))
 
 
 def is_variance_moment(weighted, pf):
@@ -69,20 +70,20 @@ def is_variance_moment(weighted, pf):
     return float((np.mean(w * w) - pf * pf) / (n - 1))
 
 
-def is_estimate_from_log(indicators, log_p, log_q):
-    """IS estimate from indicators and log densities of target and proposal.
+def is_estimate_from_log(indicators, log_w):
+    """IS estimate from indicators and log weights log p - log q of target
+    and proposal; a failure whose weight is +inf (q = 0) or NaN raises.
 
     Working in logs keeps likelihood ratios finite in high dimension where
     both densities underflow.
     """
     ind = np.asarray(indicators, dtype=bool)
-    log_p = np.asarray(log_p, dtype=float)
-    log_q = np.asarray(log_q, dtype=float)
+    log_w = np.asarray(log_w, dtype=float)
     n = ind.size
-    if np.any(ind & ~np.isfinite(log_q)):
+    if np.any(ind & ~(log_w < np.inf)):
         raise DensitySupportError("importance density is zero at a failure sample")
     weighted = np.zeros(n)
-    weighted[ind] = np.exp(log_p[ind] - log_q[ind])
+    weighted[ind] = np.exp(log_w[ind])
     pf = float(weighted.mean())
     variance = is_variance_deviation(weighted, pf)
     return _finish(pf, variance, n)

@@ -19,12 +19,12 @@ class PoolExhausted(S4isError):
 
 class CandidatePool:
     """u-space candidates ``points`` with their GP coordinates ``x``, their
-    log standard-normal density ``log_pn``, the log density ``log_q`` they
-    were drawn from, and a selected mask."""
+    log importance weights ``log_w`` (log standard-normal density minus the
+    log density they were drawn from), and a selected mask."""
 
-    def __init__(self, points, x, log_pn, log_q):
+    def __init__(self, points, x, log_w):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.x, self.log_pn, self.log_q = x, log_pn, log_q
+        self.x, self.log_w = x, log_w
         self.selected = np.zeros(self.points.shape[0], dtype=bool)
 
 
@@ -39,11 +39,11 @@ def lf1_scores(abs_means, dmin, scale=1.0):
     return np.asarray(abs_means) / scale - np.asarray(dmin)
 
 
-def lf2_scores(abs_means, dmin, log_pn, log_q2, scale=1.0):
+def lf2_scores(abs_means, dmin, log_w, scale=1.0):
     """Stage-2 score: the stage-1 terms minus the log likelihood ratio
-    log(p_n / q2), favoring failure mass that weighs most in the IS
-    estimator."""
-    return lf1_scores(abs_means, dmin, scale) - (np.asarray(log_pn) - np.asarray(log_q2))
+    ``log_w`` = log(p_n / q2), favoring failure mass that weighs most in the
+    IS estimator."""
+    return lf1_scores(abs_means, dmin, scale) - np.asarray(log_w)
 
 
 def select_next(pool: CandidatePool, scores):

@@ -159,13 +159,13 @@ def _evaluate_support(evaluator, us):
 def _candidate_pool(rv, points, log_density):
     """The pool of the u-space rows ``points`` drawn from ``log_density``."""
     x = _feature_map(rv, rv.from_standard_normal(points))
-    return CandidatePool(points, x, log_std_normal_pdf(points), log_density(points))
+    return CandidatePool(points, x, log_std_normal_pdf(points) - log_density(points))
 
 
-def _estimate(evaluator, means, log_pn, log_q):
-    """The IS estimate of the surrogate's failure set ``means <= 0`` under
-    the density ``log_q``, with the true-g calls spent so far."""
-    est = is_estimate_from_log(means <= 0, log_pn, log_q)
+def _estimate(evaluator, means, log_w):
+    """The IS estimate of the surrogate's failure set ``means <= 0`` with
+    the log weights ``log_w``, with the true-g calls spent so far."""
+    est = is_estimate_from_log(means <= 0, log_w)
     est.n_eval = evaluator.ledger.count
     return est
 
@@ -187,7 +187,7 @@ def _refine(evaluator, model, support, pool, score, max_iter):
     site, also reached after the last of ``max_iter`` iterations. Otherwise
     it evaluates the true g at the best unselected candidate, updates the
     surrogate, predicts the pool once and appends the IS estimate against
-    the pool's ``log_q``.
+    the pool's ``log_w``.
 
     Most updates append the new point at fixed hyperparameters. A stopping
     rule is only taken on a fully optimised model: when it fires on a
@@ -200,7 +200,7 @@ def _refine(evaluator, model, support, pool, score, max_iter):
     """
     cands = pool.points
     means = model.predict_mean(pool.x)
-    est = _estimate(evaluator, means, pool.log_pn, pool.log_q)
+    est = _estimate(evaluator, means, pool.log_w)
     initial_pf = est.pf
     dmin = min_distances(cands, support.inputs_u)
     pf_hist, cov_hist, ne_hist = [], [], []
@@ -211,7 +211,7 @@ def _refine(evaluator, model, support, pool, score, max_iter):
         nonlocal model, means, est
         model = update_surrogate(model, support)
         means = model.predict_mean(pool.x)
-        est = _estimate(evaluator, means, pool.log_pn, pool.log_q)
+        est = _estimate(evaluator, means, pool.log_w)
         pf_hist[-1], cov_hist[-1] = est.pf, est.cov
 
     termination = "max_iterations"
@@ -234,7 +234,7 @@ def _refine(evaluator, model, support, pool, score, max_iter):
         model = update_surrogate(model, support)
         dmin = np.minimum(dmin, np.linalg.norm(cands - cands[idx], axis=1))
         means = model.predict_mean(pool.x)
-        est = _estimate(evaluator, means, pool.log_pn, pool.log_q)
+        est = _estimate(evaluator, means, pool.log_w)
         pf_hist.append(est.pf)
         cov_hist.append(est.cov)
         ne_hist.append(est.n_eval)
@@ -297,8 +297,7 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
     def score(model, means, dmin, pf_hist):
         if _window_converged(pf_hist, config.a2, config.eps2):
             return None
-        return lf2_scores(np.abs(means), dmin, pool.log_pn, pool.log_q,
-                          _scale(support.outputs))
+        return lf2_scores(np.abs(means), dmin, pool.log_w, _scale(support.outputs))
 
     model, means, initial_pf, report = _refine(evaluator, model, support, pool, score,
                                                config.max_iter2)
@@ -307,15 +306,14 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
 
     # CoV control: add n_c2 samples at a time, at surrogate-only cost and never
     # selected from, until the CoV target or pool_growth_limit * n_c2 samples.
-    est, log_pn, log_q = report.final, pool.log_pn, pool.log_q
+    est, log_w = report.final, pool.log_w
     grown = 0
     while (not est.cov_defined or est.cov > config.cov_target) and \
             grown + 1 < config.pool_growth_limit:
         extra = _candidate_pool(rv, gm.sample(config.n_c2, rng), gm.logpdf)
-        log_pn = np.concatenate([log_pn, extra.log_pn])
-        log_q = np.concatenate([log_q, extra.log_q])
+        log_w = np.concatenate([log_w, extra.log_w])
         means = np.concatenate([means, model.predict_mean(extra.x)])
-        est = _estimate(evaluator, means, log_pn, log_q)
+        est = _estimate(evaluator, means, log_w)
         grown += 1
     if grown:
         notes["pool_enlargements"] = grown

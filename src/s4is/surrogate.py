@@ -262,7 +262,8 @@ class GpSurrogate:
         """Maximise the likelihood from five L-BFGS-B starts, or from three
         when ``init_lengthscales`` gives the first."""
         varies = self._set_data(x, y)
-        if np.unique(self.x, axis=0).shape[0] != self.x.shape[0]:
+        rows = self.x[np.lexsort(self.x.T)]  # equal rows are now neighbours
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise SupportPointError("duplicate inputs in training data")
         if not varies:
             # Degenerate constant data: the trend absorbs everything.
@@ -465,7 +466,8 @@ class CompositeMinSurrogate:
         return max(m.n_appended for m in self.models)
 
     def predict_mean(self, u):
-        return self.aggregate(np.stack([m.predict_mean(u) for m in self.models], axis=1))
+        # (k, n) rows, aggregated over the transposed view as in g_batch.
+        return self.aggregate(np.stack([m.predict_mean(u) for m in self.models]).T)
 
 
 def fit_surrogate(points: SupportPointSet, aggregate=None):

@@ -199,7 +199,7 @@ def test_blockwise_oracle_equals_one_shot(n, monkeypatch):
     rng.bit_generator.state = state
     u = gm.sample(n, rng)
     want = is_estimate_from_log(_one_shot_failed(problem, u),
-                                log_std_normal_pdf(u), gm.logpdf(u))
+                                log_std_normal_pdf(u) - gm.logpdf(u))
     assert _fields(got) == _fields(want)
 
 

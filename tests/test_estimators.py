@@ -42,7 +42,7 @@ def test_is_unbiased_for_linear_limit_state():
         u = rng.standard_normal((500, 1)) + 3.0  # q = N(3, 1)
         log_q = -0.5 * (u[:, 0] - 3.0) ** 2 - 0.5 * math.log(2 * math.pi)
         est = is_estimate_from_log(u[:, 0] >= 3.0,
-                                   log_std_normal_pdf(u), log_q)
+                                   log_std_normal_pdf(u) - log_q)
         estimates.append(est.pf)
     mean = np.mean(estimates)
     se = np.std(estimates, ddof=1) / math.sqrt(len(estimates))
@@ -54,7 +54,7 @@ def test_is_with_identity_proposal_reduces_to_mcs():
     u = rng.standard_normal((2000, 1))
     ind = u[:, 0] >= 1.0
     log_p = log_std_normal_pdf(u)
-    est_is = is_estimate_from_log(ind, log_p, log_p)
+    est_is = is_estimate_from_log(ind, log_p - log_p)
     est_mc = mcs_estimate(ind)
     assert est_is.pf == est_mc.pf  # weights are exactly one
 
@@ -72,18 +72,66 @@ def test_variance_forms_agree(weighted):
 
 def test_zero_proposal_density_at_failure_raises():
     ind = np.array([True, False])
-    log_p = np.array([-1.0, -1.0])
-    log_q = np.array([-np.inf, -1.0])
-    with pytest.raises(DensitySupportError):
-        is_estimate_from_log(ind, log_p, log_q)
+    for bad in (np.inf, np.nan):  # q = 0, or 0 / 0
+        with pytest.raises(DensitySupportError):
+            is_estimate_from_log(ind, np.array([bad, 0.0]))
 
 
 def test_zero_proposal_density_at_safe_sample_is_fine():
     ind = np.array([False, True])
-    log_p = np.array([-1.0, -1.0])
-    log_q = np.array([-np.inf, -1.0])
-    est = is_estimate_from_log(ind, log_p, log_q)
-    assert est.pf == pytest.approx(0.5)
+    for bad in (np.inf, np.nan):
+        est = is_estimate_from_log(ind, np.array([bad, 0.0]))
+        assert est.pf == pytest.approx(0.5)
+
+
+def _two_density_estimate(ind, log_p, log_q):
+    """pf, variance and cov as computed from the two log densities, the
+    subtraction taken only at the failures."""
+    n = ind.size
+    weighted = np.zeros(n)
+    weighted[ind] = np.exp(log_p[ind] - log_q[ind])
+    pf = float(weighted.mean())
+    variance = float(np.sum((weighted - pf) ** 2) / (n * (n - 1)))
+    return pf, variance, math.sqrt(variance) / pf if pf > 0 else math.nan
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_log_weight_estimate_equals_the_two_density_formula_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    log_p = rng.normal(-3.0, 2.0, n)
+    log_p[rng.random(n) < 0.1] = -np.inf  # weights that are exactly zero
+    log_q = rng.normal(-3.0, 2.0, n)
+    ind = rng.random(n) < 0.4
+    ind[:2] = True, False
+    est = is_estimate_from_log(ind, log_p - log_q)
+    assert tuple(map(repr, (est.pf, est.variance, est.cov))) \
+        == tuple(map(repr, _two_density_estimate(ind, log_p, log_q)))
+
+
+@pytest.mark.parametrize("n", [1, 999, 10_001])
+def test_mcs_estimate_is_the_mean_of_a_float_copy_bit_for_bit(n):
+    ind = np.random.default_rng(n).random(n) < 0.3
+    pf = ind.astype(float).mean()
+    est = mcs_estimate(ind)
+    assert repr(est.pf) == repr(float(pf))
+    assert repr(est.variance) == repr(float(pf * (1.0 - pf) / n))
+
+
+def test_mcs_estimate_of_no_samples_is_nan():
+    with pytest.warns(RuntimeWarning):
+        est = mcs_estimate(np.zeros(0, dtype=bool))
+    assert math.isnan(est.pf) and math.isnan(est.variance)
+    assert est.n_samples == 0
+
+
+def test_deviation_variance_equals_the_squared_copy_bit_for_bit():
+    w = np.random.default_rng(3).exponential(size=1001)
+    pf = float(w.mean())
+    kept = w.copy()
+    want = float(np.sum((w - pf) ** 2) / (w.size * (w.size - 1)))
+    assert repr(is_variance_deviation(w, pf)) == repr(want)
+    np.testing.assert_array_equal(w, kept)  # the caller's weights are untouched
 
 
 def test_relative_error():

@@ -8,9 +8,8 @@ from s4is.learning import (CandidatePool, PoolExhausted, lf1_scores,
 
 
 def _pool(points):
-    """A pool over ``points`` whose coordinates and densities play no part."""
-    zeros = np.zeros(len(points))
-    return CandidatePool(points, points, zeros, zeros)
+    """A pool over ``points`` whose coordinates and weights play no part."""
+    return CandidatePool(points, points, np.zeros(len(points)))
 
 
 def test_min_distance_helpers():
@@ -40,9 +39,16 @@ def test_lf2_scores_prefer_heavy_weights():
     dmin = np.array([1.0, 1.0])
     log_pn = np.array([-1.0, -3.0])
     log_q2 = np.array([-2.0, -2.0])
-    scores = lf2_scores(abs_means, dmin, log_pn, log_q2)
+    scores = lf2_scores(abs_means, dmin, log_pn - log_q2)
     assert scores[0] < scores[1]
     assert scores[0] == pytest.approx(scores[1] - 2.0)
+
+
+def test_lf2_scores_are_lf1_scores_minus_the_log_weights():
+    rng = np.random.default_rng(5)
+    abs_means, dmin, log_w = np.abs(rng.normal(size=50)), rng.random(50), rng.normal(size=50)
+    np.testing.assert_array_equal(lf2_scores(abs_means, dmin, log_w, scale=1.7),
+                                  lf1_scores(abs_means, dmin, scale=1.7) - log_w)
 
 
 def test_select_next_argmin_and_marking():

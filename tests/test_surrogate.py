@@ -73,6 +73,20 @@ def test_duplicate_inputs_rejected():
         GpSurrogate().fit(x, np.array([1.0, 1.0, 2.0]))
 
 
+@pytest.mark.parametrize("x", [
+    np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0], [0.0, 1.0]]),  # far apart
+    np.array([[1.0, -0.0], [2.0, 3.0], [1.0, 0.0]]),  # -0.0 == 0.0
+])
+def test_duplicate_rows_anywhere_are_rejected(x):
+    with pytest.raises(SupportPointError):
+        GpSurrogate().fit(x, np.arange(len(x), dtype=float))
+
+
+def test_distinct_rows_that_share_columns_fit():
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.5, 1.0]])
+    assert GpSurrogate().fit(x, np.arange(5.0)).fitted
+
+
 def test_update_matches_fresh_fit():
     x, y = _training_data(15)
     rng = np.random.default_rng(3)
@@ -532,6 +546,18 @@ def test_composite_honours_isotropic_through_updates():
     pts.append(v[0], v[0], comps(v).min(), comps(v)[0])
     model = update_surrogate(model, pts)
     assert_isotropic(model)
+
+
+@pytest.mark.parametrize("aggregate", [lambda v: np.min(v, axis=-1),
+                                       lambda v: np.max(v, axis=-1)])
+def test_composite_mean_equals_the_aggregate_of_the_column_stack(aggregate):
+    rng = np.random.default_rng(4)
+    u = rng.uniform(-3, 3, size=(30, 2))
+    comps = np.column_stack([u[:, 0] - 1.0, u[:, 1] ** 2 - 2.0, u.sum(axis=1), -u[:, 0]])
+    model = fit_surrogate(SupportPointSet(u, u, aggregate(comps), comps), aggregate)
+    grid = rng.uniform(-3, 3, size=(500, 2))
+    want = aggregate(np.stack([m.predict_mean(grid) for m in model.models], axis=1))
+    assert model.predict_mean(grid).tobytes() == want.tobytes()
 
 
 class _StartCounter:
