@@ -20,6 +20,7 @@ from scipy import optimize
 from .errors import ConfigError, S4isError, StageFailureError
 from .estimators import is_estimate_from_log, relative_error
 from .evaluation import Evaluator, ProblemSpec
+from .form import DEDUP_DISTANCE, start_points
 from .pipeline import (S4isConfig, check_sample_count, prefetch_blocks,
                        run_akis_baseline, run_form_baseline, run_mcs_baseline,
                        run_s4is)
@@ -179,7 +180,6 @@ _EXAMPLES = {
 }
 
 EXAMPLE_IDS = tuple(_EXAMPLES)
-_ORACLE_STARTS = 10  # constrained MPP searches per component in the oracle
 
 
 def _band(quantity, entry):
@@ -249,10 +249,11 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     Gaussian mixture centred on the distinct MPPs (identity covariance).
 
     MPPs are searched per component with constrained optimisation
-    (min ||u||^2 s.t. g <= 0) from ``_ORACLE_STARTS`` starts: the origin
-    and uniform draws on [-4, 4]^d. HL-RF is avoided here because it
-    oscillates on some component geometries and a missed branch would bias
-    the reference low.
+    (min ||u||^2 s.t. g <= 0) from the starts of
+    :func:`s4is.form.start_points`; MPPs within ``DEDUP_DISTANCE`` of an
+    earlier one are dropped. HL-RF is avoided here because it oscillates on
+    some component geometries and a missed branch would bias the reference
+    low.
 
     The n component indices are drawn at once, then the samples
     ``REFERENCE_BLOCK_ROWS`` rows at a time, the stream of one
@@ -271,9 +272,7 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
         def g_u(u, comp=comp):
             return float(comp(np.atleast_2d(rv.from_standard_normal(u)))[0])
 
-        starts = [np.zeros(d)] + [rng.uniform(-4.0, 4.0, size=d)
-                                  for _ in range(_ORACLE_STARTS - 1)]
-        for s in starts:
+        for s in start_points(d, rng):
             res = optimize.minimize(
                 lambda u: float(u @ u), s, jac=lambda u: 2.0 * u,
                 method="SLSQP",
@@ -282,7 +281,7 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
             u_star = res.x
             if not res.success or g_u(u_star) > 1e-6:
                 continue
-            if all(np.linalg.norm(u_star - c) > 0.5 for c in centers):
+            if all(np.linalg.norm(u_star - c) >= DEDUP_DISTANCE for c in centers):
                 centers.append(u_star)
     if not centers:
         raise StageFailureError("no MPP found on any component")

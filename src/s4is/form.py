@@ -2,8 +2,8 @@
 in u-space with finite-difference gradients, central below
 ``_FORWARD_FD_DIM`` inputs (one-sided at a kink, where they cancel) and
 forward from there on, plus a multi-start variant that collects distinct
-MPPs and all paid-for evaluations. A search's trace holds the u and g of
-every evaluation it made, finite-difference probes included.
+MPPs. A search's trace holds the u and g of every evaluation it made,
+finite-difference probes included.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ _VANISHED = 1e-20  # squared gradient norm below which a gradient vanished
 _STEP_TOL = 1e-6  # HL-RF has converged once a step is this short ...
 _G_TOL_REL = 1e-6  # ... and |g| <= this times (|g at the start| + 1)
 _MAX_ITER = 100  # HL-RF iterations before a search ends unconverged
-_DEDUP_DISTANCE = 0.5  # u-space distance below which two MPPs are one
+DEDUP_DISTANCE = 0.5  # u-space distance below which two MPPs are one
+_N_STARTS = 10  # multi-start searches: the origin and uniform draws on [-4, 4]^d
 # From this many inputs on, central-difference gradients dominate the
 # evaluation budget, and forward differences, which reuse g at the
 # iterate, halve their cost.
@@ -121,20 +122,17 @@ def form_pf(beta):
     return float(ndtr(-beta))
 
 
-def multi_start_mpps(evaluator: Evaluator, n_starts, rng):
-    """HL-RF from the origin plus ``n_starts - 1`` uniform starts on [-4, 4]^d.
+def start_points(d, rng):
+    """The ``_N_STARTS`` starts of a multi-start MPP search: the origin,
+    then uniform draws on [-4, 4]^d."""
+    return [np.zeros(d)] + [rng.uniform(-4.0, 4.0, size=d) for _ in range(_N_STARTS - 1)]
 
-    Returns the converged results sorted by beta, less those within
-    ``_DEDUP_DISTANCE`` of a lower-beta one, together with every result,
-    unconverged ones included (their traces are legitimate, paid-for
-    evaluations and feed the second-stage surrogate seed).
-    """
-    d = evaluator.problem.dim
-    starts = [np.zeros(d)]
-    for _ in range(n_starts - 1):
-        starts.append(rng.uniform(-4.0, 4.0, size=d))
+
+def multi_start_mpps(evaluator: Evaluator, rng):
+    """HL-RF from each of :func:`start_points`: the converged results sorted
+    by beta, less those within ``DEDUP_DISTANCE`` of a lower-beta one."""
     results = []
-    for s in starts:
+    for s in start_points(evaluator.problem.dim, rng):
         try:
             results.append(hlrf_search(evaluator, s))
         except StationaryPointError:
@@ -142,9 +140,8 @@ def multi_start_mpps(evaluator: Evaluator, n_starts, rng):
     converged = sorted([r for r in results if r.converged], key=lambda r: r.beta)
     distinct = []
     for r in converged:
-        if all(np.linalg.norm(r.u_star - q.u_star) >= _DEDUP_DISTANCE for q in distinct):
+        if all(np.linalg.norm(r.u_star - q.u_star) >= DEDUP_DISTANCE for q in distinct):
             distinct.append(r)
     if not distinct:
-        raise StageFailureError(
-            "no HL-RF start converged; try a larger number of starts")
-    return distinct, results
+        raise StageFailureError(f"none of {_N_STARTS} HL-RF starts converged")
+    return distinct

@@ -347,20 +347,21 @@ def _thin_trace(evaluator, results):
 
 
 def _form_seed(problem, rng, evaluator):
-    """FORM-driven exploration for high dimension: multi-start HL-RF supplies
-    both the mixture centers and the initial support set."""
-    distinct, all_results = multi_start_mpps(evaluator, 1, rng)
-    # Keep every converged MPP in the training set.
-    support = _thin_trace(evaluator, all_results)
+    """FORM-driven exploration for high dimension: the MPPs of :func:`_mpps`
+    supply both the mixture centres and the initial support set."""
+    results = _mpps(evaluator, rng)
+    if not results[0].converged:
+        raise StageFailureError(
+            f"the HL-RF search from the mean point did not converge in "
+            f"{results[0].iterations} iterations; FORM-seeded exploration needs its MPP")
+    support = _thin_trace(evaluator, results)
     model = fit_surrogate(support, problem.aggregate)
-    mpps = np.array([r.u_star for r in distinct])
-    beta_min = distinct[0].beta
-    pf_form = form_pf(beta_min)
-    final = ReliabilityEstimate(pf=pf_form, variance=0.0, cov=math.nan,
+    beta_min = results[0].beta
+    final = ReliabilityEstimate(pf=form_pf(beta_min), variance=0.0, cov=math.nan,
                                 n_eval=evaluator.ledger.count, n_samples=0)
     report = StageReport([], [], [], final, len(support), "form_seed", coarse=True,
-                         notes={"beta": beta_min, "n_mpps": len(distinct)})
-    return report, model, support, mpps
+                         notes={"beta": beta_min, "n_mpps": len(results)})
+    return report, model, support, np.array([r.u_star for r in results])
 
 
 def run_s4is(problem: ProblemSpec, config: S4isConfig, rng):
@@ -375,15 +376,15 @@ def run_s4is(problem: ProblemSpec, config: S4isConfig, rng):
     return S4isResult(estimate=s2_report.final, stage1=s1_report, stage2=s2_report)
 
 
-def _baseline_mpp(evaluator, rng):
-    """The MPP of the FORM and AK-IS baselines: the last iterate of one HL-RF
-    search from the mean point, converged or not; when the mean point is a
-    stationary point, the lowest-beta result of a 10-start search."""
+def _mpps(evaluator, rng):
+    """The MPPs of FORM, AK-IS and the FORM-seeded stage 1, lowest beta
+    first: the one HL-RF search from the mean point, converged or not; when
+    the mean point is a stationary point, the distinct MPPs of
+    :func:`multi_start_mpps`."""
     try:
-        return hlrf_search(evaluator, np.zeros(evaluator.problem.dim))
+        return [hlrf_search(evaluator, np.zeros(evaluator.problem.dim))]
     except StationaryPointError:
-        distinct, _ = multi_start_mpps(evaluator, 10, rng)
-        return distinct[0]
+        return multi_start_mpps(evaluator, rng)
 
 
 def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
@@ -392,7 +393,7 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     surrogate until the classification is certain (min U >= 2)."""
     rv = problem.marginals
     evaluator = Evaluator(problem)
-    res = _baseline_mpp(evaluator, rng)
+    res = _mpps(evaluator, rng)[0]
     gm = GaussianMixture(res.u_star[None, :])
     pool = _candidate_pool(rv, gm.sample(config.n_c2, rng), gm.logpdf)
     support = _thin_trace(evaluator, [res])
@@ -473,10 +474,10 @@ def run_mcs_baseline(problem: ProblemSpec, n: int, rng):
 
 
 def run_form_baseline(problem: ProblemSpec, rng):
-    """Classical first-order estimate Phi(-beta) at the MPP of
-    :func:`_baseline_mpp`, converged or not (oscillation on multimodal
-    limit states is part of the method's documented behaviour)."""
+    """Classical first-order estimate Phi(-beta) at the first MPP of
+    :func:`_mpps`, converged or not (oscillation on multimodal limit states
+    is part of the method's documented behaviour)."""
     evaluator = Evaluator(problem)
-    pf = form_pf(_baseline_mpp(evaluator, rng).beta)
+    pf = form_pf(_mpps(evaluator, rng)[0].beta)
     return ReliabilityEstimate(pf, 0.0, float("nan"),
                                n_eval=evaluator.ledger.count, n_samples=0)

@@ -28,7 +28,7 @@ def test_library_functions_take_exactly_the_parameters_callers_set():
     # constants; a new parameter is a new knob: add it here on purpose.
     expected = {
         hlrf_search: ["evaluator", "start_u"],
-        multi_start_mpps: ["evaluator", "n_starts", "rng"],
+        multi_start_mpps: ["evaluator", "rng"],
         GpSurrogate.fit: ["self", "x", "y", "seed", "init_lengthscales"],
         fit_surrogate: ["points", "aggregate"],
         kmeans: ["points", "k", "rng"],
@@ -109,6 +109,28 @@ def test_highdim_uses_form_seeding():
     assert res.estimate.cov_defined
 
 
+def test_form_seed_takes_every_mpp_of_a_stationary_mean_point(monkeypatch):
+    # g = 9 - u1^2 at d = 10: the gradient vanishes at the mean point, and
+    # the two MPPs u1 = +-3 (beta 3, pf 2 Phi(-3)) both become centres.
+    def comp(t):
+        return 9.0 - np.atleast_2d(t)[:, 0] ** 2
+
+    rv = RandomVector(tuple(Marginal("normal", 0.0, 1.0) for _ in range(10)))
+    problem = ProblemSpec("two_sided", rv, (comp,), "single")
+    centres, stage2 = [], pipeline.stage2
+
+    def recorded_stage2(*args):
+        centres.append(args[-1])
+        return stage2(*args)
+
+    monkeypatch.setattr(pipeline, "stage2", recorded_stage2)
+    res = run_s4is(problem, S4isConfig(), np.random.default_rng(0))
+    assert res.stage1.notes["n_mpps"] == 2
+    assert res.stage1.notes["beta"] == pytest.approx(3.0, abs=1e-6)
+    np.testing.assert_allclose(np.sort(centres[0][:, 0]), [-3.0, 3.0], atol=1e-6)
+    np.testing.assert_array_equal(centres[0][:, 1:], 0.0)
+
+
 def test_reduced_k_is_a_stage1_note():
     # 40 candidates leave fewer failed ones than the 40 clusters asked for:
     # stage 1 caps k and hands on one mixture centre per cluster.
@@ -168,7 +190,7 @@ def test_window_rule_stops_on_a_flat_window():
 
 def test_thinned_trace_is_answered_by_the_ledger_cache():
     evaluator = Evaluator(builtin_problem("example1"))
-    _, results = multi_start_mpps(evaluator, 3, np.random.default_rng(2))
+    results = multi_start_mpps(evaluator, np.random.default_rng(2))
     spent = evaluator.ledger.count
     support = pipeline._thin_trace(evaluator, results)
     assert evaluator.ledger.count == spent
