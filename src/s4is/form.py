@@ -1,8 +1,8 @@
-"""First-order reliability method: HL-RF search for the most probable point
-in u-space with finite-difference gradients, central below
-``_FORWARD_FD_DIM`` inputs (one-sided at a kink, where they cancel) and
-forward from there on, plus a multi-start variant that collects distinct
-MPPs. A search's trace holds the u and g of every evaluation it made,
+"""First-order reliability method: HL-RF search with a merit line search
+for the most probable point in u-space, with finite-difference gradients
+central below ``_FORWARD_FD_DIM`` inputs (one-sided at a kink, where they
+cancel) and forward from there on, plus a multi-start variant that
+collects distinct MPPs. A search's trace holds the u and g of every evaluation it made,
 finite-difference probes included.
 """
 
@@ -21,6 +21,7 @@ _VANISHED = 1e-20  # squared gradient norm below which a gradient vanished
 _STEP_TOL = 1e-6  # HL-RF has converged once a step is this short ...
 _G_TOL_REL = 1e-6  # ... and |g| <= this times (|g at the start| + 1)
 _MAX_ITER = 100  # HL-RF iterations before a search ends unconverged
+_MIN_STEP_FRACTION = 2.0**-10  # the merit line search halves the step down to this
 DEDUP_DISTANCE = 0.5  # u-space distance below which two MPPs are one
 _N_STARTS = 10  # multi-start searches: the origin and uniform draws on [-4, 4]^d
 # From this many inputs on, central-difference gradients dominate the
@@ -80,11 +81,13 @@ class _UspaceG:
 def hlrf_search(evaluator: Evaluator, start_u):
     """HL-RF iteration from one start point.
 
-    Each iteration spends one g call at the new iterate and the gradient's
-    probes: 2d central differences below ``_FORWARD_FD_DIM`` inputs, d
-    forward ones from there on. Divergence past ``_MAX_ITER`` iterations
-    yields an unconverged result rather than an exception; a gradient that
-    vanishes on both sides (a smooth stationary point, not a kink) raises.
+    Each iteration spends the gradient's probes (2d central differences
+    below ``_FORWARD_FD_DIM`` inputs, d forward ones from there on) and one
+    g call per trial step: the full HL-RF step, halved while the merit
+    0.5 |u|^2 + c |g| rises, down to ``_MIN_STEP_FRACTION`` of it.
+    Divergence past ``_MAX_ITER`` iterations yields an unconverged result
+    rather than an exception; a gradient that vanishes on both sides (a
+    smooth stationary point, not a kink) raises.
     """
     gfun = _UspaceG(evaluator)
     u = np.asarray(start_u, dtype=float).copy()
@@ -100,9 +103,20 @@ def hlrf_search(evaluator: Evaluator, start_u):
         norm2 = float(grad @ grad)
         if norm2 < _VANISHED:
             raise StationaryPointError(f"gradient vanished at u={u.tolist()}")
-        u_next = ((grad @ u - g) / norm2) * grad
-        step = float(np.linalg.norm(u_next - u))
+        u_hl = ((grad @ u - g) / norm2) * grad
+        # iHL-RF merit 0.5 |u|^2 + c |g|; this c lets the full step pass
+        # wherever the linearisation is exact.
+        c = max(2.0 * np.linalg.norm(u) / np.sqrt(norm2),
+                (u_hl @ u_hl - u @ u) / abs(g) if g else 0.0, 1.0)
+        merit = 0.5 * (u @ u) + c * abs(g)
+        fraction, u_next = 1.0, u_hl
         g_next = gfun(u_next)
+        while 0.5 * (u_next @ u_next) + c * abs(g_next) > merit \
+                and fraction > _MIN_STEP_FRACTION:
+            fraction /= 2
+            u_next = u + fraction * (u_hl - u)
+            g_next = gfun(u_next)
+        step = float(np.linalg.norm(u_next - u))
         converged = step <= _STEP_TOL and abs(g_next) <= g_tol
         u, g = u_next, g_next
         if converged:

@@ -99,6 +99,16 @@ def test_trace_records_path():
     assert len(res.trace_u) >= 5
 
 
+def test_merit_line_search_converges_on_example3():
+    # The full HL-RF step oscillates from example3's mean point through all
+    # 100 iterations (501 calls, pf 0.308); halving it while the merit rises
+    # converges near the reported FORM pf 0.1182.
+    res = hlrf_search(Evaluator(builtin_problem("example3")), np.zeros(2))
+    assert res.converged
+    assert res.n_eval <= 250
+    assert form_pf(res.beta) == pytest.approx(0.11797, rel=0.01)
+
+
 def test_multi_start_dedups_symmetric_mpps():
     # example1 has four MPPs at distance 3; multi-start finds several
     ev = Evaluator(builtin_problem("example1"))
