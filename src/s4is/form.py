@@ -2,8 +2,8 @@
 for the most probable point in u-space, with finite-difference gradients
 central below ``_FORWARD_FD_DIM`` inputs (one-sided at a kink, where they
 cancel) and forward from there on, plus a multi-start variant that
-collects distinct MPPs. A search's trace holds the u and g of every evaluation it made,
-finite-difference probes included.
+collects distinct MPPs. A search's trace holds the u and g of every
+evaluation it made, finite-difference probes included.
 """
 
 from __future__ import annotations

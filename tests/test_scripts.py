@@ -19,3 +19,18 @@ def test_paired_timing_of_a_checkout_against_itself():
         assert re.search(rf"^{side}: median [\d.]+ s \(quartiles [\d.]+ / [\d.]+\)$",
                          out, re.MULTILINE)
     assert re.search(r"median ratio [\d.]+; this faster in [012] of 2 units$", out)
+
+
+def test_sweep_all_prints_one_row_per_target():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep.py"), "all", "--seeds", "1-1"],
+        capture_output=True, text=True, check=True, timeout=300).stdout
+    solves = {"s4is_solve": 8, "example5_d10": 5, "example2": 1, "example3": 1,
+              "example4_c3": 1, "example4_c4": 1}
+    number = r"[+-]?[\d.]+"
+    rows = re.findall(rf"^(\w+) +(\d+) +(\d+) +(\d+) +({number})% +({number}) +(\d+) +"
+                      rf"{number}$", out, re.MULTILINE)
+    assert {row[0]: int(row[1]) for row in rows} == solves, out
+    for _, n, out_of_band, flagged, _, mean_n_eval, max_n_eval in rows:
+        assert 0 <= int(out_of_band) <= int(n) and 0 <= int(flagged) <= int(n)
+        assert 0 < float(mean_n_eval) <= int(max_n_eval)
