@@ -166,6 +166,19 @@ def _build_problem(cfg):
     return external_problem(ext["command"], marginals, ext.get("timeout_s"))
 
 
+def _record(obj):
+    """The dataclass ``obj`` as a report record: its fields by name, with
+    every NaN float in it, however deep in dicts and lists, as null (an
+    undefined CoV; JSON has no NaN)."""
+    def nulled(value):
+        if isinstance(value, dict):
+            return {k: nulled(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [nulled(v) for v in value]
+        return None if isinstance(value, float) and math.isnan(value) else value
+    return nulled(dataclasses.asdict(obj))
+
+
 def build_report(cfg):
     """Execute the configured analysis and assemble the JSON-ready report.
     Every problem component with a ``close`` method (an external evaluator)
@@ -181,10 +194,10 @@ def build_report(cfg):
     try:
         for i in range(n_rep):
             est, result = benchmarks.run_method(method, problem, s4cfg, rng, mcs_n)
-            entry = {"replicate": i, **est.to_dict()}
+            entry = {"replicate": i, **_record(est)}
             if result is not None:
-                entry["stages"] = {"stage1": result.stage1.to_dict(),
-                                   "stage2": result.stage2.to_dict()}
+                entry["stages"] = {"stage1": _record(result.stage1),
+                                   "stage2": _record(result.stage2)}
             replicates.append(entry)
     finally:
         for component in problem.components:

@@ -26,15 +26,6 @@ class ReliabilityEstimate:
     def cov_defined(self):
         return not math.isnan(self.cov)
 
-    def to_dict(self):
-        return {
-            "pf": self.pf,
-            "variance": self.variance,
-            "cov": None if not self.cov_defined else self.cov,
-            "n_eval": self.n_eval,
-            "n_samples": self.n_samples,
-        }
-
 
 def _finish(pf, variance, n_samples):
     cov = math.sqrt(variance) / pf if pf > 0 else math.nan

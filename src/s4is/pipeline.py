@@ -98,19 +98,6 @@ class StageReport:
     initial_pf: float | None = None
     notes: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "pf_history": list(self.pf_history),
-            "cov_history": [None if (c is None or math.isnan(c)) else c for c in self.cov_history],
-            "n_eval_history": list(self.n_eval_history),
-            "final": self.final.to_dict(),
-            "support_size": self.support_size,
-            "termination": self.termination,
-            "coarse": self.coarse,
-            "initial_pf": self.initial_pf,
-            "notes": self.notes,
-        }
-
 
 @dataclass
 class S4isResult:

@@ -4,7 +4,8 @@ behaviour must reproduce them.
 Each case is a run config; its report is stored under ``tests/data/``.
 Strings, integers, booleans and nulls must match exactly, floats to a
 relative 1e-9. The two ``mcs`` cases pin crude Monte Carlo at 1e6
-samples, on a normal vector and on example5's ten lognormals. The small
+samples, on a normal vector and on example5's ten lognormals; the
+``form`` case has no CoV, so its replicate's ``cov`` is null. The small
 ``s4is`` blocks force the rarer paths of the refinement loop: CoV-driven
 pool growth, ``max_iterations`` in both stages, and ``pool_exhausted``.
 
@@ -18,7 +19,10 @@ import pathlib
 
 import pytest
 
+from s4is import benchmarks
 from s4is.cli import build_report, report_json, validate_config
+from s4is.estimators import ReliabilityEstimate
+from s4is.pipeline import S4isResult, StageReport
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -37,6 +41,7 @@ def _mcs(builtin):
 CASES = {
     "mcs_example1": _mcs({"name": "example1"}),
     "mcs_example5_d10": _mcs({"name": "example5", "d": 10}),
+    "form_example1": _cfg("form", {"name": "example1"}),
     "akis_example1": _cfg("akis", {"name": "example1"}),
     "s4is_example1": _cfg("s4is", {"name": "example1"}),
     "s4is_example5_d10": _cfg("s4is", {"name": "example5", "d": 10}),
@@ -93,6 +98,29 @@ def test_recordings_cover_the_rare_loop_paths():
     assert exhausted["stage1"]["termination"] == "pool_exhausted"
     assert exhausted["stage2"]["termination"] == "pool_exhausted"
     assert exhausted["stage2"]["notes"]["cov_target_missed"] is True
+
+
+def test_every_nan_in_a_stage_is_written_as_null(monkeypatch):
+    # No recorded run has an undefined CoV inside a history: a stand-in
+    # run_method returns one, and a NaN note, through the real writer.
+    nan = math.nan
+    est = ReliabilityEstimate(pf=0.0, variance=0.0, cov=nan, n_eval=3, n_samples=10)
+    stage = StageReport([0.0, 0.5, 0.25], [nan, 0.1, nan], [1, 2, 3], est, 3, "converged",
+                        initial_pf=nan, notes={"beta": nan, "k_reduced_to": 1})
+    result = S4isResult(est, stage, stage)
+    monkeypatch.setattr(benchmarks, "run_method", lambda *args: (est, result))
+    text = report_json(build_report(_cfg("s4is", {"name": "example1"})))
+    assert "NaN" not in text
+    replicate = json.loads(text)["replicates"][0]
+    assert replicate["cov"] is None and replicate["variance"] == 0.0
+    for written in replicate["stages"].values():
+        assert written["pf_history"] == [0.0, 0.5, 0.25]
+        assert written["cov_history"] == [None, 0.1, None]
+        assert written["n_eval_history"] == [1, 2, 3]
+        assert written["initial_pf"] is None and written["final"]["cov"] is None
+        assert written["notes"] == {"beta": None, "k_reduced_to": 1}
+    # The writer leaves the run's own records as they were.
+    assert math.isnan(stage.cov_history[0]) and math.isnan(stage.notes["beta"])
 
 
 if __name__ == "__main__":
