@@ -1,6 +1,6 @@
-"""Write the 22 fixed-seed CLI reports, the dump of the reference tables
-and the true-g oracle's estimates that a behaviour-preserving change must
-leave byte-identical.
+"""Write the 22 fixed-seed CLI reports, the dump of the reference tables,
+the true-g oracle's estimates and two ``s4is reproduce`` tables that a
+behaviour-preserving change must leave byte-identical.
 
     python3 scripts/reports.py OUTDIR
 
@@ -16,8 +16,11 @@ the files do not depend on the host's thread count. Each report lands in
 reference pf and each method's bands (quantity, value, low, high,
 provenance), in order. ``OUTDIR/oracle.txt`` records ``oracle_is_reference``
 with n = 1e6 and ``default_rng(7)`` on example1 and example4 (c = 5): pf,
-variance and cov as repr. To check a change, run the script from both
-checkouts and compare the two directories with ``diff -r``.
+variance and cov as repr. ``OUTDIR/reproduce.txt`` records the output and
+exit status of ``s4is reproduce EXAMPLE --replicates 2 --seed 7`` for
+example1 (reference from the run's own MCS) and example4_c5 (reference from
+the oracle). To check a change, run the script from both checkouts and
+compare the two directories with ``diff -r``.
 """
 
 import json
@@ -68,6 +71,8 @@ for label, builtin in {problems!r}:
                               np.random.default_rng({seed}), n={n})
     print(label, repr(est.pf), repr(est.variance), repr(est.cov))
 """
+# Each reproduce table's two reference sources: its own MCS, and the oracle.
+REPRODUCE_EXAMPLES = ("example1", "example4_c5")
 
 
 def main(argv):
@@ -102,6 +107,18 @@ def main(argv):
     with open(oracle, "w", encoding="utf-8") as fh:
         subprocess.run([sys.executable, "-c", dump], env=env, stdout=fh, check=True)
     print(oracle, flush=True)
+    reproduce = out / "reproduce.txt"
+    with open(reproduce, "w", encoding="utf-8") as fh:
+        for example_id in REPRODUCE_EXAMPLES:
+            fh.flush()
+            # Exit 1 is a failed verdict, part of the record; 2 and 3 are errors.
+            code = subprocess.run([sys.executable, "-m", "s4is.cli", "reproduce", example_id,
+                                   "--replicates", "2", "--seed", str(SEED)],
+                                  env=env, stdout=fh).returncode
+            if code not in (0, 1):
+                raise SystemExit(f"s4is reproduce {example_id} exited {code}")
+            fh.write(f"exit {code}\n")
+    print(reproduce, flush=True)
     return 0
 
 

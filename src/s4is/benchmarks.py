@@ -12,6 +12,7 @@ and emits a comparison report.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import ConfigError, S4isError, StageFailureError
 from .estimators import is_estimate_from_log, relative_error
 from .evaluation import Evaluator, ProblemSpec
 from .form import DEDUP_DISTANCE, start_points
-from .pipeline import (S4isConfig, check_sample_count, prefetch_blocks,
+from .pipeline import (S4isConfig, check_count, prefetch_blocks,
                        run_akis_baseline, run_form_baseline, run_mcs_baseline,
                        run_s4is)
 from .probability import (GaussianMixture, Marginal, RandomVector,
@@ -210,14 +211,13 @@ def builtin_problem(name, c=None, d=None):
         marginals = RandomVector((Marginal("normal", 1.5, 1.0), Marginal("normal", 2.5, 1.0)))
         components = (_example3_component,)
     elif name == "example4":
-        if c not in EXAMPLE4_LEVELS:
+        if not isinstance(c, numbers.Integral) or c not in EXAMPLE4_LEVELS:
             levels = ", ".join(map(str, EXAMPLE4_LEVELS))
-            raise ConfigError(f"example4 requires c in {{{levels}}}")
+            raise ConfigError(f"example4 requires c in {{{levels}}}, got {c!r}")
         name = f"example4_c{c}"
         marginals, components, aggregation = _std_normals(2), _example4_components(c), "series_min"
     else:
-        if d is None or d < 1:
-            raise ConfigError("example5 requires d >= 1")
+        d = check_count("d", d)
         name = f"example5_d{d}"
         marginals = RandomVector(tuple(Marginal("lognormal", 1.0, 0.2) for _ in range(d)))
         components = (_example5_component(d),)
@@ -240,7 +240,7 @@ def reference_table(example_id, replicates=10):
     methods = METHODS[1:] if example_id == "example4_c5" else METHODS
     mcs_n = int(reported["mcs"]["n_eval"]) if "mcs" in methods else 0
     return ExperimentDef(example_id, builtin_problem(**problem_args), methods,
-                         mcs_n, replicates, expected)
+                         mcs_n, check_count("replicates", replicates), expected)
 
 
 def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
@@ -264,7 +264,7 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     it raises, stays on the caller's thread. After an error the generator
     may be one block further on than the failed block.
     """
-    n = check_sample_count(n)
+    n = check_count("sample count", n)
     d = problem.dim
     rv = problem.marginals
     centers = []

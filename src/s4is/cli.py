@@ -129,6 +129,8 @@ def _read_json(path):
             return json.load(fh, parse_constant=reject, parse_float=finite)
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
+    except ConfigError:  # from reject or finite, worded already
+        raise
     # ValueError covers a decoding error and an integer past Python's digit
     # limit; RecursionError, nesting too deep.
     except (ValueError, RecursionError) as e:
@@ -310,8 +312,6 @@ def cmd_run(args):
 
 
 def cmd_reproduce(args):
-    if args.replicates < 1:
-        raise ConfigError(f"--replicates must be >= 1, got {args.replicates}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     ids = benchmarks.EXAMPLE_IDS if args.example == "all" else (args.example,)

@@ -5,7 +5,7 @@ class S4isError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConfigError(S4isError):
+class ConfigError(S4isError, ValueError):
     """Invalid configuration, unknown problem name or bad parameters."""
 
 

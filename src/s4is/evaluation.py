@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import json
 import math
+import numbers
 import queue
 import subprocess
 import threading
@@ -142,11 +143,11 @@ class ExternalEvaluator:
         if isinstance(command, str):
             raise ConfigError("external command must be a list of arguments, not a string")
         if timeout_s is not None and (isinstance(timeout_s, bool)
-                                      or not isinstance(timeout_s, (int, float))
+                                      or not isinstance(timeout_s, numbers.Real)
                                       or not 0 < timeout_s <= threading.TIMEOUT_MAX):
             raise ConfigError(f"external timeout_s must be a number in (0, "
                               f"{threading.TIMEOUT_MAX:g}], got {timeout_s!r}")
-        self._timeout_s = timeout_s
+        self._timeout_s = None if timeout_s is None else float(timeout_s)
         self._next_id = 1
         self._lock = threading.Lock()
         try:

@@ -38,6 +38,14 @@ _LOWEST = {"n_c1": 2, "n_s1_0": 2, "n_c2": 1, "k_clusters": 1, "a1": 1, "a2": 1,
            "pool_growth_limit": 1, "max_iter1": 0, "max_iter2": 0}
 
 
+def check_count(name, value, lowest=1):
+    """``value`` as the count ``name``: an integer >= ``lowest``, never a
+    bool (a switch is never a valid count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
+        raise ConfigError(f"{name} must be an integer >= {lowest}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class S4isConfig:
     """The run parameters of the two-stage method; defaults follow the
@@ -59,19 +67,15 @@ class S4isConfig:
     pool_growth_limit: int = 10
 
     def __post_init__(self):
-        # bool is an int subclass; a switch is never a valid count.
         for name, lowest in _LOWEST.items():
             value = getattr(self, name)
-            if value is None and name in ("n_c1", "n_s1_0"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < lowest:
-                raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
+            if value is not None or name not in ("n_c1", "n_s1_0"):
+                check_count(name, value, lowest)
         for name in ("eps1", "eps2", "cov_target"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                     or not value > 0:
-                raise ValueError(f"{name} must be a number > 0, got {value!r}")
+                raise ConfigError(f"{name} must be a number > 0, got {value!r}")
 
     def candidates_stage1(self, d):
         if self.n_c1 is not None:
@@ -405,13 +409,6 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     return report.final
 
 
-def check_sample_count(n):
-    """``n`` as a reference sample count: an integer >= 1, never a bool."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ConfigError(f"sample count must be an integer >= 1, got {n!r}")
-    return int(n)
-
-
 def prefetch_blocks(n, draw, work):
     """``work(block, draw(block))`` for the slices ``block`` of range(n),
     ``REFERENCE_BLOCK_ROWS`` rows each, in order.
@@ -442,7 +439,7 @@ def run_mcs_baseline(problem: ProblemSpec, n: int, rng):
     every error it raises, stays on the caller's thread. After an error the
     generator may be one block further on than the failed block.
     """
-    n = check_sample_count(n)
+    n = check_count("sample count", n)
     rv = problem.marginals
     d = problem.dim
     evaluator = Evaluator(problem)

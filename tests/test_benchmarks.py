@@ -42,6 +42,42 @@ def test_all_tables_populated():
     assert builtin_problem("example5", d=7).reference_pf is None
 
 
+# (constructor, arguments, the ConfigError's message)
+_BAD_COUNTS = [
+    (builtin_problem, {"name": "example4", "c": 3.0},
+     "example4 requires c in {3, 4, 5}, got 3.0"),
+    (builtin_problem, {"name": "example5", "d": True}, "d must be an integer >= 1, got True"),
+    (builtin_problem, {"name": "example5", "d": 2.0}, "d must be an integer >= 1, got 2.0"),
+    (builtin_problem, {"name": "example5"}, "d must be an integer >= 1, got None"),
+    (reference_table, {"example_id": "example5_d2", "replicates": 0},
+     "replicates must be an integer >= 1, got 0"),
+    (reference_table, {"example_id": "example5_d2", "replicates": 2.5},
+     "replicates must be an integer >= 1, got 2.5"),
+    (S4isConfig, {"n_c1": 1}, "n_c1 must be an integer >= 2, got 1"),
+    (S4isConfig, {"max_iter2": -1}, "max_iter2 must be an integer >= 0, got -1"),
+    (S4isConfig, {"eps1": 0.0}, "eps1 must be a number > 0, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("make, kwargs, message", _BAD_COUNTS,
+                         ids=[message for *_, message in _BAD_COUNTS])
+def test_library_counts_raise_one_config_error(make, kwargs, message):
+    # The library takes the counts the CLI's schema takes, and says so by
+    # the same rule; ConfigError is also a ValueError.
+    with pytest.raises(ConfigError) as info:
+        make(**kwargs)
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError)
+
+
+def test_numpy_integer_counts_are_counts():
+    assert builtin_problem("example4", c=np.int64(3)).name == "example4_c3"
+    problem = builtin_problem("example5", d=np.int64(2))
+    assert problem.name == "example5_d2" and problem.dim == 2
+    assert problem.reference_pf == pytest.approx(4.926e-3)
+    assert reference_table("example5_d2", replicates=np.int64(3)).replicates == 3
+
+
 def test_reported_values_spot_checks():
     exp = reference_table("example1")
     by_q = {b.quantity: b for b in exp.expected["s4is"]}

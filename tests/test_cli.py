@@ -127,6 +127,19 @@ def test_number_past_the_float_range_exits_2_without_evaluation(tmp_path, capsys
     assert not sentinel.exists()
 
 
+@pytest.mark.parametrize("token, reason", [
+    ("NaN", " is not valid JSON: NaN is not a number"),
+    ("1e400", ": 1e400 is past the float range"),
+])
+def test_rejected_number_is_reported_once(tmp_path, capsys, token, reason):
+    # The ConfigError raised inside json.load is not wrapped a second time.
+    path = tmp_path / "c.json"
+    path.write_text('{"problem": {"builtin": {"name": "example1"}}, "method": "form", '
+                    '"s4is": {"eps1": ' + token + '}}')
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}{reason}\n"
+
+
 def test_nesting_past_the_recursion_limit_exits_2(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text('{"problem": ' + "[" * 100_000 + "]" * 100_000 + ', "method": "form"}')

@@ -263,6 +263,16 @@ time.sleep(60)
     assert child._proc.stdout.closed and child._proc.stderr.closed
 
 
+def test_numpy_integer_timeout_is_accepted(tmp_path):
+    # np.int64 is a numbers.Real but no int subclass (np.float64 is a float).
+    problem = external_problem(_child(tmp_path, WELL_BEHAVED), TWO_NORMALS,
+                               timeout_s=np.int64(5))
+    try:
+        assert Evaluator(problem).g(np.zeros(2)) == pytest.approx(2.2, abs=1e-9)
+    finally:
+        problem.components[0].close()
+
+
 @pytest.mark.parametrize("timeout_s", [0, -1.0, math.nan, math.inf, True, "1", 1e10])
 def test_bad_timeout_is_a_config_error_before_any_child_starts(timeout_s):
     with mock.patch.object(s4is.evaluation.subprocess, "Popen",
