@@ -70,6 +70,7 @@ class ExperimentDef:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+        object.__setattr__(self, "replicates", check_count("replicates", self.replicates))
 
 
 def _std_normals(d):
@@ -193,12 +194,15 @@ def builtin_problem(name, c=None, d=None):
     """Construct one of the built-in benchmark problems ``BUILTIN_NAMES``.
 
     example4 takes the reliability-level constant ``c`` in
-    ``EXAMPLE4_LEVELS``; example5 takes the dimension ``d`` >= 1. The
-    reference pf is the MCS pf of the problem's ``_EXAMPLES`` row; example5
-    at a dimension with no row has none.
+    ``EXAMPLE4_LEVELS``; example5 takes the dimension ``d`` >= 1; no other
+    problem takes either. The reference pf is the MCS pf of the problem's
+    ``_EXAMPLES`` row; example5 at a dimension with no row has none.
     """
     if name not in BUILTIN_NAMES:
         raise ConfigError(f"unknown built-in problem {name!r}")
+    for key, value, taker in (("c", c, "example4"), ("d", d, "example5")):
+        if value is not None and name != taker:
+            raise ConfigError(f"{name} takes no {key}; only {taker} does, got {key}={value!r}")
     aggregation = "single"
     if name == "example1":
         marginals, components, aggregation = _std_normals(2), _example1_components(), "series_min"
@@ -240,7 +244,7 @@ def reference_table(example_id, replicates=10):
     methods = METHODS[1:] if example_id == "example4_c5" else METHODS
     mcs_n = int(reported["mcs"]["n_eval"]) if "mcs" in methods else 0
     return ExperimentDef(example_id, builtin_problem(**problem_args), methods,
-                         mcs_n, check_count("replicates", replicates), expected)
+                         mcs_n, replicates, expected)
 
 
 def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):

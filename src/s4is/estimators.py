@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import DensitySupportError
 
+# Samples whose weights is_estimate_from_log computes at a time, so that its
+# temporaries keep this size whatever the sample count.
+_WEIGHT_SLICE = 1 << 14
+
 
 @dataclass
 class ReliabilityEstimate:
@@ -43,7 +47,9 @@ def mcs_estimate(indicators):
 
 
 def is_variance_deviation(weighted, pf):
-    """Sum-of-squared-deviations form of the IS estimator variance."""
+    """Sum-of-squared-deviations form of the IS estimator variance: the
+    reference formula of :func:`is_estimate_from_log`'s, which takes it in
+    place."""
     w = np.asarray(weighted, dtype=float)
     n = w.size
     if n < 2:
@@ -66,17 +72,27 @@ def is_estimate_from_log(indicators, log_w):
     and proposal; a failure whose weight is +inf (q = 0) or NaN raises.
 
     Working in logs keeps likelihood ratios finite in high dimension where
-    both densities underflow.
+    both densities underflow. The weighted indicators are the one (n,)
+    array made here: they are filled ``_WEIGHT_SLICE`` samples at a time,
+    then turned into squared deviations from pf in place, so the variance
+    is :func:`is_variance_deviation`'s bit for bit.
     """
     ind = np.asarray(indicators, dtype=bool)
     log_w = np.asarray(log_w, dtype=float)
     n = ind.size
-    if np.any(ind & ~(log_w < np.inf)):
-        raise DensitySupportError("importance density is zero at a failure sample")
     weighted = np.zeros(n)
-    weighted[ind] = np.exp(log_w[ind])
+    for start in range(0, n, _WEIGHT_SLICE):
+        block = slice(start, start + _WEIGHT_SLICE)
+        failed = ind[block]
+        logs = log_w[block][failed]
+        if not np.all(logs < np.inf):
+            raise DensitySupportError("importance density is zero at a failure sample")
+        weighted[block][failed] = np.exp(logs, out=logs)
     pf = float(weighted.mean())
-    variance = is_variance_deviation(weighted, pf)
+    variance = 0.0
+    if n >= 2:
+        weighted -= pf
+        variance = float(np.sum(np.square(weighted, out=weighted)) / (n * (n - 1)))
     return _finish(pf, variance, n)
 
 

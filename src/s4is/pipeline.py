@@ -27,10 +27,13 @@ from .surrogate import SupportPointSet, fit_surrogate, update_surrogate
 HIGHDIM_THRESHOLD = 10  # stage 1 is FORM-seeded from this dimension on
 _TRACE_MIN_SEP = 0.05  # u-space separation of the points kept from an HL-RF trace
 _TRACE_MAX_POINTS = 300  # and their largest number
-# Rows transformed and evaluated at a time by the sample-based references
-# (crude MCS and the true-g oracle), so that their temporaries keep this
-# size whatever the sample count.
-REFERENCE_BLOCK_ROWS = 1 << 16
+# Rows drawn, transformed and evaluated at a time by the sample-based
+# references (crude MCS and the true-g oracle), so that their temporaries
+# keep this size whatever the sample count. At d = 10 one block of draws is
+# 1.25 MB, and crude MCS holds about 3.2 blocks at once: the draw in flight
+# and the block under evaluation with its transform and g's temporaries.
+# What stays O(n) is each reference's per-sample results.
+REFERENCE_BLOCK_ROWS = 1 << 14
 
 # S4isConfig's integer fields and their lowest values: stage 1's design must
 # fit a GP, which takes two points; iteration caps may be 0.

@@ -26,7 +26,9 @@ differences of the gradient) is built once per fit, not once per
 evaluation. The correlation matrix, the gradient's products and the
 prediction's kernel rows are scaled, exponentiated and multiplied in
 place, in buffers reused within a call, with the bits of the plain
-expressions.
+expressions. Predictions take their rows in blocks of about
+``_PREDICT_BLOCK_VALUES`` kernel values, so a candidate pool's kernel is
+never built whole (``GpSurrogate._kernel_blocks``).
 
 For the same reason each L-BFGS-B start runs ``_lbfgsb``, which drives
 scipy's ``setulb`` routine itself, in place of scipy's own
@@ -103,6 +105,12 @@ _TASK_FG = 3
 _TASK_NEW_X = 1
 _TASK_STOP = 5
 _TASK_MAXITER = 504
+# Kernel values (rows x support points) a prediction computes at a time,
+# and the multiple of rows its blocks take (``GpSurrogate._kernel_blocks``):
+# a multiple of the four rows that OpenBLAS's x86-64 gemv kernels take together,
+# with room for kernels that take eight or sixteen.
+_PREDICT_BLOCK_VALUES = 1 << 16
+_PREDICT_ROW_ALIGN = 16
 
 
 def _lbfgsb(fun, x0, args, bounds, maxiter=60, **_):
@@ -424,25 +432,59 @@ class GpSurrogate:
         if not self.fitted:
             raise ValueError("surrogate is not fitted")
 
+    def _kernel_blocks(self, u):
+        """(slice, kernel rows) for the rows of ``u`` in order, in blocks of
+        about ``_PREDICT_BLOCK_VALUES`` kernel values, so a prediction's
+        temporaries keep that size whatever the row count.
+
+        Blocking keeps every bit of one BLAS call on all the rows: ``dpotrs``
+        solves each column alone, and ``gemv`` takes the rows in groups of
+        four from the start of its call, with the tail rows apart. So the
+        block size is a multiple of ``_PREDICT_ROW_ALIGN``, and a last block
+        of one row, which numpy hands to ``dot`` in place of ``gemv``, is
+        joined to the block before it. With more than one BLAS thread,
+        ``gemv`` splits its rows between the threads, and the bits depend on
+        where (ROADMAP item 12).
+        """
+        n = len(u)
+        rows = max(_PREDICT_ROW_ALIGN, _PREDICT_BLOCK_VALUES // self.x.shape[0]
+                   // _PREDICT_ROW_ALIGN * _PREDICT_ROW_ALIGN)
+        start = 0
+        while start < n:
+            stop = start + rows
+            if stop == n - 1:
+                stop = n
+            k = _sq_dists(u[start:stop], self.x, self.lengthscales)
+            k *= -0.5
+            np.exp(k, out=k)
+            yield slice(start, stop), k
+            start = stop
+
     def predict_mean(self, u):
+        """Posterior mean at the (n, d) rows ``u``, computed in row blocks
+        (``_kernel_blocks``)."""
         self._check()
         if self._constant:
             return np.full(len(u), self._y_mean)
-        k = _sq_dists(u, self.x, self.lengthscales)
-        k *= -0.5
-        np.exp(k, out=k)
-        return self._y_mean + self._y_sd * (self.trend + k @ self._alpha)
+        mean = np.empty(len(u))
+        for block, k in self._kernel_blocks(u):
+            mean[block] = self._y_mean + self._y_sd * (self.trend + k @ self._alpha)
+        return mean
 
     def predict_sd(self, u):
+        """Posterior standard deviation at the (n, d) rows ``u``, with the
+        trend's uncertainty, computed in row blocks (``_kernel_blocks``)."""
         self._check()
         if self._constant:
             return np.zeros(len(u))
-        k = np.exp(-0.5 * _sq_dists(u, self.x, self.lengthscales))
-        v, _ = dpotrs(self._chol, k.T, lower=1)
-        var = 1.0 - np.sum(k.T * v, axis=0)
-        u_term = 1.0 - k @ self._rinv1
-        var = self.signal_variance * (var + u_term**2 / self._one_rinv_one)
-        return self._y_sd * np.sqrt(np.clip(var, 0.0, None))
+        sd = np.empty(len(u))
+        for block, k in self._kernel_blocks(u):
+            v, _ = dpotrs(self._chol, k.T, lower=1)
+            var = 1.0 - np.sum(k.T * v, axis=0)
+            u_term = 1.0 - k @ self._rinv1
+            var = self.signal_variance * (var + u_term**2 / self._one_rinv_one)
+            sd[block] = self._y_sd * np.sqrt(np.clip(var, 0.0, None))
+        return sd
 
     def predict(self, u):
         return self.predict_mean(u), self.predict_sd(u)

@@ -70,6 +70,31 @@ def test_library_counts_raise_one_config_error(make, kwargs, message):
     assert isinstance(info.value, ValueError)
 
 
+def test_experiment_def_checks_its_replicate_count():
+    # Built directly, not through reference_table, an experiment of zero
+    # replicates used to reach run_experiment's mean of no estimates.
+    exp = reference_table("example5_d2")
+    for replicates, shown in ((0, "0"), (True, "True"), (2.5, "2.5")):
+        with pytest.raises(ConfigError, match=f"^replicates must be an integer >= 1, got {shown}$"):
+            type(exp)(exp.example_id, exp.problem, ("form", "akis"), 0, replicates,
+                      exp.expected)
+    assert type(exp)(exp.example_id, exp.problem, ("form",), 0, np.int64(2)).replicates == 2
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"name": "example1", "c": 7, "d": 0}, "c"),
+    ({"name": "example1", "d": 5}, "d"),
+    ({"name": "example2", "c": 3}, "c"),
+    ({"name": "example3", "d": 2}, "d"),
+    ({"name": "example4", "c": 3, "d": 2}, "d"),
+    ({"name": "example5", "c": 3, "d": 2}, "c"),
+])
+def test_a_problem_rejects_the_parameter_it_does_not_take(kwargs, key):
+    taker = {"c": "example4", "d": "example5"}[key]
+    with pytest.raises(ConfigError, match=f"^{kwargs['name']} takes no {key}; only {taker} does"):
+        builtin_problem(**kwargs)
+
+
 def test_numpy_integer_counts_are_counts():
     assert builtin_problem("example4", c=np.int64(3)).name == "example4_c3"
     problem = builtin_problem("example5", d=np.int64(2))
@@ -277,6 +302,18 @@ def test_reference_g_stays_on_the_caller_thread_and_no_thread_outlives_it(method
     assert batches == [REFERENCE_BLOCK_ROWS] * 2
     assert threading.active_count() == before
     assert threads == {threading.get_ident()}
+
+
+def test_mcs_holds_a_few_draw_blocks_beyond_its_failure_flags(peak_bytes):
+    # Beyond its n failure flags, crude MCS holds the draw in flight and the
+    # block under evaluation, with its transform and g's temporaries: at
+    # d = 10 about 3.2 blocks of REFERENCE_BLOCK_ROWS rows, under 5 MB.
+    problem = builtin_problem("example5", d=10)
+    n = 5 * REFERENCE_BLOCK_ROWS + 3
+    block = 8 * REFERENCE_BLOCK_ROWS * problem.dim
+    extra = peak_bytes(lambda: run_mcs_baseline(problem, n, np.random.default_rng(2))) - n
+    assert extra < 3.5 * block
+    assert extra < 5e6
 
 
 @pytest.mark.parametrize("n", [0, -5, True, 2.5, "10", None])

@@ -93,6 +93,20 @@ def test_bad_s4is_block_exits_2_without_evaluation(tmp_path, capsys, block):
     assert not sentinel.exists()
 
 
+@pytest.mark.parametrize("builtin", [{"name": "example1", "d": 5},
+                                     {"name": "example3", "c": 3},
+                                     {"name": "example5", "d": 2, "c": 4}])
+def test_parameter_the_problem_does_not_take_exits_2_without_evaluation(tmp_path, capsys,
+                                                                        builtin):
+    payload = {"problem": {"builtin": builtin}, "method": "form"}
+    with mock.patch.object(Evaluator, "g_batch") as g_batch, \
+            mock.patch.object(Evaluator, "components_at") as components_at:
+        assert main(["run", "--config", _config(tmp_path, payload)]) == 2
+    key = "c" if "c" in builtin else "d"
+    assert f"{builtin['name']} takes no {key}" in capsys.readouterr().err
+    assert not g_batch.called and not components_at.called
+
+
 @pytest.mark.parametrize("block, marginal", [
     ({"cov_target": float("inf")}, None),
     ({}, {"kind": "normal", "mean": float("nan"), "sd": 1}),
@@ -590,8 +604,9 @@ def test_schema_enums_are_the_library_constants():
     assert props["output"]["properties"]["format"]["enum"] == list(OUTPUT_FORMATS)
     assert props["method"]["enum"] == list(METHODS)
     # The constants are what the library and the options accept.
+    takes = {"example4": {"c": EXAMPLE4_LEVELS[0]}, "example5": {"d": 2}}
     for name in BUILTIN_NAMES:
-        assert builtin_problem(name, c=EXAMPLE4_LEVELS[0], d=2) is not None
+        assert builtin_problem(name, **takes.get(name, {})) is not None
     for c in EXAMPLE4_LEVELS:
         assert builtin_problem("example4", c=c).name == f"example4_c{c}"
     with pytest.raises(ConfigError, match="unknown built-in problem"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+import s4is.estimators
 from s4is.errors import DensitySupportError
 from s4is.estimators import (is_estimate_from_log, is_variance_deviation,
                              is_variance_moment, mcs_estimate, relative_error)
@@ -132,6 +133,48 @@ def test_deviation_variance_equals_the_squared_copy_bit_for_bit():
     want = float(np.sum((w - pf) ** 2) / (w.size * (w.size - 1)))
     assert repr(is_variance_deviation(w, pf)) == repr(want)
     np.testing.assert_array_equal(w, kept)  # the caller's weights are untouched
+
+
+_SLICE = s4is.estimators._WEIGHT_SLICE
+
+
+@pytest.mark.parametrize("n", [1, 2, _SLICE - 1, _SLICE, _SLICE + 1, 10**6 + 3])
+def test_sliced_estimate_is_the_deviation_formula_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    log_w = rng.normal(0.0, 3.0, n)
+    ind = rng.random(n) < 0.3
+    ind[-1] = True
+    kept = log_w.copy()
+    weighted = np.zeros(n)
+    weighted[ind] = np.exp(log_w[ind])
+    pf = float(weighted.mean())
+    est = is_estimate_from_log(ind, log_w)
+    assert repr(est.pf) == repr(pf)
+    assert repr(est.variance) == repr(is_variance_deviation(weighted, pf))
+    np.testing.assert_array_equal(log_w, kept)  # the caller's log weights are untouched
+
+
+@pytest.mark.parametrize("at", [_SLICE - 1, _SLICE, 2 * _SLICE + 2])
+def test_zero_proposal_density_at_a_failure_in_any_slice_raises(at):
+    n = 2 * _SLICE + 3
+    ind = np.zeros(n, dtype=bool)
+    log_w = np.zeros(n)
+    log_w[at] = np.inf
+    assert is_estimate_from_log(ind, log_w).pf == 0.0  # a safe sample's weight is unused
+    ind[at] = True
+    with pytest.raises(DensitySupportError):
+        is_estimate_from_log(ind, log_w)
+
+
+def test_estimate_holds_one_sample_length_array(peak_bytes):
+    # The weighted indicators are the estimate's one (n,) array; the
+    # weights of one slice at a time and the squared deviations, taken in
+    # place, add no second one.
+    n = 10**6
+    rng = np.random.default_rng(5)
+    ind = rng.random(n) < 0.3
+    log_w = rng.normal(size=n)
+    assert peak_bytes(lambda: is_estimate_from_log(ind, log_w)) < 1.25 * 8 * n
 
 
 def test_relative_error():

@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -716,6 +720,57 @@ def test_likelihood_kernel_equals_the_cho_solve_reference(n, d, isotropic):
         assert np.array_equal(grad, ref_grad)
     u = rng.uniform(-4, 4, size=(50, d))
     assert np.array_equal(model.predict_sd(u), _reference_sd(model, u))
+
+
+def _reference_mean(model, u):
+    ls = model.lengthscales
+    k = np.exp(-0.5 * cdist(u / ls, model.x / ls, "sqeuclidean"))
+    return model._y_mean + model._y_sd * (model.trend + k @ model._alpha)
+
+
+def check_blocked_predictions(n_support):
+    """Predictions at row counts around the prediction block size equal
+    the unblocked expressions bit for bit."""
+    x, y = _training_data(n_support)
+    model = GpSurrogate().fit(x, y)
+    first, _ = next(model._kernel_blocks(np.zeros((10**6, 2))))
+    rows = first.stop
+    rng = np.random.default_rng(n_support)
+    for n in (1, 2, rows - 1, rows, rows + 1, rows + 2, 3 * rows + 17):
+        u = rng.uniform(-4, 4, size=(n, 2))
+        assert np.array_equal(model.predict_mean(u), _reference_mean(model, u)), n
+        assert np.array_equal(model.predict_sd(u), _reference_sd(model, u)), n
+
+
+@pytest.mark.parametrize("budget", [100, 1200])
+def test_blocked_predictions_equal_the_unblocked_expressions(monkeypatch, budget):
+    # Blocks of 16 and 32 rows: every BLAS call stays too small to be
+    # split between threads.
+    monkeypatch.setattr(s4is.surrogate, "_PREDICT_BLOCK_VALUES", budget)
+    check_blocked_predictions(30)
+
+
+def test_blocked_predictions_equal_the_unblocked_expressions_at_full_block_size():
+    # Full blocks are large enough for OpenBLAS to split a gemv between
+    # threads, and where it splits moves a row's bits (ROADMAP item 12), so
+    # this runs under one BLAS thread.
+    src = Path(s4is.surrogate.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_surrogate; "
+            "[test_surrogate.check_blocked_predictions(n) for n in (40, 150)]")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                          cwd=src, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_pool_predictions_hold_a_few_kernel_blocks(peak_bytes):
+    # Unblocked, the (n, support) kernel of 10^5 rows and 30 points is 24 MB.
+    x, y = _training_data(30)
+    model = GpSurrogate().fit(x, y)
+    u = np.random.default_rng(1).uniform(-3, 3, size=(10**5, 2))
+    block = 8 * s4is.surrogate._PREDICT_BLOCK_VALUES
+    for predict in (model.predict_mean, model.predict_sd):
+        assert peak_bytes(lambda: predict(u)) < 8 * len(u) + 4 * block
 
 
 def test_rank_deficient_correlation_gives_big_and_zero_gradient():
