@@ -223,12 +223,17 @@ def _one_shot_failed(problem, u):
     return Evaluator(problem).g_batch(problem.marginals.from_standard_normal(u)) <= 0
 
 
+# One block and a partial one, several blocks and a partial one, and less
+# than one block.
+_BLOCKWISE_SIZES = [REFERENCE_BLOCK_ROWS + 17, (1 << 16) + 17, 5000]
+
+
 def _fields(est):
     # repr, so that a NaN CoV compares equal to itself
     return repr((est.pf, est.variance, est.cov, est.n_eval, est.n_samples))
 
 
-@pytest.mark.parametrize("n", [REFERENCE_BLOCK_ROWS + 17, 5000])
+@pytest.mark.parametrize("n", _BLOCKWISE_SIZES)
 @pytest.mark.parametrize("problem_args", [{"name": "example1"},
                                           {"name": "example5", "d": 10}])
 def test_blockwise_mcs_equals_one_shot(problem_args, n):
@@ -240,7 +245,7 @@ def test_blockwise_mcs_equals_one_shot(problem_args, n):
     assert _fields(got) == _fields(want)
 
 
-@pytest.mark.parametrize("n", [REFERENCE_BLOCK_ROWS + 17, 5000])
+@pytest.mark.parametrize("n", _BLOCKWISE_SIZES)
 def test_blockwise_oracle_equals_one_shot(n, monkeypatch):
     """The oracle's estimate is that of one ``gm.sample(n, rng)`` draw,
     replayed from the generator's state where its mixture draw started."""
