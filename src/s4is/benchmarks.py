@@ -22,7 +22,7 @@ from .errors import ConfigError, S4isError, StageFailureError
 from .estimators import is_estimate_from_log, relative_error
 from .evaluation import Evaluator, ProblemSpec
 from .form import DEDUP_DISTANCE, start_points
-from .pipeline import (S4isConfig, check_count, prefetch_blocks,
+from .pipeline import (S4isConfig, check_count, reference_blocks,
                        run_akis_baseline, run_form_baseline, run_mcs_baseline,
                        run_s4is)
 from .probability import (GaussianMixture, Marginal, RandomVector,
@@ -259,14 +259,12 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     some component geometries and a missed branch would bias the reference
     low.
 
-    The n component indices are drawn at once, then the samples
-    ``REFERENCE_BLOCK_ROWS`` rows at a time, the stream of one
+    The n component indices are drawn at once, then the samples are drawn,
+    evaluated and weighted ``REFERENCE_BLOCK_ROWS`` rows at a time
+    (:func:`s4is.pipeline.reference_blocks`), the stream of one
     :meth:`GaussianMixture.sample` (:meth:`GaussianMixture.block_sampler`).
-    A worker thread draws the next block while the caller takes the true g
-    and the log weights on the current one
-    (:func:`s4is.pipeline.prefetch_blocks`): every g call, and every error
-    it raises, stays on the caller's thread. After an error the generator
-    may be one block further on than the failed block.
+    After an error in a block, the generator has drawn up to the end of
+    that block.
     """
     n = check_count("sample count", n)
     d = problem.dim
@@ -293,12 +291,12 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     gm = GaussianMixture(np.array(centers))
     failed = np.empty(n, dtype=bool)
     log_w = np.empty(n)
-
-    def evaluate(block, u):
+    draw = gm.block_sampler(n, rng)
+    for block in reference_blocks(n):
+        u = draw(block)
         failed[block] = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
         log_w[block] = log_std_normal_pdf(u) - gm.logpdf(u)
-
-    prefetch_blocks(n, gm.block_sampler(n, rng), evaluate)
+    del draw  # its n component indices, before the estimate's n weights
     return is_estimate_from_log(failed, log_w)
 
 
@@ -357,17 +355,28 @@ def run_method(method, problem, config, rng, mcs_n=None):
     raise ConfigError(f"unknown method {method!r}")
 
 
-def run_experiment(exp: ExperimentDef, rng, config=None):
-    """Run every configured method for the configured replicate count and
-    compare against the tolerance bands.
+def summarize(estimates, reference_pf):
+    """(mean pf, its relative error against ``reference_pf``, the mean CoV
+    over the defined ones, mean n_eval) of one method's replicate
+    estimates; the error is NaN without a positive reference, and the CoV
+    NaN when none is defined."""
+    mean_pf = float(np.mean([e.pf for e in estimates]))
+    eps_r = relative_error(reference_pf, mean_pf) if reference_pf else math.nan
+    covs = [e.cov for e in estimates if e.cov_defined]
+    mean_cov = float(np.mean(covs)) if covs else math.nan
+    return mean_pf, eps_r, mean_cov, float(np.mean([e.n_eval for e in estimates]))
+
+
+def run_experiment(exp: ExperimentDef, rng):
+    """Run every configured method, with the default ``S4isConfig``, for the
+    configured replicate count and compare against the tolerance bands.
 
     The relative-error reference is, in order of preference: this run's own
     MCS mean, the true-g oracle when the experiment has no mcs method
     (example4 c=5), or the reported value.  A method's ``S4isError`` becomes
     a failed row, not an aborted report; any other exception propagates.
     """
-    if config is None:
-        config = S4isConfig()
+    config = S4isConfig()
     estimates = {}
     errors = {}
     for method in exp.methods:
@@ -393,11 +402,7 @@ def run_experiment(exp: ExperimentDef, rng, config=None):
                                   math.nan, 0, False, errors[method]))
             continue
         ests = estimates[method]
-        mean_pf = float(np.mean([e.pf for e in ests]))
-        eps_r = relative_error(ref, mean_pf) if ref else math.nan
-        covs = [e.cov for e in ests if e.cov_defined]
-        mean_cov = float(np.mean(covs)) if covs else math.nan
-        mean_n_eval = float(np.mean([e.n_eval for e in ests]))
+        mean_pf, eps_r, mean_cov, mean_n_eval = summarize(ests, ref)
         measured = {"pf": mean_pf, "eps_r": eps_r, "n_eval": mean_n_eval}
         verdicts = [band.contains(measured[band.quantity])
                     for band in exp.expected.get(method, ())

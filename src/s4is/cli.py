@@ -20,7 +20,6 @@ import numpy as np
 
 from . import benchmarks
 from .errors import ConfigError, S4isError
-from .estimators import relative_error
 from .evaluation import external_problem
 from .probability import KINDS, Marginal, RandomVector
 from .pipeline import S4isConfig
@@ -191,11 +190,12 @@ def build_report(cfg):
     rng = np.random.default_rng(seed)
     s4cfg = S4isConfig(**cfg.get("s4is", {}))
     mcs_n = cfg.get("mcs", {}).get("n")
-    replicates = []
+    estimates, replicates = [], []
     problem = _build_problem(cfg)
     try:
         for i in range(n_rep):
             est, result = benchmarks.run_method(method, problem, s4cfg, rng, mcs_n)
+            estimates.append(est)
             entry = {"replicate": i, **_record(est)}
             if result is not None:
                 entry["stages"] = {"stage1": _record(result.stage1),
@@ -205,17 +205,16 @@ def build_report(cfg):
         for component in problem.components:
             if hasattr(component, "close"):
                 component.close()
-    mean_pf = float(np.mean([r["pf"] for r in replicates]))
-    covs = [r["cov"] for r in replicates if r["cov"] is not None]
+    mean_pf, eps_r, mean_cov, mean_n_eval = benchmarks.summarize(estimates, problem.reference_pf)
     aggregate = {
         "mean_pf": mean_pf,
-        "mean_cov": float(np.mean(covs)) if covs else None,
-        "mean_n_eval": float(np.mean([r["n_eval"] for r in replicates])),
+        "mean_cov": None if math.isnan(mean_cov) else mean_cov,
+        "mean_n_eval": mean_n_eval,
     }
     if problem.reference_pf is not None:
         aggregate["reference_pf"] = problem.reference_pf
         aggregate["reference_source"] = problem.reference_source
-        aggregate["eps_r"] = relative_error(problem.reference_pf, mean_pf)
+        aggregate["eps_r"] = eps_r
     return {
         "method": method,
         "problem": {"name": problem.name, "dim": problem.dim},

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +29,9 @@ _TRACE_MAX_POINTS = 300  # and their largest number
 # Rows drawn, transformed and evaluated at a time by the sample-based
 # references (crude MCS and the true-g oracle), so that their temporaries
 # keep this size whatever the sample count. At d = 10 one block of draws is
-# 1.25 MB, and crude MCS holds about 3.2 blocks at once: the draw in flight
-# and the block under evaluation with its transform and g's temporaries.
-# What stays O(n) is each reference's per-sample results.
+# 1.25 MiB, and crude MCS holds about 2.2 blocks at once (tracemalloc): the
+# block under evaluation, its transform and g's temporaries. What stays
+# O(n) is each reference's per-sample results.
 REFERENCE_BLOCK_ROWS = 1 << 14
 
 # S4isConfig's integer fields and their lowest values: stage 1's design must
@@ -412,49 +411,28 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     return report.final
 
 
-def prefetch_blocks(n, draw, work):
-    """``work(block, draw(block))`` for the slices ``block`` of range(n),
-    ``REFERENCE_BLOCK_ROWS`` rows each, in order.
-
-    One worker thread runs ``draw`` for the next block while the caller
-    runs ``work`` on the current one, so ``draw`` must touch nothing that
-    ``work`` uses. At most one draw is in flight, and the worker has ended
-    when this returns or raises.
-    """
-    blocks = [slice(start, min(start + REFERENCE_BLOCK_ROWS, n))
-              for start in range(0, n, REFERENCE_BLOCK_ROWS)]
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = worker.submit(draw, blocks[0])
-        for block, following in zip(blocks, blocks[1:] + [None]):
-            drawn = pending.result()
-            if following is not None:
-                pending = worker.submit(draw, following)
-            work(block, drawn)
+def reference_blocks(n):
+    """The slices of range(n), ``REFERENCE_BLOCK_ROWS`` rows each, in order."""
+    return [slice(start, min(start + REFERENCE_BLOCK_ROWS, n))
+            for start in range(0, n, REFERENCE_BLOCK_ROWS)]
 
 
 def run_mcs_baseline(problem: ProblemSpec, n: int, rng):
     """Crude Monte Carlo with n samples of the true performance function.
 
-    The samples are drawn ``REFERENCE_BLOCK_ROWS`` rows at a time; the
-    generator's normal stream is the same as for one (n, d) draw. A worker
-    thread draws the next block while the caller transforms the current
-    one and evaluates g on it (:func:`prefetch_blocks`): every g call, and
-    every error it raises, stays on the caller's thread. After an error the
-    generator may be one block further on than the failed block.
+    The samples are drawn, transformed and evaluated
+    ``REFERENCE_BLOCK_ROWS`` rows at a time (:func:`reference_blocks`); the
+    generator's normal stream is the same as for one (n, d) draw. After an
+    error in a block, the generator has drawn up to the end of that block.
     """
     n = check_count("sample count", n)
     rv = problem.marginals
     d = problem.dim
     evaluator = Evaluator(problem)
     failed = np.empty(n, dtype=bool)
-
-    def draw(block):
-        return rng.standard_normal(size=(block.stop - block.start, d))
-
-    def evaluate(block, u):
+    for block in reference_blocks(n):
+        u = rng.standard_normal(size=(block.stop - block.start, d))
         failed[block] = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
-
-    prefetch_blocks(n, draw, evaluate)
     est = mcs_estimate(failed)
     est.n_eval = evaluator.ledger.count
     return est

@@ -173,9 +173,8 @@ def test_mcs_cov_binomial_relation():
 
 def test_deterministic_report():
     exp = _small_experiment(("mcs", "s4is"))
-    cfg = S4isConfig()
-    a = run_experiment(exp, np.random.default_rng(3), config=cfg)
-    b = run_experiment(exp, np.random.default_rng(3), config=cfg)
+    a = run_experiment(exp, np.random.default_rng(3))
+    b = run_experiment(exp, np.random.default_rng(3))
     assert repr(a) == repr(b)
 
 
@@ -269,20 +268,32 @@ def test_blockwise_oracle_equals_one_shot(n, monkeypatch):
     assert _fields(got) == _fields(want)
 
 
-def _reference(method, problem, n):
-    rng = np.random.default_rng(8)
+def _reference(method, problem, n, rng):
     if method == "mcs":
         return run_mcs_baseline(problem, n, rng)
     return oracle_is_reference(problem, rng, n=n)
 
 
 @pytest.mark.parametrize("method", ["mcs", "oracle"])
-def test_reference_g_stays_on_the_caller_thread_and_no_thread_outlives_it(method):
-    """g runs only on the calling thread; a non-finite value in the second
-    block raises EvaluationError there, and neither a return nor a raise
-    leaves the block-drawing worker running."""
-    batches, threads = [], set()
+def test_reference_g_stays_on_the_caller_thread_and_no_thread_outlives_it(method, monkeypatch):
+    """g runs only on the calling thread and no thread is started; a
+    non-finite value in the second of three blocks raises EvaluationError
+    there, with the generator drawn to the end of that block and no further."""
+    batches, threads, started, mixture_draws = [], set(), [], []
     poisoned = [False]
+    thread_start = threading.Thread.start
+    block_sampler = GaussianMixture.block_sampler
+
+    def recording_thread_start(self):
+        started.append(self)
+        thread_start(self)
+
+    def recording_block_sampler(self, count, rng):
+        mixture_draws.append((self, rng.bit_generator.state))
+        return block_sampler(self, count, rng)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_thread_start)
+    monkeypatch.setattr(GaussianMixture, "block_sampler", recording_block_sampler)
 
     def g(theta):
         threads.add(threading.get_ident())
@@ -297,28 +308,54 @@ def test_reference_g_stays_on_the_caller_thread_and_no_thread_outlives_it(method
                           (g,))
     n = 3 * REFERENCE_BLOCK_ROWS
     before = threading.active_count()
-    est = _reference(method, problem, n)
+    est = _reference(method, problem, n, np.random.default_rng(8))
     assert est.n_samples == n and batches == [REFERENCE_BLOCK_ROWS] * 3
     assert threading.active_count() == before
     batches.clear()
+    mixture_draws.clear()
     poisoned[0] = True
+    rng = np.random.default_rng(8)
     with pytest.raises(EvaluationError, match="^non-finite performance value in batch$"):
-        _reference(method, problem, n)
+        _reference(method, problem, n, rng)
     assert batches == [REFERENCE_BLOCK_ROWS] * 2
     assert threading.active_count() == before
     assert threads == {threading.get_ident()}
+    assert started == []
+    # Two blocks on: crude MCS draws from the start, the oracle from where
+    # its mixture draw began, after its n component indices.
+    replay = np.random.default_rng(8)
+    if method == "oracle":
+        [(gm, state)] = mixture_draws
+        replay.bit_generator.state = state
+        replay.integers(0, gm.n_components, size=n)
+    replay.standard_normal((2 * REFERENCE_BLOCK_ROWS, problem.dim))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_mcs_holds_a_few_draw_blocks_beyond_its_failure_flags(peak_bytes):
-    # Beyond its n failure flags, crude MCS holds the draw in flight and the
-    # block under evaluation, with its transform and g's temporaries: at
-    # d = 10 about 3.2 blocks of REFERENCE_BLOCK_ROWS rows, under 5 MB.
+    # Beyond its n failure flags, crude MCS holds the block under
+    # evaluation, with its transform and g's temporaries: at d = 10 about
+    # 2.2 blocks of REFERENCE_BLOCK_ROWS rows, under 5 MB. A draw held beside
+    # the block under evaluation would pass 3 blocks.
     problem = builtin_problem("example5", d=10)
     n = 5 * REFERENCE_BLOCK_ROWS + 3
     block = 8 * REFERENCE_BLOCK_ROWS * problem.dim
     extra = peak_bytes(lambda: run_mcs_baseline(problem, n, np.random.default_rng(2))) - n
-    assert extra < 3.5 * block
+    assert extra < 2.5 * block
     assert extra < 5e6
+
+
+def test_oracle_drops_its_component_indices_before_the_weights(peak_bytes):
+    # The oracle keeps 17 bytes per sample (a failure flag, a component
+    # index, a log weight) while it draws; its estimate's weighted
+    # indicators then take the indices' place, so the peak is 17 bytes per
+    # sample and per-block temporaries (9 to 11 blocks on example1), not
+    # the 25 of indices and weights held at once.
+    problem = builtin_problem("example1")
+    n = 64 * REFERENCE_BLOCK_ROWS + 3
+    block = 8 * REFERENCE_BLOCK_ROWS * problem.dim
+    peak = peak_bytes(lambda: oracle_is_reference(problem, np.random.default_rng(1), n=n))
+    assert peak < 17 * n + 16 * block
 
 
 @pytest.mark.parametrize("n", [0, -5, True, 2.5, "10", None])

@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from s4is import pipeline
 from s4is.benchmarks import (builtin_problem, oracle_is_reference,
-                             reference_table)
+                             reference_table, run_experiment)
 from s4is.clustering import kmeans
 from s4is.errors import StageFailureError
 from s4is.evaluation import (Evaluator, ExternalEvaluator, ProblemSpec,
@@ -35,6 +35,7 @@ def test_library_functions_take_exactly_the_parameters_callers_set():
         hypercube_density: ["u"],
         sample_hypercube: ["d", "n", "rng"],
         oracle_is_reference: ["problem", "rng", "n"],
+        run_experiment: ["exp", "rng"],
         Evaluator: ["problem"],
         ExternalEvaluator: ["command", "timeout_s"],
         external_problem: ["command", "marginals", "timeout_s"],
