@@ -11,8 +11,10 @@ have ``_ISOTROPIC_DIM`` columns) maximize the concentrated log marginal
 likelihood with the constant trend and signal variance profiled out.
 L-BFGS-B fits the log-lengthscales with the analytic gradient of that
 likelihood, so one Cholesky factorisation serves both the value and the
-gradient. A full fit and an append both end in one fixed-hyperparameter
-step, ``GpSurrogate._adopt``.
+gradient. A GP is made from its data: ``GpSurrogate(x, y, seed,
+init_lengthscales)`` fits it, and ``GpSurrogate._at`` builds one at fixed
+hyperparameters for an append; both end in one fixed-hyperparameter step,
+``GpSurrogate._adopt``.
 
 Each likelihood evaluation runs one LAPACK ``dpotrf`` and its ``dpotrs``
 solves directly, without scipy's ``cho_factor``/``cho_solve`` wrappers,
@@ -225,29 +227,18 @@ def _sq_dists(a, b, lengthscales):
 class GpSurrogate:
     """Squared-exponential GP with a constant trend: one lengthscale per
     input, or one shared by all of them on inputs of ``_ISOTROPIC_DIM``
-    columns or more (``isotropic``).
+    columns or more (``isotropic``). Constructing one fits it to (x, y).
 
     Invariants: the posterior mean reproduces training outputs up to the
     stabilizing jitter on the kernel diagonal (within 1e-3 in output units
     for well-scaled data) and is equivariant under a constant output shift.
     """
 
-    def __init__(self):
-        self.fitted = False
-        self.x = None
-        self.y = None
-        self.lengthscales = None
-        self.signal_variance = None  # in standardized output units
-        self.trend = None            # constant trend, standardized units
-        self.nugget = None           # absolute output-space noise variance
-        self.nll_history = []        # best objective after each accepted restart
-        self.n_appended = 0          # points appended since the last full fit
-
     # -- fitting -----------------------------------------------------------
 
     def _set_data(self, x, y):
         """Validate and store the training data and its standardized
-        outputs; False when the outputs are constant."""
+        outputs, with no restart and no appended point yet."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -264,24 +255,22 @@ class GpSurrogate:
         if not self._constant:
             self._z = (y - self._y_mean) / self._y_sd
             self._ones = np.ones(n)
-        return not self._constant
+        self.nll_history = []  # best objective after each accepted restart
+        self.n_appended = 0    # points appended since the last full fit
 
-    def fit(self, x, y, seed=0, init_lengthscales=None):
-        """Maximise the likelihood from five L-BFGS-B starts, or from three
-        when ``init_lengthscales`` gives the first."""
-        varies = self._set_data(x, y)
+    def __init__(self, x, y, seed=0, init_lengthscales=None):
+        """Fit a GP to (x, y): maximise the likelihood from five L-BFGS-B
+        starts, or from three when ``init_lengthscales`` gives the first."""
+        self._set_data(x, y)
         rows = self.x[np.lexsort(self.x.T)]  # equal rows are now neighbours
         if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise SupportPointError("duplicate inputs in training data")
-        if not varies:
-            # Degenerate constant data: the trend absorbs everything.
-            self.lengthscales = np.ones(self.x.shape[1])
-            self.signal_variance = 0.0
-            self.trend = 0.0
-            self.nugget = 0.0
-            self.fitted = True
-            return self
         n, d = self.x.shape
+        if self._constant:
+            # Degenerate constant data: the trend absorbs everything.
+            self.lengthscales = np.ones(d)
+            self.signal_variance = self.trend = self.nugget = 0.0
+            return
         n_params = 1 if self.isotropic else d
         # Terms of the likelihood that depend on x alone, shared by every
         # evaluation of this fit (the ones vector comes with the data).
@@ -315,7 +304,6 @@ class GpSurrogate:
                 delta *= 10.0
                 if delta > _NUGGET_MAX * 1.01:
                     raise FitError("Cholesky failed after nugget escalation") from None
-        return self
 
     def _factor(self, log_ls, delta):
         """Concentrated NLL at ``log_ls`` with the quantities prediction
@@ -397,6 +385,7 @@ class GpSurrogate:
     def _adopt(self, log_ls, delta):
         """Fix the hyperparameters at ``log_ls`` and relative nugget
         ``delta``: factor R and store the profiled trend, signal variance
+        (in standardized output units), the absolute output-space nugget
         and the solves prediction reuses. False when R is not positive
         definite."""
         fit = self._factor(log_ls, delta)
@@ -406,31 +395,39 @@ class GpSurrogate:
          self._alpha, self._rinv1, self._one_rinv_one) = fit
         self._delta = delta
         self.nugget = delta * self.signal_variance * self._y_sd**2
-        self.fitted = True
         return True
+
+    @classmethod
+    def _at(cls, x, y, log_ls, delta):
+        """A GP on (x, y) at log-lengthscales ``log_ls`` and relative nugget
+        ``delta``, with no likelihood search and no duplicate check; None
+        when the outputs are constant or R is not positive definite."""
+        gp = cls.__new__(cls)
+        gp._set_data(x, y)
+        if gp._constant or not gp._adopt(log_ls, delta):
+            return None
+        return gp
 
     def _append(self, x_new, y_new):
         """This GP grown by one training point at its lengthscales and
         relative nugget delta, with the outputs re-standardized and beta,
-        sigma2, alpha and R^-1 1 re-profiled; None when the point needs a
-        full fit: the grown outputs are constant, or R is not positive
-        definite (the new point is numerically a copy of the old ones).
-        Only the new row is checked for a duplicate: the old are distinct.
+        sigma2, alpha and R^-1 1 re-profiled (``_at``); None when the point
+        needs a full fit: this GP or the grown outputs are constant, or R
+        is not positive definite (the new point is numerically a copy of
+        the old ones). Only the new row is checked for a duplicate: the old
+        are distinct.
         """
         if (self.x == x_new).all(axis=1).any():
             raise SupportPointError("duplicate inputs in training data")
-        grown = GpSurrogate()
-        if not (grown._set_data(np.vstack([self.x, x_new]), np.append(self.y, y_new))
-                and grown._adopt(np.log(self.lengthscales), self._delta)):
+        if self._constant:
             return None
-        grown.n_appended = self.n_appended + 1
+        grown = GpSurrogate._at(np.vstack([self.x, x_new]), np.append(self.y, y_new),
+                                np.log(self.lengthscales), self._delta)
+        if grown is not None:
+            grown.n_appended = self.n_appended + 1
         return grown
 
     # -- prediction: (n, d) rows in, (n,) out -------------------------------
-
-    def _check(self):
-        if not self.fitted:
-            raise ValueError("surrogate is not fitted")
 
     def _kernel_blocks(self, u):
         """(slice, kernel rows) for the rows of ``u`` in order, in blocks of
@@ -463,7 +460,6 @@ class GpSurrogate:
     def predict_mean(self, u):
         """Posterior mean at the (n, d) rows ``u``, computed in row blocks
         (``_kernel_blocks``)."""
-        self._check()
         if self._constant:
             return np.full(len(u), self._y_mean)
         mean = np.empty(len(u))
@@ -474,7 +470,6 @@ class GpSurrogate:
     def predict_sd(self, u):
         """Posterior standard deviation at the (n, d) rows ``u``, with the
         trend's uncertainty, computed in row blocks (``_kernel_blocks``)."""
-        self._check()
         if self._constant:
             return np.zeros(len(u))
         sd = np.empty(len(u))
@@ -485,9 +480,6 @@ class GpSurrogate:
             var = self.signal_variance * (var + u_term**2 / self._one_rinv_one)
             sd[block] = self._y_sd * np.sqrt(np.clip(var, 0.0, None))
         return sd
-
-    def predict(self, u):
-        return self.predict_mean(u), self.predict_sd(u)
 
 
 class CompositeMinSurrogate:
@@ -518,9 +510,9 @@ def fit_surrogate(points: SupportPointSet, aggregate=None):
     component combined by it."""
     if aggregate is not None and points.component_outputs.shape[1] > 1:
         return CompositeMinSurrogate(
-            (GpSurrogate().fit(points.x, y, seed=j)
+            (GpSurrogate(points.x, y, seed=j)
              for j, y in enumerate(points.component_outputs.T)), aggregate)
-    return GpSurrogate().fit(points.x, points.outputs)
+    return GpSurrogate(points.x, points.outputs)
 
 
 def _update(gp, x, y, seed):
@@ -528,15 +520,15 @@ def _update(gp, x, y, seed):
     if x.shape[0] == n and gp.n_appended == 0:
         return gp
     if x.shape[0] == n + 1 and gp.n_appended + 1 < _REFIT_EVERY:
-        (mean,), (sd,) = gp.predict(x[n:])
+        (mean,), (sd,) = gp.predict_mean(x[n:]), gp.predict_sd(x[n:])
         if abs(y[n] - mean) <= _SURPRISE_SD * sd:
             grown = gp._append(x[n], y[n])
             if grown is not None:
                 return grown
     # The warm refit: three starts, one at gp's lengthscales; a constant
     # GP has none and gets a full fresh fit.
-    return GpSurrogate().fit(x, y, seed=seed,
-                             init_lengthscales=None if gp._constant else gp.lengthscales)
+    return GpSurrogate(x, y, seed=seed,
+                       init_lengthscales=None if gp._constant else gp.lengthscales)
 
 
 def update_surrogate(model, points: SupportPointSet):

@@ -2,8 +2,8 @@
 
 Criteria 1-11 reproduce the reference comparison tables (stochastic ones
 use the mean over 10 replicates with fixed seeds); criteria 12-18 are the
-always-gating property suites.  The d=50 stretch case is non-gating and
-runs only when RUN_STRETCH is set.
+always-gating property suites.  The two d=50 stretch cases are
+non-gating and run only when RUN_STRETCH is set.
 """
 
 import math
@@ -161,9 +161,12 @@ def test_criterion_11_example5_d10():
     assert _mean([e.n_eval for e in ests]) <= 200
 
 
-@pytest.mark.skipif(not os.environ.get("RUN_STRETCH"),
-                    reason="d=50 stretch target is non-gating; "
-                           "set RUN_STRETCH=1 to run it")
+STRETCH = pytest.mark.skipif(not os.environ.get("RUN_STRETCH"),
+                             reason="d=50 stretch target is non-gating; "
+                                    "set RUN_STRETCH=1 to run it")
+
+
+@STRETCH
 def test_criterion_11_stretch_example5_d50():
     problem = builtin_problem("example5", d=50)
     start = time.perf_counter()
@@ -173,6 +176,16 @@ def test_criterion_11_stretch_example5_d50():
     assert abs(mcs.pf - res.estimate.pf) / mcs.pf <= 0.20
     assert res.estimate.n_eval <= 500
     assert elapsed < 600
+
+
+@STRETCH
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: this generator ends at pf 0.0 "
+                                       "after 505 calls, on max_iterations")
+def test_criterion_11_stretch_example5_d50_generator_1():
+    # Against the paper's 10^6-sample MCS reference for d = 50.
+    res = run_s4is(builtin_problem("example5", d=50), CFG, np.random.default_rng(1))
+    assert abs(res.estimate.pf - 1.934e-3) / 1.934e-3 <= 0.20
+    assert res.estimate.n_eval <= 500
 
 
 def test_criterion_12_transform_roundtrips():
@@ -217,8 +230,8 @@ def test_criterion_15_gp_invariants():
     rng = np.random.default_rng(15)
     x = rng.uniform(-3, 3, size=(20, 2))
     y = x[:, 0] ** 2 - x[:, 1]
-    model = GpSurrogate().fit(x, y)
-    mean, sd = model.predict(x)
+    model = GpSurrogate(x, y)
+    mean, sd = model.predict_mean(x), model.predict_sd(x)
     # Interpolation is exact up to the stabilizing jitter on the kernel
     # diagonal; 1e-3 in output units is the documented guarantee.
     np.testing.assert_allclose(mean, y, atol=1e-3)
@@ -226,7 +239,7 @@ def test_criterion_15_gp_invariants():
     # Shift equivariance is exact in real arithmetic (the standardized
     # targets are unchanged); float rounding of y+50 perturbs the refit, so
     # the comparison is relative to the shifted output scale.
-    shifted = GpSurrogate().fit(x, y + 50.0)
+    shifted = GpSurrogate(x, y + 50.0)
     grid = rng.uniform(-3, 3, size=(25, 2))
     np.testing.assert_allclose(shifted.predict_mean(grid),
                                model.predict_mean(grid) + 50.0,

@@ -29,7 +29,7 @@ def test_library_functions_take_exactly_the_parameters_callers_set():
     expected = {
         hlrf_search: ["evaluator", "start_u"],
         multi_start_mpps: ["evaluator", "rng"],
-        GpSurrogate.fit: ["self", "x", "y", "seed", "init_lengthscales"],
+        GpSurrogate: ["x", "y", "seed", "init_lengthscales"],
         fit_surrogate: ["points", "aggregate"],
         kmeans: ["points", "k", "rng"],
         hypercube_density: ["u"],

@@ -33,8 +33,8 @@ def _training_data(n=20, d=2, seed=0):
 
 def test_interpolates_training_points():
     x, y = _training_data()
-    model = GpSurrogate().fit(x, y)
-    mean, sd = model.predict(x)
+    model = GpSurrogate(x, y)
+    mean, sd = model.predict_mean(x), model.predict_sd(x)
     np.testing.assert_allclose(mean, y, atol=1e-4)
     assert np.all(sd < 1e-3)
 
@@ -42,14 +42,14 @@ def test_interpolates_training_points():
 def test_output_shift_invariance():
     x, y = _training_data()
     grid = np.random.default_rng(1).uniform(-3, 3, size=(30, 2))
-    base = GpSurrogate().fit(x, y).predict_mean(grid)
-    shifted = GpSurrogate().fit(x, y + 100.0).predict_mean(grid)
+    base = GpSurrogate(x, y).predict_mean(grid)
+    shifted = GpSurrogate(x, y + 100.0).predict_mean(grid)
     np.testing.assert_allclose(shifted, base + 100.0, atol=1e-3)
 
 
 def test_predictive_sd_grows_away_from_data():
     x, y = _training_data()
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
     sd_near = model.predict_sd(x[:1] + 1e-3)
     sd_far = model.predict_sd(np.array([[30.0, -30.0]]))
     assert sd_far[0] > sd_near[0]
@@ -57,7 +57,7 @@ def test_predictive_sd_grows_away_from_data():
 
 def test_optimizer_history_is_monotone_best_so_far():
     x, y = _training_data()
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
     hist = np.asarray(model.nll_history)
     assert len(hist) >= 1
     assert np.all(np.diff(hist) <= 1e-12)
@@ -65,8 +65,9 @@ def test_optimizer_history_is_monotone_best_so_far():
 
 def test_constant_outputs_degenerate_fit():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    model = GpSurrogate().fit(x, np.full(3, 7.0))
-    mean, sd = model.predict(np.array([[5.0, 5.0]]))
+    model = GpSurrogate(x, np.full(3, 7.0))
+    u = np.array([[5.0, 5.0]])
+    mean, sd = model.predict_mean(u), model.predict_sd(u)
     assert mean[0] == pytest.approx(7.0)
     assert sd[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -74,7 +75,7 @@ def test_constant_outputs_degenerate_fit():
 def test_duplicate_inputs_rejected():
     x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
-        GpSurrogate().fit(x, np.array([1.0, 1.0, 2.0]))
+        GpSurrogate(x, np.array([1.0, 1.0, 2.0]))
 
 
 @pytest.mark.parametrize("x", [
@@ -83,12 +84,14 @@ def test_duplicate_inputs_rejected():
 ])
 def test_duplicate_rows_anywhere_are_rejected(x):
     with pytest.raises(SupportPointError):
-        GpSurrogate().fit(x, np.arange(len(x), dtype=float))
+        GpSurrogate(x, np.arange(len(x), dtype=float))
 
 
 def test_distinct_rows_that_share_columns_fit():
     x = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.5, 1.0]])
-    assert GpSurrogate().fit(x, np.arange(5.0)).fitted
+    model = GpSurrogate(x, np.arange(5.0))
+    assert np.all(np.isfinite(model.predict_mean(x)))
+    assert np.all(np.isfinite(model.predict_sd(x)))
 
 
 def test_update_matches_fresh_fit():
@@ -97,7 +100,7 @@ def test_update_matches_fresh_fit():
     x_new = rng.uniform(-3, 3, size=(1, 2))
     y_new = x_new[:, 0] ** 2 - x_new[:, 1] + np.sin(x_new.sum(axis=1))
 
-    fresh = GpSurrogate().fit(np.vstack([x, x_new]), np.append(y, y_new))
+    fresh = GpSurrogate(np.vstack([x, x_new]), np.append(y, y_new))
     pts = SupportPointSet(x, x, y, y[:, None])
     updated = fit_surrogate(pts)
     pts.append(x_new[0], x_new[0], y_new[0], y_new)
@@ -119,8 +122,8 @@ def test_update_matches_fresh_fit():
 def _fixed_hyperparameter_fit(model, x, y):
     """A GP on (x, y) at ``model``'s lengthscales and relative nugget, from
     one full ``_factor``."""
-    ref = GpSurrogate()
-    assert ref._set_data(x, y) and ref._adopt(np.log(model.lengthscales), model._delta)
+    ref = GpSurrogate._at(x, y, np.log(model.lengthscales), model._delta)
+    assert ref is not None
     return ref
 
 
@@ -167,8 +170,8 @@ def test_every_third_point_takes_the_full_fit():
 
 def test_surprising_output_takes_the_full_fit():
     x, y = _training_data(13)
-    model = GpSurrogate().fit(x[:12], y[:12])
-    (mean,), (sd,) = model.predict(x[12:])
+    model = GpSurrogate(x[:12], y[:12])
+    (mean,), (sd,) = model.predict_mean(x[12:]), model.predict_sd(x[12:])
     assert sd > 1e-3
     for z, appended in ((2.9, 1), (-2.9, 1), (3.1, 0), (-3.1, 0)):
         updated = update_surrogate(model, _grown(x[:12], y[:12], x[12], mean + z * sd))
@@ -178,7 +181,7 @@ def test_surprising_output_takes_the_full_fit():
 
 def test_grown_matrix_not_positive_definite_takes_the_full_fit(monkeypatch):
     x, y = _training_data(13)
-    model = GpSurrogate().fit(x[:12], y[:12])
+    model = GpSurrogate(x[:12], y[:12])
     pts = _grown(x[:12], y[:12], x[12], y[12])
     original = s4is.surrogate.dpotrf
     calls = []
@@ -200,14 +203,17 @@ def test_constant_outputs_and_constant_gps_take_the_full_fit():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     # Non-constant on two points, constant (sd < 1e-12) once the third
     # is added.
-    model = GpSurrogate().fit(x[:2], np.array([0.0, 2.1e-12]))
+    model = GpSurrogate(x[:2], np.array([0.0, 2.1e-12]))
     assert not model._constant
     assert model._append(x[2], 0.0) is None
     updated = update_surrogate(model, _grown(x[:2], np.array([0.0, 2.1e-12]), x[2], 0.0))
     assert updated._constant and updated.n_appended == 0
     # A constant GP is refitted from scratch, whatever the new output.
-    constant = GpSurrogate().fit(x[:2], np.full(2, 7.0))
+    # update_surrogate tries an append only for an output equal to the
+    # constant (its sd is 0); an append gives None for any output.
+    constant = GpSurrogate(x[:2], np.full(2, 7.0))
     for y_new, stays_constant in ((7.0, True), (8.0, False)):
+        assert constant._append(x[2], y_new) is None
         updated = update_surrogate(constant, _grown(x[:2], np.full(2, 7.0), x[2], y_new))
         assert updated._constant == stays_constant and updated.n_appended == 0
 
@@ -219,7 +225,7 @@ def test_constant_outputs_and_constant_gps_take_the_full_fit():
 ])
 def test_append_path_keeps_the_data_checks(monkeypatch, x_new, y_new, error):
     x, y = _training_data(12)
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
 
     def no_optimizer(*args, **kwargs):
         raise AssertionError("optimizer called on the append path")
@@ -279,7 +285,7 @@ def test_non_finite_training_data_raises_fit_error(monkeypatch, part, bad):
 
     monkeypatch.setattr(s4is.surrogate.optimize, "minimize", no_optimizer)
     with pytest.raises(FitError, match="non-finite"):
-        GpSurrogate().fit(x, y)
+        GpSurrogate(x, y)
 
 
 @pytest.mark.parametrize("n, d, isotropic, ls_range", [
@@ -292,7 +298,7 @@ def test_nll_gradient_matches_central_differences(n, d, isotropic, ls_range):
     rng = np.random.default_rng(n + d)
     x = rng.uniform(-3, 3, size=(n, d))
     y = np.sin(x).sum(axis=1) + 0.1 * (x ** 2).sum(axis=1)
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
     assert model.isotropic == isotropic
     h = 1e-4  # smaller steps drown in round-off once R is ill-conditioned
     for _ in range(3):
@@ -333,7 +339,7 @@ def _plain_nll(model, log_ls, delta):
 @pytest.mark.parametrize("n, d, isotropic", [(12, 2, False), (30, 6, False), (25, 20, True)])
 def test_in_place_kernels_equal_the_plain_expressions(n, d, isotropic):
     x, y = _training_data(n, d, seed=n)
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
     assert model.isotropic == isotropic
     rng = np.random.default_rng(d)
     for p in rng.uniform(-1.0, 2.0, size=(4, 1 if isotropic else d)):
@@ -347,7 +353,7 @@ def test_in_place_kernels_equal_the_plain_expressions(n, d, isotropic):
 
 
 # (n, d, best NLL) of fits with finite-difference gradients on the datasets
-# built by _recorded_dataset(i), with GpSurrogate().fit(x, y, seed=i).
+# built by _recorded_dataset(i), with GpSurrogate(x, y, seed=i).
 _RECORDED_FITS = (
     (12, 2, -10.707199025647625), (15, 3, -27.99193540675889),
     (18, 4, -17.292329766546324), (20, 2, -40.893159530614284),
@@ -376,7 +382,7 @@ def _recorded_dataset(i, d=None):
 
 
 def test_recorded_fits_reach_recorded_likelihood():
-    best = [GpSurrogate().fit(*_recorded_dataset(i), seed=i).nll_history[-1]
+    best = [GpSurrogate(*_recorded_dataset(i), seed=i).nll_history[-1]
             for i in range(len(_RECORDED_FITS))]
     assert sum(best) <= sum(nll for _, _, nll in _RECORDED_FITS)
 
@@ -472,9 +478,9 @@ def test_driver_repeats_scipy_lbfgsb_on_every_start_of_the_recorded_fits(monkeyp
     pinned = _PinnedOptimize()
     monkeypatch.setattr(s4is.surrogate, "optimize", pinned)
     for i in range(len(_RECORDED_FITS)):
-        GpSurrogate().fit(*_recorded_dataset(i), seed=i)
+        GpSurrogate(*_recorded_dataset(i), seed=i)
     # An isotropic fit: 40 points on 20 inputs.
-    GpSurrogate().fit(*_recorded_dataset(8, d=20), seed=8)
+    GpSurrogate(*_recorded_dataset(8, d=20), seed=8)
     assert len(pinned.results) == 5 * (len(_RECORDED_FITS) + 1)
     assert all(res.x.shape == (1,) for res in pinned.results[-5:])
     assert any(pinned.cut) and not all(pinned.cut)  # both sides of the contract ran
@@ -513,7 +519,7 @@ def test_sq_dist_routine_equals_cdist(shape_a, shape_b):
 
 def test_driver_repeats_scipy_lbfgsb_at_the_edges():
     x, y = _training_data()
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
     lo, hi = np.log(s4is.surrogate._LS_BOUNDS)
     bounds = [(lo, hi)] * 2
     # A start outside the bounds is clipped onto them.
@@ -526,7 +532,7 @@ def test_driver_repeats_scipy_lbfgsb_at_the_edges():
     assert res.nit == 2
     # A start where R is singular: _nll returns _BIG with a zero gradient.
     x[1] = x[0] + 1e-9
-    singular = GpSurrogate().fit(x, y)
+    singular = GpSurrogate(x, y)
     res, _ = _check_driver_against_scipy(singular._nll, np.full(2, hi), (0.0,), bounds)
     assert res.fun == s4is.surrogate._BIG
 
@@ -584,7 +590,7 @@ def test_gps_share_one_lengthscale_from_20_inputs(monkeypatch, d, free):
     counter = _StartCounter()
     monkeypatch.setattr(s4is.surrogate, "optimize", counter)
     x, y = _recorded_dataset(8, d=d)
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
     assert model.isotropic == (free == 1)
     assert counter.sizes == [free] * 5
 
@@ -593,9 +599,9 @@ def test_fresh_fits_make_five_starts_and_warm_fits_three(monkeypatch):
     counter = _StartCounter()
     monkeypatch.setattr(s4is.surrogate, "optimize", counter)
     x, y = _training_data(15)
-    model = GpSurrogate().fit(x[:12], y[:12])
+    model = GpSurrogate(x[:12], y[:12])
     assert len(counter.sizes) == 5
-    GpSurrogate().fit(x[:12], y[:12], init_lengthscales=model.lengthscales)
+    GpSurrogate(x[:12], y[:12], init_lengthscales=model.lengthscales)
     assert len(counter.sizes) == 8
     # Two appends, then the warm refit of update_surrogate.
     pts = SupportPointSet(x[:12], x[:12], y[:12], y[:12, None])
@@ -612,16 +618,16 @@ def test_a_system_rule_on_one_component_fits_one_gp():
     assert isinstance(model, GpSurrogate)
     grid = np.random.default_rng(1).uniform(-3, 3, size=(30, 2))
     assert np.array_equal(model.predict_mean(grid),
-                          GpSurrogate().fit(x, y).predict_mean(grid))
+                          GpSurrogate(x, y).predict_mean(grid))
 
 
 @pytest.mark.parametrize("make", [
     lambda: SupportPointSet(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(2), np.zeros((2, 1))),
     lambda: SupportPointSet(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1),
                             np.zeros((1, 1))).append(np.zeros(2), np.zeros(2), 0.0, [0.0]),
-    lambda: GpSurrogate().fit(np.zeros((1, 2)), np.zeros(1)),
-    lambda: GpSurrogate().fit(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
-                              np.array([1.0, 1.0, 2.0])),
+    lambda: GpSurrogate(np.zeros((1, 2)), np.zeros(1)),
+    lambda: GpSurrogate(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
+                        np.array([1.0, 1.0, 2.0])),
     lambda: SupportPointSet(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), np.zeros((3, 1))),
 ])
 def test_bad_support_points_raise_a_typed_error(make):
@@ -705,7 +711,7 @@ def test_likelihood_kernel_equals_the_cho_solve_reference(n, d, isotropic):
     rng = np.random.default_rng([n, d])
     x = rng.uniform(-3, 3, size=(n, d))
     y = np.sin(x).sum(axis=1) + 0.1 * (x ** 2).sum(axis=1)
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
     assert model.isotropic == isotropic
     n_params = 1 if isotropic else d
     points = [rng.uniform(np.log(0.3), np.log(30.0), size=n_params)
@@ -732,7 +738,7 @@ def check_blocked_predictions(n_support):
     """Predictions at row counts around the prediction block size equal
     the unblocked expressions bit for bit."""
     x, y = _training_data(n_support)
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
     first, _ = next(model._kernel_blocks(np.zeros((10**6, 2))))
     rows = first.stop
     rng = np.random.default_rng(n_support)
@@ -766,7 +772,7 @@ def test_blocked_predictions_equal_the_unblocked_expressions_at_full_block_size(
 def test_pool_predictions_hold_a_few_kernel_blocks(peak_bytes):
     # Unblocked, the (n, support) kernel of 10^5 rows and 30 points is 24 MB.
     x, y = _training_data(30)
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
     u = np.random.default_rng(1).uniform(-3, 3, size=(10**5, 2))
     block = 8 * s4is.surrogate._PREDICT_BLOCK_VALUES
     for predict in (model.predict_mean, model.predict_sd):
@@ -776,7 +782,7 @@ def test_pool_predictions_hold_a_few_kernel_blocks(peak_bytes):
 def test_rank_deficient_correlation_gives_big_and_zero_gradient():
     x, y = _training_data()
     x[1] = x[0] + 1e-9
-    model = GpSurrogate().fit(x, y)
+    model = GpSurrogate(x, y)
     log_ls = np.full(2, np.log(s4is.surrogate._LS_BOUNDS[1]))
     # Without a nugget the two rows of R are equal, so R is singular.
     nll, grad = model._nll(log_ls, 0.0)
@@ -793,6 +799,6 @@ def test_fit_escalates_the_nugget_then_raises_fit_error(monkeypatch):
 
     monkeypatch.setattr(s4is.surrogate, "dpotrf", never_positive_definite)
     with pytest.raises(FitError, match="nugget escalation"):
-        GpSurrogate().fit(*_training_data())
+        GpSurrogate(*_training_data())
     levels = sorted({float(f"{v:.1e}") for v in nuggets})
     assert levels == [1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4]
