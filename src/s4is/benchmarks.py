@@ -19,12 +19,11 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, S4isError, StageFailureError
-from .estimators import is_estimate_from_log, relative_error
+from .estimators import is_estimate_from_log, reference_blocks, relative_error
 from .evaluation import Evaluator, ProblemSpec
 from .form import DEDUP_DISTANCE, start_points
-from .pipeline import (S4isConfig, check_count, reference_blocks,
-                       run_akis_baseline, run_form_baseline, run_mcs_baseline,
-                       run_s4is)
+from .pipeline import (S4isConfig, check_count, run_akis_baseline,
+                       run_form_baseline, run_mcs_baseline, run_s4is)
 from .probability import (GaussianMixture, Marginal, RandomVector,
                           log_std_normal_pdf)
 
@@ -261,7 +260,7 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
 
     The n component indices are drawn at once, then the samples are drawn,
     evaluated and weighted ``REFERENCE_BLOCK_ROWS`` rows at a time
-    (:func:`s4is.pipeline.reference_blocks`), the stream of one
+    (:func:`s4is.estimators.reference_blocks`), the stream of one
     :meth:`GaussianMixture.sample` (:meth:`GaussianMixture.block_sampler`).
     After an error in a block, the generator has drawn up to the end of
     that block.

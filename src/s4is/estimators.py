@@ -13,9 +13,14 @@ import numpy as np
 
 from .errors import DensitySupportError
 
-# Samples whose weights is_estimate_from_log computes at a time, so that its
-# temporaries keep this size whatever the sample count.
-_WEIGHT_SLICE = 1 << 14
+# Rows that every sample-sized loop takes at a time, so that its temporaries
+# keep this size whatever the sample count: the weights of
+# is_estimate_from_log, and the draws that the sample-based references
+# (crude MCS and the true-g oracle) transform and evaluate. At d = 10 one
+# block of draws is 1.25 MiB, and crude MCS holds about 2.2 blocks at once
+# (tracemalloc): the block under evaluation, its transform and g's
+# temporaries. What stays O(n) is each reference's per-sample results.
+REFERENCE_BLOCK_ROWS = 1 << 14
 
 
 @dataclass
@@ -67,22 +72,28 @@ def is_variance_moment(weighted, pf):
     return float((np.mean(w * w) - pf * pf) / (n - 1))
 
 
+def reference_blocks(n):
+    """The slices of range(n), ``REFERENCE_BLOCK_ROWS`` rows each, in order."""
+    return [slice(start, min(start + REFERENCE_BLOCK_ROWS, n))
+            for start in range(0, n, REFERENCE_BLOCK_ROWS)]
+
+
 def is_estimate_from_log(indicators, log_w):
     """IS estimate from indicators and log weights log p - log q of target
     and proposal; a failure whose weight is +inf (q = 0) or NaN raises.
 
     Working in logs keeps likelihood ratios finite in high dimension where
     both densities underflow. The weighted indicators are the one (n,)
-    array made here: they are filled ``_WEIGHT_SLICE`` samples at a time,
-    then turned into squared deviations from pf in place, so the variance
-    is :func:`is_variance_deviation`'s bit for bit.
+    array made here: they are filled block by block
+    (:func:`reference_blocks`), then turned into squared deviations from pf
+    in place, so the variance is :func:`is_variance_deviation`'s bit for
+    bit.
     """
     ind = np.asarray(indicators, dtype=bool)
     log_w = np.asarray(log_w, dtype=float)
     n = ind.size
     weighted = np.zeros(n)
-    for start in range(0, n, _WEIGHT_SLICE):
-        block = slice(start, start + _WEIGHT_SLICE)
+    for block in reference_blocks(n):
         failed = ind[block]
         logs = log_w[block][failed]
         if not np.all(logs < np.inf):

@@ -15,7 +15,8 @@ import numpy as np
 
 from .clustering import kmeans, mpp_per_cluster
 from .errors import ConfigError, StageFailureError, StationaryPointError
-from .estimators import ReliabilityEstimate, is_estimate_from_log, mcs_estimate
+from .estimators import (ReliabilityEstimate, is_estimate_from_log, mcs_estimate,
+                         reference_blocks)
 from .evaluation import Evaluator, ProblemSpec
 from .form import form_pf, hlrf_search, multi_start_mpps
 from .learning import CandidatePool, PoolExhausted, lf1_scores, lf2_scores, min_distances, select_next
@@ -26,13 +27,6 @@ from .surrogate import SupportPointSet, fit_surrogate, update_surrogate
 HIGHDIM_THRESHOLD = 10  # stage 1 is FORM-seeded from this dimension on
 _TRACE_MIN_SEP = 0.05  # u-space separation of the points kept from an HL-RF trace
 _TRACE_MAX_POINTS = 300  # and their largest number
-# Rows drawn, transformed and evaluated at a time by the sample-based
-# references (crude MCS and the true-g oracle), so that their temporaries
-# keep this size whatever the sample count. At d = 10 one block of draws is
-# 1.25 MiB, and crude MCS holds about 2.2 blocks at once (tracemalloc): the
-# block under evaluation, its transform and g's temporaries. What stays
-# O(n) is each reference's per-sample results.
-REFERENCE_BLOCK_ROWS = 1 << 14
 
 # S4isConfig's integer fields and their lowest values: stage 1's design must
 # fit a GP, which takes two points; iteration caps may be 0.
@@ -411,19 +405,14 @@ def run_akis_baseline(problem: ProblemSpec, config: S4isConfig, rng):
     return report.final
 
 
-def reference_blocks(n):
-    """The slices of range(n), ``REFERENCE_BLOCK_ROWS`` rows each, in order."""
-    return [slice(start, min(start + REFERENCE_BLOCK_ROWS, n))
-            for start in range(0, n, REFERENCE_BLOCK_ROWS)]
-
-
 def run_mcs_baseline(problem: ProblemSpec, n: int, rng):
     """Crude Monte Carlo with n samples of the true performance function.
 
     The samples are drawn, transformed and evaluated
-    ``REFERENCE_BLOCK_ROWS`` rows at a time (:func:`reference_blocks`); the
-    generator's normal stream is the same as for one (n, d) draw. After an
-    error in a block, the generator has drawn up to the end of that block.
+    ``REFERENCE_BLOCK_ROWS`` rows at a time
+    (:func:`s4is.estimators.reference_blocks`); the generator's normal
+    stream is the same as for one (n, d) draw. After an error in a block,
+    the generator has drawn up to the end of that block.
     """
     n = check_count("sample count", n)
     rv = problem.marginals

@@ -53,19 +53,21 @@ every start: the benchmark's tracer stands in for this module's
 ``optimize`` to count starts and likelihood evaluations.
 
 The refinement loop adds one support point per step, and
-``update_surrogate`` takes it one of two ways. Most points are appended
-at fixed lengthscales and nugget: one factorization of the grown
-correlation matrix, with the trend and signal variance re-profiled, and
-no likelihood search (DiceKriging's ``update`` with ``cov.reestim =
-FALSE``). Every third point since the last full fit (``_REFIT_EVERY``),
-an output more than three predictive standard deviations from the
-model's mean (``_SURPRISE_SD``), constant outputs, a constant GP and a
-grown matrix that is not positive definite take the full warm refit
-instead: three starts, one at the previous lengthscales (a constant GP
-has none and gets a fresh fit's five). A call with no new point
-re-optimises every GP that carries appended points; the pipeline makes
-it before it accepts any stop, so every stage ends on a re-optimised
-model.
+``update_surrogate`` takes it one of two ways; ``_update`` makes the
+choice for each GP. Most points are appended at fixed lengthscales and
+nugget: ``GpSurrogate._at`` on the support set's own arrays, which
+already hold the new row, so one factorization of the grown correlation
+matrix, with the outputs re-standardized and the trend and signal
+variance re-profiled, and no likelihood search (DiceKriging's ``update``
+with ``cov.reestim = FALSE``). Every third point since the last full fit
+(``_REFIT_EVERY``), an output more than three predictive standard
+deviations from the model's mean (``_SURPRISE_SD``), constant outputs, a
+constant GP and a grown matrix that is not positive definite take the
+full warm refit instead: three starts, one at the previous lengthscales
+(a constant GP has none and gets a fresh fit's five). A call with no new
+point re-optimises every GP that carries appended points; the pipeline
+makes it before it accepts any stop, so every stage ends on a
+re-optimised model.
 """
 
 from __future__ import annotations
@@ -247,7 +249,6 @@ class GpSurrogate:
         if n < 2:
             raise SupportPointError("need at least 2 support points")
         self.x = x
-        self.y = y
         self.isotropic = x.shape[1] >= _ISOTROPIC_DIM
         self._y_mean = float(y.mean())
         self._y_sd = float(y.std())
@@ -408,25 +409,6 @@ class GpSurrogate:
             return None
         return gp
 
-    def _append(self, x_new, y_new):
-        """This GP grown by one training point at its lengthscales and
-        relative nugget delta, with the outputs re-standardized and beta,
-        sigma2, alpha and R^-1 1 re-profiled (``_at``); None when the point
-        needs a full fit: this GP or the grown outputs are constant, or R
-        is not positive definite (the new point is numerically a copy of
-        the old ones). Only the new row is checked for a duplicate: the old
-        are distinct.
-        """
-        if (self.x == x_new).all(axis=1).any():
-            raise SupportPointError("duplicate inputs in training data")
-        if self._constant:
-            return None
-        grown = GpSurrogate._at(np.vstack([self.x, x_new]), np.append(self.y, y_new),
-                                np.log(self.lengthscales), self._delta)
-        if grown is not None:
-            grown.n_appended = self.n_appended + 1
-        return grown
-
     # -- prediction: (n, d) rows in, (n,) out -------------------------------
 
     def _kernel_blocks(self, u):
@@ -522,8 +504,13 @@ def _update(gp, x, y, seed):
     if x.shape[0] == n + 1 and gp.n_appended + 1 < _REFIT_EVERY:
         (mean,), (sd,) = gp.predict_mean(x[n:]), gp.predict_sd(x[n:])
         if abs(y[n] - mean) <= _SURPRISE_SD * sd:
-            grown = gp._append(x[n], y[n])
+            # Only the new row can be a duplicate: the old ones are distinct.
+            if (gp.x == x[n]).all(axis=1).any():
+                raise SupportPointError("duplicate inputs in training data")
+            grown = None if gp._constant else GpSurrogate._at(
+                x, y, np.log(gp.lengthscales), gp._delta)
             if grown is not None:
+                grown.n_appended = gp.n_appended + 1
                 return grown
     # The warm refit: three starts, one at gp's lengthscales; a constant
     # GP has none and gets a full fresh fit.
@@ -534,14 +521,15 @@ def _update(gp, x, y, seed):
 def update_surrogate(model, points: SupportPointSet):
     """Bring the surrogate up to date with ``points``.
 
-    One point more than the model has is appended at fixed lengthscales
-    (``GpSurrogate._append``). The full warm refit is taken instead on
-    every ``_REFIT_EVERY``-th point since the last full fit, for an
-    output more than ``_SURPRISE_SD`` predictive standard deviations from
-    the model's mean, for constant outputs or a constant GP, and when the
-    grown correlation matrix is not positive definite. A call with no new
-    point re-optimises every GP that carries appended points, so the
-    model is fully optimised afterwards.
+    One point more than the model has is appended at fixed lengthscales:
+    ``GpSurrogate._at`` on ``points``' arrays, new row included
+    (``_update``). The full warm refit is taken instead on every
+    ``_REFIT_EVERY``-th point since the last full fit, for an output more
+    than ``_SURPRISE_SD`` predictive standard deviations from the model's
+    mean, for constant outputs or a constant GP, and when the grown
+    correlation matrix is not positive definite. A call with no new point
+    re-optimises every GP that carries appended points, so the model is
+    fully optimised afterwards.
     """
     if isinstance(model, CompositeMinSurrogate):
         return CompositeMinSurrogate(

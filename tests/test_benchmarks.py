@@ -11,9 +11,9 @@ from s4is.benchmarks import (_EXAMPLES, EXAMPLE_IDS, Band, builtin_problem,
                              oracle_is_reference, reference_table,
                              run_experiment)
 from s4is.errors import ConfigError, EvaluationError, StageFailureError
-from s4is.estimators import is_estimate_from_log, mcs_estimate
+from s4is.estimators import REFERENCE_BLOCK_ROWS, is_estimate_from_log, mcs_estimate
 from s4is.evaluation import Evaluator, ProblemSpec
-from s4is.pipeline import REFERENCE_BLOCK_ROWS, S4isConfig, run_mcs_baseline
+from s4is.pipeline import S4isConfig, run_mcs_baseline
 from s4is.probability import (GaussianMixture, Marginal, RandomVector,
                               log_std_normal_pdf)
 

@@ -135,7 +135,7 @@ def test_deviation_variance_equals_the_squared_copy_bit_for_bit():
     np.testing.assert_array_equal(w, kept)  # the caller's weights are untouched
 
 
-_SLICE = s4is.estimators._WEIGHT_SLICE
+_SLICE = s4is.estimators.REFERENCE_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("n", [1, 2, _SLICE - 1, _SLICE, _SLICE + 1, 10**6 + 3])

@@ -205,15 +205,13 @@ def test_constant_outputs_and_constant_gps_take_the_full_fit():
     # is added.
     model = GpSurrogate(x[:2], np.array([0.0, 2.1e-12]))
     assert not model._constant
-    assert model._append(x[2], 0.0) is None
     updated = update_surrogate(model, _grown(x[:2], np.array([0.0, 2.1e-12]), x[2], 0.0))
     assert updated._constant and updated.n_appended == 0
     # A constant GP is refitted from scratch, whatever the new output.
-    # update_surrogate tries an append only for an output equal to the
-    # constant (its sd is 0); an append gives None for any output.
+    # Only an output equal to the constant (its sd is 0) passes the
+    # surprise test, and the constant-GP guard sends it to the full fit.
     constant = GpSurrogate(x[:2], np.full(2, 7.0))
     for y_new, stays_constant in ((7.0, True), (8.0, False)):
-        assert constant._append(x[2], y_new) is None
         updated = update_surrogate(constant, _grown(x[:2], np.full(2, 7.0), x[2], y_new))
         assert updated._constant == stays_constant and updated.n_appended == 0
 
@@ -242,6 +240,37 @@ def test_append_path_keeps_the_data_checks(monkeypatch, x_new, y_new, error):
 def _composite(x, comp, rule):
     """The composite surrogate of per-component outputs ``comp`` at ``x``."""
     return fit_surrogate(SupportPointSet(x, x, rule(comp), comp), rule)
+
+
+def test_composite_append_equals_a_fit_on_contiguous_component_columns():
+    # The update hands each component GP a strided column of the support
+    # set's (n, k) outputs; its grown GP must be the one made from a
+    # contiguous copy of that column, bit for bit.
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-3, 3, size=(16, 2))
+    comp = np.column_stack([x[:, 0] + 2.0 + 0.1 * np.sin(x[:, 1]),
+                            -x[:, 0] + 2.0 + 0.3 * x[:, 1],
+                            np.cos(x[:, 0]) + 0.2 * x[:, 1] ** 2])
+
+    def rule(v):
+        return np.min(v, axis=-1)
+
+    pts = SupportPointSet(x[:15], x[:15], rule(comp[:15]), comp[:15])
+    model = fit_surrogate(pts, rule)
+    pts.append(x[15], x[15], rule(comp[15]), comp[15])
+    grown = update_surrogate(model, pts)
+    assert not pts.component_outputs[:, 0].flags.c_contiguous
+    u = rng.uniform(-4, 4, size=(40, 2))
+    for j, (old, new) in enumerate(zip(model.models, grown.models)):
+        assert new.n_appended == 1
+        ref = GpSurrogate._at(pts.x, np.ascontiguousarray(pts.component_outputs[:, j]),
+                              np.log(old.lengthscales), old._delta)
+        for name in ("_y_mean", "_y_sd", "trend", "signal_variance", "nugget"):
+            assert repr(getattr(new, name)) == repr(getattr(ref, name)), name
+        for name in ("lengthscales", "_alpha", "_chol", "_rinv1"):
+            np.testing.assert_array_equal(getattr(new, name), getattr(ref, name))
+        np.testing.assert_array_equal(new.predict_mean(u), ref.predict_mean(u))
+        np.testing.assert_array_equal(new.predict_sd(u), ref.predict_sd(u))
 
 
 def test_composite_min_of_component_means():
