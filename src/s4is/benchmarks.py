@@ -19,7 +19,11 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, S4isError, StageFailureError
-from .estimators import is_estimate_from_log, reference_blocks, relative_error
+from .estimators import (failure_weights, is_estimate_from_weighted, reference_blocks,
+                         relative_error)
+# Unused here, but bench/tracing.py patches this name and log_std_normal_pdf
+# in this module; both stay importable from it.
+from .estimators import is_estimate_from_log  # noqa: F401
 from .evaluation import Evaluator, ProblemSpec
 from .form import DEDUP_DISTANCE, start_points
 from .pipeline import (S4isConfig, check_count, run_akis_baseline,
@@ -262,8 +266,14 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     evaluated and weighted ``REFERENCE_BLOCK_ROWS`` rows at a time
     (:func:`s4is.estimators.reference_blocks`), the stream of one
     :meth:`GaussianMixture.sample` (:meth:`GaussianMixture.block_sampler`).
-    After an error in a block, the generator has drawn up to the end of
-    that block.
+    Both densities are taken at a block's failure samples only, and their
+    weights go straight into the estimate's n weighted indicators. So the
+    oracle holds 9 bytes per sample, those weights and a one-byte
+    component index (up to 256 centres), and gives the estimate of
+    :func:`s4is.estimators.is_estimate_from_log` on all n log weights, bit
+    for bit. After an error in a block, ``EvaluationError`` or
+    ``DensitySupportError``, the generator has drawn up to the end of that
+    block.
     """
     n = check_count("sample count", n)
     d = problem.dim
@@ -288,15 +298,15 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
         raise StageFailureError("no MPP found on any component")
     evaluator = Evaluator(problem)
     gm = GaussianMixture(np.array(centers))
-    failed = np.empty(n, dtype=bool)
-    log_w = np.empty(n)
     draw = gm.block_sampler(n, rng)
+    # Made after the int64 indices are freed, so that it takes fresh pages.
+    weighted = np.zeros(n)
     for block in reference_blocks(n):
         u = draw(block)
-        failed[block] = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
-        log_w[block] = log_std_normal_pdf(u) - gm.logpdf(u)
-    del draw  # its n component indices, before the estimate's n weights
-    return is_estimate_from_log(failed, log_w)
+        failed = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
+        u = u[failed]
+        weighted[block][failed] = failure_weights(log_std_normal_pdf(u) - gm.logpdf(u))
+    return is_estimate_from_weighted(weighted)
 
 
 @dataclass

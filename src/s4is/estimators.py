@@ -2,6 +2,11 @@
 
 Conventions: failure is g <= 0 (boundary counts as failure); a zero estimate
 is returned with its CoV flagged undefined rather than raising.
+
+An IS estimate is made from one (n,) array of weighted indicators, filled
+block by block through :func:`failure_weights`, the one place where a zero
+importance density at a failure raises, and finished by
+:func:`is_estimate_from_weighted`.
 """
 
 from __future__ import annotations
@@ -78,6 +83,28 @@ def reference_blocks(n):
             for start in range(0, n, REFERENCE_BLOCK_ROWS)]
 
 
+def failure_weights(log_w):
+    """The IS weights exp(log_w) of one block's failure samples, taken in
+    place of their log weights; a weight that is +inf (the importance
+    density is zero there) or NaN raises."""
+    if not np.all(log_w < np.inf):
+        raise DensitySupportError("importance density is zero at a failure sample")
+    return np.exp(log_w, out=log_w)
+
+
+def is_estimate_from_weighted(weighted):
+    """IS estimate from the n weighted indicators w * 1{failure}, which it
+    overwrites with their squared deviations from pf, so the variance is
+    :func:`is_variance_deviation`'s bit for bit."""
+    n = weighted.size
+    pf = float(weighted.mean())
+    variance = 0.0
+    if n >= 2:
+        weighted -= pf
+        variance = float(np.sum(np.square(weighted, out=weighted)) / (n * (n - 1)))
+    return _finish(pf, variance, n)
+
+
 def is_estimate_from_log(indicators, log_w):
     """IS estimate from indicators and log weights log p - log q of target
     and proposal; a failure whose weight is +inf (q = 0) or NaN raises.
@@ -85,26 +112,16 @@ def is_estimate_from_log(indicators, log_w):
     Working in logs keeps likelihood ratios finite in high dimension where
     both densities underflow. The weighted indicators are the one (n,)
     array made here: they are filled block by block
-    (:func:`reference_blocks`), then turned into squared deviations from pf
-    in place, so the variance is :func:`is_variance_deviation`'s bit for
-    bit.
+    (:func:`reference_blocks`, :func:`failure_weights`), then finished by
+    :func:`is_estimate_from_weighted`.
     """
     ind = np.asarray(indicators, dtype=bool)
     log_w = np.asarray(log_w, dtype=float)
-    n = ind.size
-    weighted = np.zeros(n)
-    for block in reference_blocks(n):
+    weighted = np.zeros(ind.size)
+    for block in reference_blocks(ind.size):
         failed = ind[block]
-        logs = log_w[block][failed]
-        if not np.all(logs < np.inf):
-            raise DensitySupportError("importance density is zero at a failure sample")
-        weighted[block][failed] = np.exp(logs, out=logs)
-    pf = float(weighted.mean())
-    variance = 0.0
-    if n >= 2:
-        weighted -= pf
-        variance = float(np.sum(np.square(weighted, out=weighted)) / (n * (n - 1)))
-    return _finish(pf, variance, n)
+        weighted[block][failed] = failure_weights(log_w[block][failed])
+    return is_estimate_from_weighted(weighted)
 
 
 def relative_error(reference_pf, pf):

@@ -294,8 +294,13 @@ class GaussianMixture:
         slice ``block`` of range(n), a unit-normal jitter on each picked
         centre. Blocks drawn in order give the points of :meth:`sample`,
         bit for bit: the generator's normal stream is that of one (n, d)
-        draw."""
+        draw.
+
+        The indices come from one int64 ``rng.integers`` draw and are kept
+        in the smallest unsigned type that holds them, one byte each up to
+        256 centres; the int64 array is freed before this returns."""
         idx = rng.integers(0, self.n_components, size=n)
+        idx = idx.astype(np.min_scalar_type(self.n_components - 1))
 
         def draw(block):
             picked = idx[block]

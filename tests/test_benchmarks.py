@@ -10,7 +10,8 @@ from s4is import benchmarks
 from s4is.benchmarks import (_EXAMPLES, EXAMPLE_IDS, Band, builtin_problem,
                              oracle_is_reference, reference_table,
                              run_experiment)
-from s4is.errors import ConfigError, EvaluationError, StageFailureError
+from s4is.errors import (ConfigError, DensitySupportError, EvaluationError,
+                         StageFailureError)
 from s4is.estimators import REFERENCE_BLOCK_ROWS, is_estimate_from_log, mcs_estimate
 from s4is.evaluation import Evaluator, ProblemSpec
 from s4is.pipeline import S4isConfig, run_mcs_baseline
@@ -345,17 +346,60 @@ def test_mcs_holds_a_few_draw_blocks_beyond_its_failure_flags(peak_bytes):
     assert extra < 5e6
 
 
-def test_oracle_drops_its_component_indices_before_the_weights(peak_bytes):
-    # The oracle keeps 17 bytes per sample (a failure flag, a component
-    # index, a log weight) while it draws; its estimate's weighted
-    # indicators then take the indices' place, so the peak is 17 bytes per
-    # sample and per-block temporaries (9 to 11 blocks on example1), not
-    # the 25 of indices and weights held at once.
+def test_oracle_holds_nine_bytes_per_sample_and_a_few_blocks(peak_bytes):
+    # The oracle keeps its estimate's weighted indicators and a one-byte
+    # component index per sample; the int64 index draw is freed before the
+    # weights are made, and both densities are taken per block at its
+    # failure samples only. So the peak is 9 bytes per sample and per-block
+    # temporaries (6 to 9 blocks on example1), not the 17 of a failure
+    # flag, an int64 index and a log weight held while it draws.
     problem = builtin_problem("example1")
     n = 64 * REFERENCE_BLOCK_ROWS + 3
     block = 8 * REFERENCE_BLOCK_ROWS * problem.dim
     peak = peak_bytes(lambda: oracle_is_reference(problem, np.random.default_rng(1), n=n))
-    assert peak < 17 * n + 16 * block
+    assert peak < 9 * n + 16 * block
+
+
+def test_oracle_raises_a_zero_density_in_the_block_where_it_occurs(monkeypatch):
+    """A failure sample where the mixture density is zero, in the second of
+    three blocks, raises DensitySupportError there, with the generator
+    drawn to the end of that block and no further."""
+    batches, mixture_draws, densities = [], [], []
+    block_sampler = GaussianMixture.block_sampler
+    logpdf = GaussianMixture.logpdf
+
+    def recording_block_sampler(self, count, rng):
+        mixture_draws.append((self, rng.bit_generator.state))
+        return block_sampler(self, count, rng)
+
+    def zero_in_the_second_block(self, u):
+        out = logpdf(self, u)
+        densities.append(len(out))
+        if len(densities) == 2:
+            out[-1] = -np.inf
+        return out
+
+    def g(theta):
+        if len(theta) > 1:  # a block; the oracle's MPP search takes single rows
+            batches.append(len(theta))
+        return 3.0 - theta[:, 0]
+
+    monkeypatch.setattr(GaussianMixture, "block_sampler", recording_block_sampler)
+    monkeypatch.setattr(GaussianMixture, "logpdf", zero_in_the_second_block)
+    problem = ProblemSpec("zero_density", RandomVector((Marginal("normal", 0.0, 1.0),) * 2),
+                          (g,))
+    n = 3 * REFERENCE_BLOCK_ROWS
+    rng = np.random.default_rng(8)
+    with pytest.raises(DensitySupportError,
+                       match="^importance density is zero at a failure sample$"):
+        oracle_is_reference(problem, rng, n=n)
+    assert batches == [REFERENCE_BLOCK_ROWS] * 2 and len(densities) == 2
+    [(gm, state)] = mixture_draws
+    replay = np.random.default_rng()
+    replay.bit_generator.state = state
+    replay.integers(0, gm.n_components, size=n)
+    replay.standard_normal((2 * REFERENCE_BLOCK_ROWS, problem.dim))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [0, -5, True, 2.5, "10", None])

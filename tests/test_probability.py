@@ -224,6 +224,20 @@ def test_gm_block_draws_concatenate_to_one_sample(n):
     assert np.array_equal(np.vstack(blocks), gm.sample(n, np.random.default_rng(7)))
 
 
+@pytest.mark.parametrize("k", [1, 4, 300])  # one-byte indices, and two past 256 centres
+def test_gm_sample_equals_the_int64_index_construction(k):
+    gm = GaussianMixture(np.random.default_rng(k).normal(scale=3.0, size=(k, 3)))
+    n = 5000
+    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+    got = gm.sample(n, rng)
+    idx = replay.integers(0, k, size=n)
+    assert idx.dtype == np.int64
+    want = replay.standard_normal((n, 3))
+    want += gm.centers[idx]
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 def test_gm_sampling_matches_density():
     gm = GaussianMixture(np.array([[2.0], [-2.0]]))
     u = gm.sample(100_000, np.random.default_rng(4))

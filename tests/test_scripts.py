@@ -26,11 +26,14 @@ def test_sweep_all_prints_one_row_per_target():
         [sys.executable, str(ROOT / "scripts" / "sweep.py"), "all", "--seeds", "1-1"],
         capture_output=True, text=True, check=True, timeout=300).stdout
     solves = {"s4is_solve": 8, "example5_d10": 5, "example2": 1, "example3": 1,
-              "example4_c3": 1, "example4_c4": 1}
+              "example4_c3": 1, "example4_c4": 1, "linear_d5": 1, "linear_d8": 1,
+              "linear_d10": 1, "sphere_d2": 1, "sphere_d4": 1, "curved_d10": 1,
+              "branches_d10": 1}
     number = r"[+-]?[\d.]+"
-    rows = re.findall(rf"^(\w+) +(\d+) +(\d+) +(\d+) +({number})% +({number}) +(\d+) +"
-                      rf"{number}$", out, re.MULTILINE)
+    rows = re.findall(rf"^(\w+) +(\d+) +(\d+) +(\d+) +({number})% +({number})% +({number}) +"
+                      rf"(\d+) +{number}$", out, re.MULTILINE)
     assert {row[0]: int(row[1]) for row in rows} == solves, out
-    for _, n, out_of_band, flagged, _, mean_n_eval, max_n_eval in rows:
+    for _, n, out_of_band, flagged, _, sd, mean_n_eval, max_n_eval in rows:
         assert 0 <= int(out_of_band) <= int(n) and 0 <= int(flagged) <= int(n)
+        assert float(sd) == 0.0 or int(n) > 1
         assert 0 < float(mean_n_eval) <= int(max_n_eval)
