@@ -1,8 +1,9 @@
 """Candidate pools, the stage learning functions and candidate selection.
 
-Scores are computed for the whole pool at once; ``select_next`` takes the
-argmin over the not-yet-selected candidates with a lowest-index tie-break
-so results do not depend on evaluation order.
+Scores are computed for the whole pool at once (the nearest-support
+distances in row blocks); ``select_next`` takes the argmin over the
+not-yet-selected candidates with a lowest-index tie-break so results do not
+depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import S4isError
+from .surrogate import row_blocks
 
 
 class PoolExhausted(S4isError):
@@ -29,8 +31,15 @@ class CandidatePool:
 
 
 def min_distances(points, support):
-    """Per-point minimum Euclidean distance to the support set (vectorized)."""
-    return cdist(np.atleast_2d(points), np.atleast_2d(support)).min(axis=1)
+    """Per-point minimum Euclidean distance to the support set, in the row
+    blocks of ``surrogate.row_blocks``: the (points x support) distances
+    are never built whole, and each row's bits are those of one ``cdist``
+    on all the rows."""
+    points, support = np.atleast_2d(points), np.atleast_2d(support)
+    dmin = np.empty(len(points))
+    for block in row_blocks(len(points), len(support)):
+        dmin[block] = cdist(points[block], support).min(axis=1)
+    return dmin
 
 
 def lf1_scores(abs_means, dmin, scale=1.0):

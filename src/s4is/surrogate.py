@@ -30,7 +30,8 @@ prediction's kernel rows are scaled, exponentiated and multiplied in
 place, in buffers reused within a call, with the bits of the plain
 expressions. Predictions take their rows in blocks of about
 ``_PREDICT_BLOCK_VALUES`` kernel values, so a candidate pool's kernel is
-never built whole (``GpSurrogate._kernel_blocks``).
+never built whole (``row_blocks``, which ``learning.min_distances`` takes
+too).
 
 For the same reason each L-BFGS-B start runs ``_lbfgsb``, which drives
 scipy's ``setulb`` routine itself, in place of scipy's own
@@ -109,12 +110,34 @@ _TASK_FG = 3
 _TASK_NEW_X = 1
 _TASK_STOP = 5
 _TASK_MAXITER = 504
-# Kernel values (rows x support points) a prediction computes at a time,
-# and the multiple of rows its blocks take (``GpSurrogate._kernel_blocks``):
-# a multiple of the four rows that OpenBLAS's x86-64 gemv kernels take together,
-# with room for kernels that take eight or sixteen.
+# Values (rows x support points) a pool-sized computation holds at a time,
+# and the multiple of rows its blocks take (``row_blocks``): a multiple of
+# the four rows that OpenBLAS's x86-64 gemv kernels take together, with room
+# for kernels that take eight or sixteen.
 _PREDICT_BLOCK_VALUES = 1 << 16
 _PREDICT_ROW_ALIGN = 16
+
+
+def row_blocks(n, width):
+    """The row slices of range(n) in order, none past n, each of about
+    ``_PREDICT_BLOCK_VALUES`` values when a row holds ``width`` of them, so
+    a (rows x support) array is never built whole.
+
+    A block takes a multiple of ``_PREDICT_ROW_ALIGN`` rows, at least that
+    many, and a last block of one row, which numpy would hand to ``dot`` in
+    place of ``gemv``, is joined to the block before it. Pool
+    predictions (``GpSurrogate._kernel_blocks``) and the nearest-support
+    distances (``learning.min_distances``) take these blocks.
+    """
+    rows = max(_PREDICT_ROW_ALIGN, _PREDICT_BLOCK_VALUES // width
+               // _PREDICT_ROW_ALIGN * _PREDICT_ROW_ALIGN)
+    start = 0
+    while start < n:
+        stop = min(start + rows, n)
+        if stop == n - 1:
+            stop = n
+        yield slice(start, stop)
+        start = stop
 
 
 def _lbfgsb(fun, x0, args, bounds, maxiter=60, **_):
@@ -207,23 +230,19 @@ class SupportPointSet:
     def __len__(self):
         return self.inputs_u.shape[0]
 
-    def append(self, u, x, y, components):
-        u = np.asarray(u, dtype=float)
-        if (self.inputs_u == u).all(axis=1).any():
-            raise SupportPointError("duplicate support input")
-        self.inputs_u = np.vstack([self.inputs_u, u])
-        self.x = np.vstack([self.x, np.asarray(x, dtype=float)])
-        self.outputs = np.append(self.outputs, float(y))
-        self.component_outputs = np.vstack([self.component_outputs, np.asarray(components, dtype=float)])
-
     def extend(self, points):
-        """Append each point of ``points`` in turn."""
-        for row in zip(points.inputs_u, points.x, points.outputs, points.component_outputs):
-            self.append(*row)
-
-
-def _sq_dists(a, b, lengthscales):
-    return cdist_sqeuclidean(a / lengthscales, b / lengthscales)
+        """Add the rows of the support set ``points`` at the end, or none of
+        them: every new input is checked against this set and against the
+        rows before it in ``points`` (exact equality, so NaN repeats
+        nothing) before any array grows."""
+        inputs_u = np.vstack([self.inputs_u, points.inputs_u])
+        for i in range(len(self), len(inputs_u)):
+            if (inputs_u[:i] == inputs_u[i]).all(axis=1).any():
+                raise SupportPointError("duplicate support input")
+        self.inputs_u, self.x, self.outputs, self.component_outputs = (
+            inputs_u, np.vstack([self.x, points.x]),
+            np.concatenate([self.outputs, points.outputs]),
+            np.vstack([self.component_outputs, points.component_outputs]))
 
 
 class GpSurrogate:
@@ -412,32 +431,31 @@ class GpSurrogate:
     # -- prediction: (n, d) rows in, (n,) out -------------------------------
 
     def _kernel_blocks(self, u):
-        """(slice, kernel rows) for the rows of ``u`` in order, in blocks of
-        about ``_PREDICT_BLOCK_VALUES`` kernel values, so a prediction's
-        temporaries keep that size whatever the row count.
+        """(slice, kernel rows) for the rows of ``u`` in the blocks of
+        ``row_blocks``, so a prediction's temporaries keep a block's size
+        whatever the row count. Every block is written into one buffer,
+        which the next block overwrites: no two blocks are held at once, and
+        a pool prediction makes one block-sized allocation, not one per
+        block (each of which glibc may hand back to the system and fault in
+        again).
 
         Blocking keeps every bit of one BLAS call on all the rows: ``dpotrs``
         solves each column alone, and ``gemv`` takes the rows in groups of
-        four from the start of its call, with the tail rows apart. So the
-        block size is a multiple of ``_PREDICT_ROW_ALIGN``, and a last block
-        of one row, which numpy hands to ``dot`` in place of ``gemv``, is
-        joined to the block before it. With more than one BLAS thread,
-        ``gemv`` splits its rows between the threads, and the bits depend on
-        where (ROADMAP item 12).
+        four from the start of its call, with the tail rows apart, which the
+        blocks' alignment respects. With more than one BLAS thread, ``gemv``
+        splits its rows between the threads, and the bits depend on where
+        (ROADMAP item 12).
         """
-        n = len(u)
-        rows = max(_PREDICT_ROW_ALIGN, _PREDICT_BLOCK_VALUES // self.x.shape[0]
-                   // _PREDICT_ROW_ALIGN * _PREDICT_ROW_ALIGN)
-        start = 0
-        while start < n:
-            stop = start + rows
-            if stop == n - 1:
-                stop = n
-            k = _sq_dists(u[start:stop], self.x, self.lengthscales)
+        m = self.x.shape[0]
+        blocks = list(row_blocks(len(u), m))
+        buf = np.empty(max((b.stop - b.start for b in blocks), default=0) * m)
+        x = self.x / self.lengthscales
+        for block in blocks:
+            k = buf[:(block.stop - block.start) * m].reshape(-1, m)
+            cdist_sqeuclidean(u[block] / self.lengthscales, x, out=k)
             k *= -0.5
             np.exp(k, out=k)
-            yield slice(start, stop), k
-            start = stop
+            yield block, k
 
     def predict_mean(self, u):
         """Posterior mean at the (n, d) rows ``u``, computed in row blocks

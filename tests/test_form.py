@@ -9,7 +9,7 @@ from scipy import stats
 from s4is.benchmarks import builtin_problem
 from s4is.errors import StationaryPointError
 from s4is.evaluation import Evaluator, ProblemSpec
-from s4is.form import form_pf, hlrf_search, multi_start_mpps
+from s4is.form import form_pf, hlrf_search, multi_start_mpps, start_points
 from s4is.probability import Marginal, RandomVector
 
 
@@ -107,6 +107,18 @@ def test_merit_line_search_converges_on_example3():
     assert res.converged
     assert res.n_eval <= 250
     assert form_pf(res.beta) == pytest.approx(0.11797, rel=0.01)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the nine random starts creep "
+                                       "along the flat MPP for 100 iterations, 501 calls each")
+def test_hlrf_ends_every_start_on_a_flat_mpp_within_100_calls():
+    # example4_c5's component c1 alone: MPP (0, 5), where beta hardly
+    # changes along the limit state. The origin converges in 11 calls.
+    rv = RandomVector((Marginal("normal", 0.0, 1.0),) * 2)
+    c1 = builtin_problem("example4", c=5).components[0]
+    problem = ProblemSpec("example4_c5_c1", rv, (c1,), "single")
+    for start in start_points(2, np.random.default_rng(7)):
+        assert hlrf_search(Evaluator(problem), start).n_eval <= 100, start
 
 
 def test_multi_start_dedups_symmetric_mpps():

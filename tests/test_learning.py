@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import s4is.surrogate
 from s4is.learning import (CandidatePool, PoolExhausted, lf1_scores,
                            lf2_scores, min_distances, select_next)
+from s4is.surrogate import row_blocks
 
 
 def _pool(points):
@@ -16,6 +19,31 @@ def test_min_distance_helpers():
     support = np.array([[0.0, 0.0], [2.0, 0.0]])
     d = min_distances(np.array([[3.0, 0.0], [-1.0, 0.0]]), support)
     np.testing.assert_allclose(d, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("budget, n_support", [(100, 3), (1200, 30), (None, 20), (None, 300)])
+def test_blocked_min_distances_equal_one_cdist(monkeypatch, budget, n_support):
+    # Row counts around the block size, with a one-row tail joined to the
+    # block before it; (None, ...) keeps the module's block budget.
+    if budget is not None:
+        monkeypatch.setattr(s4is.surrogate, "_PREDICT_BLOCK_VALUES", budget)
+    rows = next(row_blocks(10**6, n_support)).stop
+    rng = np.random.default_rng(n_support)
+    support = rng.standard_normal((n_support, 3))
+    for n in (1, 2, rows - 1, rows, rows + 1, rows + 2, 3 * rows + 1, 3 * rows + 17):
+        points = rng.uniform(-4, 4, size=(n, 3))
+        expected = cdist(points, support).min(axis=1)
+        assert np.array_equal(min_distances(points, support), expected), n
+
+
+def test_min_distances_hold_a_few_blocks(peak_bytes):
+    # Unblocked, the (points x support) distances of 10^4 rows and 300
+    # support points are 24 MB.
+    rng = np.random.default_rng(3)
+    points = rng.standard_normal((10**4, 2))
+    support = rng.standard_normal((300, 2))
+    block = 8 * s4is.surrogate._PREDICT_BLOCK_VALUES
+    assert peak_bytes(lambda: min_distances(points, support)) < 8 * len(points) + 4 * block
 
 
 def test_lf1_scores_tradeoff():

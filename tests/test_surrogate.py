@@ -24,6 +24,11 @@ from s4is.surrogate import (CompositeMinSurrogate, GpSurrogate,
                             SupportPointSet, fit_surrogate, update_surrogate)
 
 
+def _one(u, x, y, components):
+    """The support set of the one point (u, x, y, components)."""
+    return SupportPointSet(u, x, [y], components)
+
+
 def _training_data(n=20, d=2, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-3, 3, size=(n, d))
@@ -103,7 +108,7 @@ def test_update_matches_fresh_fit():
     fresh = GpSurrogate(np.vstack([x, x_new]), np.append(y, y_new))
     pts = SupportPointSet(x, x, y, y[:, None])
     updated = fit_surrogate(pts)
-    pts.append(x_new[0], x_new[0], y_new[0], y_new)
+    pts.extend(_one(x_new[0], x_new[0], y_new[0], y_new))
     updated = update_surrogate(updated, pts)
     assert updated.n_appended == 1 and updated.nll_history == []
     # With no new point, the update re-optimises the appended model.
@@ -137,7 +142,7 @@ def test_append_matches_a_full_factor_at_fixed_hyperparameters(n, d, isotropic):
     model = fit_surrogate(pts)
     assert model.isotropic == isotropic
     for i in (n - 2, n - 1):
-        pts.append(x[i], x[i], y[i], y[i:i + 1])
+        pts.extend(_one(x[i], x[i], y[i], y[i:i + 1]))
         model = update_surrogate(model, pts)
         assert model.n_appended == i - n + 3
         ref = _fixed_hyperparameter_fit(model, x[:i + 1], y[:i + 1])
@@ -162,7 +167,7 @@ def test_every_third_point_takes_the_full_fit():
     pts = SupportPointSet(x[:12], x[:12], y[:12], y[:12, None])
     model = fit_surrogate(pts)
     for i, expected in zip(range(12, 15), (1, 2, 0)):
-        pts.append(x[i], x[i], y[i], y[i:i + 1])
+        pts.extend(_one(x[i], x[i], y[i], y[i:i + 1]))
         model = update_surrogate(model, pts)
         assert model.n_appended == expected
     assert len(model.nll_history) == 3  # the warm refit's three starts
@@ -257,7 +262,7 @@ def test_composite_append_equals_a_fit_on_contiguous_component_columns():
 
     pts = SupportPointSet(x[:15], x[:15], rule(comp[:15]), comp[:15])
     model = fit_surrogate(pts, rule)
-    pts.append(x[15], x[15], rule(comp[15]), comp[15])
+    pts.extend(_one(x[15], x[15], rule(comp[15]), comp[15]))
     grown = update_surrogate(model, pts)
     assert not pts.component_outputs[:, 0].flags.c_contiguous
     u = rng.uniform(-4, 4, size=(40, 2))
@@ -295,12 +300,12 @@ def test_composite_applies_the_system_rule():
 def test_support_point_set_append_and_duplicates():
     pts = SupportPointSet(np.zeros((1, 2)), np.zeros((1, 2)), np.array([1.0]),
                           np.array([[1.0, 2.0]]))
-    pts.append(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5,
-               np.array([0.5, 0.7]))
+    pts.extend(_one(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5,
+                    np.array([0.5, 0.7])))
     assert len(pts) == 2
     with pytest.raises(ValueError):
-        pts.append(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5,
-                   np.array([0.5, 0.7]))
+        pts.extend(_one(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.5,
+                        np.array([0.5, 0.7])))
 
 
 @pytest.mark.parametrize("part, bad", [("x", np.nan), ("x", np.inf),
@@ -541,9 +546,10 @@ def test_sq_dist_routine_equals_cdist(shape_a, shape_b):
     a, b = rng.normal(size=shape_a) * 5.0, rng.normal(size=shape_b)
     assert np.array_equal(cdist_sqeuclidean(a, b), cdist(a, b, "sqeuclidean"))
     assert np.array_equal(cdist_sqeuclidean(a, a), cdist(a, a, "sqeuclidean"))
-    ls = rng.uniform(0.1, 3.0, shape_a[1])
-    assert np.array_equal(s4is.surrogate._sq_dists(a, b, ls),
-                          cdist(a / ls, b / ls, "sqeuclidean"))
+    # Predictions write their kernel blocks into a buffer through ``out``.
+    out = np.full((shape_a[0], shape_b[0]), np.nan)
+    cdist_sqeuclidean(a, b, out=out)
+    assert np.array_equal(out, cdist(a, b, "sqeuclidean"))
 
 
 def test_driver_repeats_scipy_lbfgsb_at_the_edges():
@@ -582,7 +588,7 @@ def test_composite_honours_isotropic_through_updates():
     model = fit_surrogate(pts, lambda v: np.min(v, axis=-1))
     assert_isotropic(model)
     v = rng.uniform(-3, 3, size=(1, 20))
-    pts.append(v[0], v[0], comps(v).min(), comps(v)[0])
+    pts.extend(_one(v[0], v[0], comps(v).min(), comps(v)[0]))
     model = update_surrogate(model, pts)
     assert_isotropic(model)
 
@@ -635,7 +641,7 @@ def test_fresh_fits_make_five_starts_and_warm_fits_three(monkeypatch):
     # Two appends, then the warm refit of update_surrogate.
     pts = SupportPointSet(x[:12], x[:12], y[:12], y[:12, None])
     for i in range(12, 15):
-        pts.append(x[i], x[i], y[i], y[i:i + 1])
+        pts.extend(_one(x[i], x[i], y[i], y[i:i + 1]))
         model = update_surrogate(model, pts)
     assert model.n_appended == 0 and len(counter.sizes) == 11
 
@@ -653,7 +659,7 @@ def test_a_system_rule_on_one_component_fits_one_gp():
 @pytest.mark.parametrize("make", [
     lambda: SupportPointSet(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(2), np.zeros((2, 1))),
     lambda: SupportPointSet(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1),
-                            np.zeros((1, 1))).append(np.zeros(2), np.zeros(2), 0.0, [0.0]),
+                            np.zeros((1, 1))).extend(_one(np.zeros(2), np.zeros(2), 0.0, [0.0])),
     lambda: GpSurrogate(np.zeros((1, 2)), np.zeros(1)),
     lambda: GpSurrogate(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
                         np.array([1.0, 1.0, 2.0])),
@@ -670,11 +676,11 @@ def test_bad_support_points_raise_a_typed_error(make):
 
 def test_duplicate_check_is_exact_equality():
     pts = SupportPointSet(np.array([[0.0, np.inf]]), np.zeros((1, 2)), np.zeros(1), np.zeros((1, 1)))
-    pts.append(np.array([0.0, 1e-300]), np.zeros(2), 0.0, [0.0])  # near is not equal
+    pts.extend(_one(np.array([0.0, 1e-300]), np.zeros(2), 0.0, [0.0]))  # near is not equal
     with pytest.raises(SupportPointError):
-        pts.append(np.array([0.0, np.inf]), np.zeros(2), 0.0, [0.0])
-    pts.append(np.array([np.nan, 0.0]), np.zeros(2), 0.0, [0.0])
-    pts.append(np.array([np.nan, 0.0]), np.zeros(2), 0.0, [0.0])  # NaN equals nothing
+        pts.extend(_one(np.array([0.0, np.inf]), np.zeros(2), 0.0, [0.0]))
+    pts.extend(_one(np.array([np.nan, 0.0]), np.zeros(2), 0.0, [0.0]))
+    pts.extend(_one(np.array([np.nan, 0.0]), np.zeros(2), 0.0, [0.0]))  # NaN equals nothing
     assert len(pts) == 4
 
 
@@ -689,6 +695,22 @@ def test_extend_appends_each_point_in_turn():
     np.testing.assert_array_equal(pts.component_outputs, [[0, 0], [1, 2], [3, 4]])
     with pytest.raises(SupportPointError):
         pts.extend(new)  # its first point is already there
+
+
+@pytest.mark.parametrize("repeat", [
+    [[1.0, 0.0], [0.0, 0.0]],  # the second row is already in the set
+    [[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]],  # the third row repeats the first
+])
+def test_a_failed_extend_leaves_the_set_unchanged(repeat):
+    pts = SupportPointSet(np.zeros((1, 2)), np.ones((1, 2)), np.full(1, 3.0), np.full((1, 2), 4.0))
+    before = [pts.inputs_u, pts.x, pts.outputs, pts.component_outputs]
+    n = len(repeat)
+    with pytest.raises(SupportPointError):
+        pts.extend(SupportPointSet(repeat, repeat, np.arange(n), np.ones((n, 2))))
+    for kept, array in zip(before, [pts.inputs_u, pts.x, pts.outputs, pts.component_outputs]):
+        assert array is kept
+    np.testing.assert_array_equal(pts.inputs_u, [[0.0, 0.0]])
+    np.testing.assert_array_equal(pts.outputs, [3.0])
 
 
 def _reference_factor(model, ls, delta):
@@ -796,6 +818,19 @@ def test_blocked_predictions_equal_the_unblocked_expressions_at_full_block_size(
     proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
                           cwd=src, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n, width", [(0, 5), (1, 5), (16, 4096), (17, 4096), (18, 4096),
+                                      (1000, 3), (10**4, 300), (5, 10**6)])
+def test_row_blocks_cover_the_rows_in_aligned_blocks(n, width):
+    blocks = list(s4is.surrogate.row_blocks(n, width))
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    align = s4is.surrogate._PREDICT_ROW_ALIGN
+    rows = max(align, s4is.surrogate._PREDICT_BLOCK_VALUES // width // align * align)
+    for b in blocks[:-1]:
+        assert b.stop - b.start == rows
+    if n > 1:
+        assert blocks[-1].stop - blocks[-1].start > 1  # never a one-row tail
 
 
 def test_pool_predictions_hold_a_few_kernel_blocks(peak_bytes):
