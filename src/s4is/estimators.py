@@ -23,8 +23,9 @@ from .errors import DensitySupportError
 # is_estimate_from_log, and the draws that the sample-based references
 # (crude MCS and the true-g oracle) transform and evaluate. At d = 10 one
 # block of draws is 1.25 MiB, and crude MCS holds about 2.2 blocks at once
-# (tracemalloc): the block under evaluation, its transform and g's
-# temporaries. What stays O(n) is each reference's per-sample results.
+# (tracemalloc), whatever n: the block under evaluation, its transform and
+# g's temporaries; it counts its failures. What stays O(n) is the IS
+# estimates' weighted indicators and the oracle's component indices.
 REFERENCE_BLOCK_ROWS = 1 << 14
 
 
@@ -47,11 +48,9 @@ def _finish(pf, variance, n_samples):
                                n_samples=int(n_samples))
 
 
-def mcs_estimate(indicators):
-    """Binomial estimate from 0/1 indicator values."""
-    ind = np.asarray(indicators)
-    n = ind.size
-    pf = np.float64(np.count_nonzero(ind)) / n  # NaN, not an error, at n = 0
+def mcs_estimate(n_failed, n):
+    """Binomial estimate from n_failed failures among n samples."""
+    pf = np.float64(n_failed) / n  # NaN, not an error, at n = 0
     variance = pf * (1.0 - pf) / n
     return _finish(pf, variance, n)
 
@@ -78,9 +77,9 @@ def is_variance_moment(weighted, pf):
 
 
 def reference_blocks(n):
-    """The slices of range(n), ``REFERENCE_BLOCK_ROWS`` rows each, in order."""
-    return [slice(start, min(start + REFERENCE_BLOCK_ROWS, n))
-            for start in range(0, n, REFERENCE_BLOCK_ROWS)]
+    """Yield the slices of range(n), ``REFERENCE_BLOCK_ROWS`` rows each, in order."""
+    for start in range(0, n, REFERENCE_BLOCK_ROWS):
+        yield slice(start, min(start + REFERENCE_BLOCK_ROWS, n))
 
 
 def failure_weights(log_w):

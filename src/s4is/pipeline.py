@@ -410,19 +410,20 @@ def run_mcs_baseline(problem: ProblemSpec, n: int, rng):
 
     The samples are drawn, transformed and evaluated
     ``REFERENCE_BLOCK_ROWS`` rows at a time
-    (:func:`s4is.estimators.reference_blocks`); the generator's normal
-    stream is the same as for one (n, d) draw. After an error in a block,
-    the generator has drawn up to the end of that block.
+    (:func:`s4is.estimators.reference_blocks`), and each block's failures
+    are added to one count, so nothing held grows with n; the generator's
+    normal stream is the same as for one (n, d) draw. After an error in a
+    block, the generator has drawn up to the end of that block.
     """
     n = check_count("sample count", n)
     rv = problem.marginals
     d = problem.dim
     evaluator = Evaluator(problem)
-    failed = np.empty(n, dtype=bool)
+    n_failed = 0
     for block in reference_blocks(n):
         u = rng.standard_normal(size=(block.stop - block.start, d))
-        failed[block] = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
-    est = mcs_estimate(failed)
+        n_failed += np.count_nonzero(evaluator.g_batch(rv.from_standard_normal(u)) <= 0)
+    est = mcs_estimate(n_failed, n)
     est.n_eval = evaluator.ledger.count
     return est
 

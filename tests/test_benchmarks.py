@@ -240,7 +240,7 @@ def test_blockwise_mcs_equals_one_shot(problem_args, n):
     problem = builtin_problem(**problem_args)
     got = run_mcs_baseline(problem, n, np.random.default_rng(5))
     u = np.random.default_rng(5).standard_normal((n, problem.dim))
-    want = mcs_estimate(_one_shot_failed(problem, u))
+    want = mcs_estimate(np.count_nonzero(_one_shot_failed(problem, u)), n)
     want.n_eval = n
     assert _fields(got) == _fields(want)
 
@@ -333,17 +333,18 @@ def test_reference_g_stays_on_the_caller_thread_and_no_thread_outlives_it(method
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
-def test_mcs_holds_a_few_draw_blocks_beyond_its_failure_flags(peak_bytes):
-    # Beyond its n failure flags, crude MCS holds the block under
+def test_mcs_holds_a_few_draw_blocks_whatever_n(peak_bytes):
+    # Crude MCS counts its failures and holds only the block under
     # evaluation, with its transform and g's temporaries: at d = 10 about
-    # 2.2 blocks of REFERENCE_BLOCK_ROWS rows, under 5 MB. A draw held beside
-    # the block under evaluation would pass 3 blocks.
+    # 2.2 blocks of REFERENCE_BLOCK_ROWS rows, under 5 MB, at 5 blocks of
+    # samples as at 64. A draw held beside the block under evaluation would
+    # pass 3 blocks, and so would one failure flag per sample at 64.
     problem = builtin_problem("example5", d=10)
-    n = 5 * REFERENCE_BLOCK_ROWS + 3
     block = 8 * REFERENCE_BLOCK_ROWS * problem.dim
-    extra = peak_bytes(lambda: run_mcs_baseline(problem, n, np.random.default_rng(2))) - n
-    assert extra < 2.5 * block
-    assert extra < 5e6
+    for n in (5 * REFERENCE_BLOCK_ROWS + 3, 64 * REFERENCE_BLOCK_ROWS + 3):
+        peak = peak_bytes(lambda: run_mcs_baseline(problem, n, np.random.default_rng(2)))
+        assert peak < 2.5 * block, n
+        assert peak < 5e6, n
 
 
 def test_oracle_holds_nine_bytes_per_sample_and_a_few_blocks(peak_bytes):

@@ -14,9 +14,15 @@ def test_paired_timing_of_a_checkout_against_itself():
         capture_output=True, text=True, check=True, timeout=300).stdout
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "unit 0", "unit 1", "this", "other", "this / other"]
+        "unit 0", "unit 1", "this", "other", "this minor faults", "other minor faults",
+        "this / other"]
+    for unit in (0, 1):
+        assert re.search(rf"^unit {unit}: this [\d.]+ s \d+ faults, other [\d.]+ s \d+ faults$",
+                         out, re.MULTILINE)
     for side in ("this", "other"):
         assert re.search(rf"^{side}: median [\d.]+ s \(quartiles [\d.]+ / [\d.]+\)$",
+                         out, re.MULTILINE)
+        assert re.search(rf"^{side} minor faults: median \d+ per unit \(quartiles \d+ / \d+\)$",
                          out, re.MULTILINE)
     assert re.search(r"median ratio [\d.]+; this faster in [012] of 2 units$", out)
 
