@@ -12,15 +12,16 @@ example4_c5, with the default ``S4isConfig`` and the generators
 once per side; one side solves while the other waits, and the side that
 solves first alternates from unit to unit. A unit's time is the wall time
 of its two solves, and its minor page faults are the worker's
-``ru_minflt`` over the same span. Both sides must give the same pf, n_eval
+``ru_minflt`` over the same span; each answer also carries the worker's
+peak RSS so far (``ru_maxrss``). Both sides must give the same pf, n_eval
 and stage histories in every unit, or the script stops with an error.
 
 It prints each unit's time and minor faults per side, then each side's
-median and quartiles of the unit time and of the minor faults, the median
-over units of the ratio this / other, and the number of units in which
-this checkout was faster. BLAS is pinned to one thread before numpy loads,
-in every process, as in ``scripts/reports.py``, so both sides compute the
-same bits.
+median and quartiles of the unit time and of the minor faults, each
+side's peak RSS over all its units, the median over units of the ratio
+this / other, and the number of units in which this checkout was faster.
+BLAS is pinned to one thread before numpy loads, in every process, as in
+``scripts/reports.py``, so both sides compute the same bits.
 """
 
 import os
@@ -48,6 +49,10 @@ def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def solve_unit(s4is, seed, unit):
     """(seconds, minor faults, outcomes) of solving every case of one unit."""
     problems = [s4is.reference_table(example_id).problem for example_id in CASES]
@@ -70,7 +75,7 @@ def serve(checkout):
     import s4is
     for line in sys.stdin:
         seconds, faults, outcomes = solve_unit(s4is, *map(int, line.split()))
-        print(json.dumps({"seconds": seconds, "faults": faults,
+        print(json.dumps({"seconds": seconds, "faults": faults, "peak_rss_mb": peak_rss_mb(),
                           "outcomes": repr(outcomes)}), flush=True)
     return 0
 
@@ -97,6 +102,7 @@ def main(argv=None):
         parser.error(f"no package at {checkouts['other'] / 'src' / 's4is'}")
     times = {name: [] for name in checkouts}
     faults = {name: [] for name in checkouts}
+    peak = {}
     with contextlib.ExitStack() as stack:
         workers = {name: stack.enter_context(subprocess.Popen(
             [sys.executable, __file__, "--worker", str(checkout)],
@@ -114,6 +120,7 @@ def main(argv=None):
                 answer = json.loads(answer)
                 times[name].append(answer["seconds"])
                 faults[name].append(answer["faults"])
+                peak[name] = answer["peak_rss_mb"]
                 outcomes[name] = answer["outcomes"]
             if outcomes["this"] != outcomes["other"]:
                 raise SystemExit(f"unit {unit}: the two checkouts give different results")
@@ -126,6 +133,8 @@ def main(argv=None):
         print(f"{name}: {quartiles(times[name], ' s', 4)}")
     for name in checkouts:
         print(f"{name} minor faults: {quartiles(faults[name], ' per unit', 0)}")
+    for name in checkouts:
+        print(f"{name} peak RSS: {peak[name]:.1f} MB")
     print(f"this / other: median ratio {np.median(ratios):.4f}; "
           f"this faster in {wins} of {args.units} units")
     return 0

@@ -23,12 +23,15 @@ few hundred). Squared distances come from ``cdist_sqeuclidean``, the C
 routine behind ``cdist(a, b, "sqeuclidean")``, without ``cdist``'s
 Python-side checks; it is a private scipy name, and a test pins it to
 ``cdist`` bit for bit. Everything that depends on the training inputs
-alone (the ones vector, the identity and the per-dimension squared
-differences of the gradient) is built once per fit, not once per
-evaluation. The correlation matrix, the gradient's products and the
-prediction's kernel rows are scaled, exponentiated and multiplied in
-place, in buffers reused within a call, with the bits of the plain
-expressions. Predictions take their rows in blocks of about
+alone is built once per fit, not once per evaluation: the ones vector
+with the data, and the identity and the per-dimension squared differences
+of the gradient as the fit's own scratch, passed to every evaluation
+through ``optimize.minimize``'s ``args``. So a GP, fitted or grown by
+``_at``, holds its data, its hyperparameters and its factor: what the
+predictions and ``_update`` read. The correlation matrix, the gradient's
+products and the prediction's kernel rows are scaled, exponentiated and
+multiplied in place, in buffers reused within a call, with the bits of
+the plain expressions. Predictions take their rows in blocks of about
 ``_PREDICT_BLOCK_VALUES`` kernel values, so a candidate pool's kernel is
 never built whole (``row_blocks``, which ``learning.min_distances`` takes
 too).
@@ -51,7 +54,8 @@ signature of scipy >= 1.15, and a test pins the driver to
 ``minimize(method="L-BFGS-B")`` on those terms. The driver goes in as a
 custom ``optimize.minimize`` method, so ``optimize.minimize`` still runs
 every start: the benchmark's tracer stands in for this module's
-``optimize`` to count starts and likelihood evaluations.
+``optimize`` to count starts and likelihood evaluations, and the tests
+read each start's value there.
 
 The refinement loop adds one support point per step, and
 ``update_surrogate`` takes it one of two ways; ``_update`` makes the
@@ -275,8 +279,7 @@ class GpSurrogate:
         if not self._constant:
             self._z = (y - self._y_mean) / self._y_sd
             self._ones = np.ones(n)
-        self.nll_history = []  # best objective after each accepted restart
-        self.n_appended = 0    # points appended since the last full fit
+        self.n_appended = 0  # points appended since the last full fit
 
     def __init__(self, x, y, seed=0, init_lengthscales=None):
         """Fit a GP to (x, y): maximise the likelihood from five L-BFGS-B
@@ -289,19 +292,19 @@ class GpSurrogate:
         if self._constant:
             # Degenerate constant data: the trend absorbs everything.
             self.lengthscales = np.ones(d)
-            self.signal_variance = self.trend = self.nugget = 0.0
+            self.signal_variance = self.trend = 0.0
             return
         n_params = 1 if self.isotropic else d
         # Terms of the likelihood that depend on x alone, shared by every
-        # evaluation of this fit (the ones vector comes with the data).
-        # The squared differences take d n^2 doubles; isotropic GPs use the
-        # total distance instead.
-        self._eye = np.eye(n)
-        self._sq_diffs = []
+        # evaluation of this fit and gone with it (the ones vector comes
+        # with the data). The squared differences take d n^2 doubles;
+        # isotropic GPs use the total distance instead.
+        eye = np.eye(n)
+        sq_diffs = []
         if not self.isotropic:
             for col in self.x.T:
                 diff = np.subtract.outer(col, col)
-                self._sq_diffs.append(diff * diff)
+                sq_diffs.append(diff * diff)
 
         rng = np.random.default_rng(seed)
         lo, hi = np.log(_LS_BOUNDS[0]), np.log(_LS_BOUNDS[1])
@@ -316,14 +319,19 @@ class GpSurrogate:
             starts.append(rng.uniform(math.log(0.1), math.log(10.0), size=n_params))
 
         delta = _NUGGET_START
-        while True:
-            try:
-                self._optimize(starts, lo, hi, delta)
-                break
-            except np.linalg.LinAlgError:
-                delta *= 10.0
-                if delta > _NUGGET_MAX * 1.01:
-                    raise FitError("Cholesky failed after nugget escalation") from None
+        while delta <= _NUGGET_MAX * 1.01:
+            best = (math.inf, None)
+            for s in starts:
+                res = optimize.minimize(
+                    self._nll, s, args=(delta, eye, sq_diffs), method=_lbfgsb,
+                    bounds=[(lo, hi)] * len(s), options={"maxiter": 60},
+                )
+                if res.fun < best[0]:
+                    best = (res.fun, res.x)
+            if math.isfinite(best[0]) and self._adopt(best[1], delta):
+                return
+            delta *= 10.0
+        raise FitError("Cholesky failed after nugget escalation")
 
     def _factor(self, log_ls, delta):
         """Concentrated NLL at ``log_ls`` with the quantities prediction
@@ -354,8 +362,11 @@ class GpSurrogate:
         nll = 0.5 * (n * math.log(sigma2) + logdet)
         return nll, ls, sq, r, chol, beta, sigma2, alpha, r1, denom
 
-    def _nll(self, log_ls, delta):
-        """Concentrated NLL and its gradient with respect to ``log_ls``.
+    def _nll(self, log_ls, delta, eye, sq_diffs):
+        """Concentrated NLL and its gradient with respect to ``log_ls``;
+        ``eye`` is the (n, n) identity and ``sq_diffs`` the per-dimension
+        squared differences of x (none for an isotropic GP), which the fit
+        builds once for all its evaluations.
 
         With alpha = R^-1 (z - beta) and sigma2 profiled out,
         dNLL/dlog(l_k) = 1/2 sum_ij [(R^-1 - alpha alpha^T / sigma2) o R o D_k]_ij
@@ -367,7 +378,7 @@ class GpSurrogate:
         if fit is None:
             return _BIG, np.zeros_like(log_ls)
         nll, ls, sq, r, chol, _, sigma2, alpha, _, _ = fit
-        w, _ = dpotrs(chol, self._eye, lower=1)
+        w, _ = dpotrs(chol, eye, lower=1)
         # R^-1 comes back in Fortran order. In C order, like r, alpha
         # alpha^T and the squared differences, the products below run over
         # contiguous memory; the products summed are in C order either
@@ -382,39 +393,21 @@ class GpSurrogate:
         if self.isotropic:
             return nll, np.array([0.5 * np.multiply(w, sq, out=buf).sum()])
         grad = np.empty(len(ls))
-        for k, sq_diff in enumerate(self._sq_diffs):
+        for k, sq_diff in enumerate(sq_diffs):
             grad[k] = 0.5 * np.multiply(w, sq_diff, out=buf).sum() / ls[k] ** 2
         return nll, grad
-
-    def _optimize(self, starts, lo, hi, delta):
-        best = (math.inf, None)
-        self.nll_history = []
-        for s in starts:
-            res = optimize.minimize(
-                self._nll, s, args=(delta,), method=_lbfgsb,
-                bounds=[(lo, hi)] * len(s), options={"maxiter": 60},
-            )
-            if res.fun < best[0]:
-                best = (res.fun, res.x)
-            self.nll_history.append(best[0])
-        if not math.isfinite(best[0]) or best[1] is None:
-            raise np.linalg.LinAlgError("no feasible hyperparameters")
-        if not self._adopt(best[1], delta):
-            raise np.linalg.LinAlgError("Cholesky failed at optimum")
 
     def _adopt(self, log_ls, delta):
         """Fix the hyperparameters at ``log_ls`` and relative nugget
         ``delta``: factor R and store the profiled trend, signal variance
-        (in standardized output units), the absolute output-space nugget
-        and the solves prediction reuses. False when R is not positive
-        definite."""
+        (in standardized output units) and the solves prediction reuses.
+        False when R is not positive definite."""
         fit = self._factor(log_ls, delta)
         if fit is None:
             return False
         (_, self.lengthscales, _, _, self._chol, self.trend, self.signal_variance,
          self._alpha, self._rinv1, self._one_rinv_one) = fit
         self._delta = delta
-        self.nugget = delta * self.signal_variance * self._y_sd**2
         return True
 
     @classmethod

@@ -15,7 +15,7 @@ def test_paired_timing_of_a_checkout_against_itself():
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "unit 0", "unit 1", "this", "other", "this minor faults", "other minor faults",
-        "this / other"]
+        "this peak RSS", "other peak RSS", "this / other"]
     for unit in (0, 1):
         assert re.search(rf"^unit {unit}: this [\d.]+ s \d+ faults, other [\d.]+ s \d+ faults$",
                          out, re.MULTILINE)
@@ -24,6 +24,7 @@ def test_paired_timing_of_a_checkout_against_itself():
                          out, re.MULTILINE)
         assert re.search(rf"^{side} minor faults: median \d+ per unit \(quartiles \d+ / \d+\)$",
                          out, re.MULTILINE)
+        assert re.search(rf"^{side} peak RSS: [\d.]+ MB$", out, re.MULTILINE)
     assert re.search(r"median ratio [\d.]+; this faster in [012] of 2 units$", out)
 
 
