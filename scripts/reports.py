@@ -1,4 +1,4 @@
-"""Write the 22 fixed-seed CLI reports, the dump of the reference tables,
+"""Write the 24 fixed-seed CLI reports, the dump of the reference tables,
 the true-g oracle's estimates and two ``s4is reproduce`` tables that a
 behaviour-preserving change must leave byte-identical.
 
@@ -7,10 +7,12 @@ behaviour-preserving change must leave byte-identical.
 Runs ``s4is run --seed 7`` for each of mcs (n = 1e6), form, akis and s4is
 on example1, example2, example3, example4 (c = 5) and example5 (d = 10),
 and for form and akis on example5 (d = 50), where the d >= 20 rules of the
-GP and of HL-RF apply; one fresh interpreter per report, with the package
-imported from this checkout's ``src/`` and BLAS pinned to one thread, so
-the files do not depend on the host's thread count. Each report lands in
-``OUTDIR/<method>_<problem>.json``.
+GP and of HL-RF apply, and for form and s4is on an external problem:
+``scripts/example3_g.py``, example3's g in a child process that speaks
+the JSON-lines protocol, with example3's marginals. One fresh interpreter
+per report, with the package imported from this checkout's ``src/`` and
+BLAS pinned to one thread, so the files do not depend on the host's thread
+count. Each report lands in ``OUTDIR/<method>_<problem>.json``.
 ``OUTDIR/reference_tables.txt`` records, for every example id, what
 ``reference_table`` returns: methods, mcs_n, replicates, the problem's
 reference pf and each method's bands (quantity, value, low, high,
@@ -31,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+EXAMPLE3_G = Path(__file__).resolve().with_name("example3_g.py")
 SEED = 7
 MCS_N = 1_000_000
 METHODS = ("mcs", "form", "akis", "s4is")
@@ -41,9 +44,14 @@ PROBLEMS = (
     ("example4_c5", {"name": "example4", "c": 5}),
     ("example5_d10", {"name": "example5", "d": 10}),
 )
-RUNS = [(method, label, builtin) for label, builtin in PROBLEMS for method in METHODS]
-RUNS += [(method, "example5_d50", {"name": "example5", "d": 50})
+RUNS = [(method, label, {"builtin": builtin}) for label, builtin in PROBLEMS
+        for method in METHODS]
+RUNS += [(method, "example5_d50", {"builtin": {"name": "example5", "d": 50}})
          for method in ("form", "akis")]
+EXTERNAL = {"command": [sys.executable, str(EXAMPLE3_G)],
+            "marginals": [{"kind": "normal", "mean": 1.5, "sd": 1.0},
+                          {"kind": "normal", "mean": 2.5, "sd": 1.0}]}
+RUNS += [(method, "external", {"external": EXTERNAL}) for method in ("form", "s4is")]
 # Prints every reference table; floats as repr, so any change shows.
 DUMP_TABLES = """
 from s4is.benchmarks import EXAMPLE_IDS, reference_table
@@ -85,8 +93,8 @@ def main(argv):
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     with tempfile.TemporaryDirectory() as tmp:
-        for method, label, builtin in RUNS:
-            cfg = {"problem": {"builtin": builtin}, "method": method}
+        for method, label, problem in RUNS:
+            cfg = {"problem": problem, "method": method}
             if method == "mcs":
                 cfg["mcs"] = {"n": MCS_N}
             cfg_path = Path(tmp) / f"{method}_{label}.json"

@@ -316,7 +316,6 @@ class MethodRow:
     eps_r: float  # vs the report's reference pf; NaN when no reference
     mean_cov: float
     mean_n_eval: float
-    replicates: int
     passed: bool | None  # None when the method has no gating bands
     error: str | None = None
 
@@ -408,15 +407,13 @@ def run_experiment(exp: ExperimentDef, rng):
     for method in exp.methods:
         if method in errors:
             rows.append(MethodRow(method, math.nan, math.nan, math.nan,
-                                  math.nan, 0, False, errors[method]))
+                                  math.nan, False, errors[method]))
             continue
-        ests = estimates[method]
-        mean_pf, eps_r, mean_cov, mean_n_eval = summarize(ests, ref)
+        mean_pf, eps_r, mean_cov, mean_n_eval = summarize(estimates[method], ref)
         measured = {"pf": mean_pf, "eps_r": eps_r, "n_eval": mean_n_eval}
         verdicts = [band.contains(measured[band.quantity])
                     for band in exp.expected.get(method, ())
                     if (band.low, band.high) != (-math.inf, math.inf)]
         passed = None if not verdicts else all(verdicts)
-        rows.append(MethodRow(method, mean_pf, eps_r, mean_cov, mean_n_eval,
-                              len(ests), passed))
+        rows.append(MethodRow(method, mean_pf, eps_r, mean_cov, mean_n_eval, passed))
     return ExperimentReport(exp.example_id, ref, source, rows)

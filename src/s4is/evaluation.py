@@ -75,10 +75,6 @@ class EvaluationLedger:
     count: int = 0
     cache: dict = field(default_factory=dict)
 
-    @staticmethod
-    def _key(theta):
-        return np.asarray(theta, dtype=float).tobytes()
-
 
 class Evaluator:
     """Binds a problem to a fresh ledger of its own.
@@ -93,7 +89,7 @@ class Evaluator:
 
     def components_at(self, theta):
         theta = np.asarray(theta, dtype=float)
-        key = EvaluationLedger._key(theta)
+        key = theta.tobytes()
         hit = self.ledger.cache.get(key)
         if hit is not None:
             return hit
@@ -130,8 +126,9 @@ class ExternalEvaluator:
     """Child-process performance function over newline-delimited JSON.
 
     Requests are ``{"id": n, "theta": [...]}``; responses must echo the id
-    with either a ``g`` value or an ``error`` message. One request is in
-    flight at a time; any protocol violation aborts the run. A daemon thread
+    with either a ``g`` value or an ``error`` message, each a UTF-8 JSON
+    line whatever the locale. One request is in flight at a time; any
+    protocol violation aborts the run. A daemon thread
     drains the child's stderr, so a chatty child never blocks on a full
     pipe, and keeps its last lines for the error raised if the child dies.
     Another reads the child's reply lines into a queue, so that a reply
@@ -153,8 +150,7 @@ class ExternalEvaluator:
         try:
             self._proc = subprocess.Popen(
                 command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, text=True, bufsize=1,
-            )
+                stderr=subprocess.PIPE)
         # OSError: a missing file, a directory, no execute bit; ValueError:
         # a NUL character in an argument.
         except (OSError, ValueError) as e:
@@ -168,18 +164,14 @@ class ExternalEvaluator:
         self._stdout_reader.start()
 
     def _read_replies(self):
-        # Each reply line, then "" at the end of the output; an output that
-        # cannot be decoded ends it with the error instead.
-        try:
-            for line in self._proc.stdout:
-                self._replies.put(line)
-            self._replies.put("")
-        except ValueError as exc:
-            self._replies.put(exc)
+        # Each reply line as bytes, then b"" at the end of the output.
+        for line in self._proc.stdout:
+            self._replies.put(line)
+        self._replies.put(b"")
 
     def _drain_stderr(self):
         # Bytes, decoded leniently: a child's diagnostics need not be UTF-8.
-        for raw in self._proc.stderr.buffer:
+        for raw in self._proc.stderr:
             line = raw.decode(errors="replace").rstrip("\r\n")
             with self._stderr_lock:
                 self._stderr_tail.append(line)
@@ -224,9 +216,10 @@ class ExternalEvaluator:
         with self._lock:
             req_id = self._next_id
             self._next_id += 1
+            # Pure ASCII: json.dumps escapes every other character.
             line = json.dumps({"id": req_id, "theta": [float(x) for x in theta]})
             try:
-                self._proc.stdin.write(line + "\n")
+                self._proc.stdin.write(line.encode() + b"\n")
                 self._proc.stdin.flush()
             except (BrokenPipeError, ValueError) as exc:
                 raise self._died(f"external evaluator died: {exc}") from exc
@@ -237,13 +230,12 @@ class ExternalEvaluator:
                 self._proc.wait()
                 raise self._died(f"external evaluator sent no reply within "
                                  f"{self._timeout_s:g} s and was killed") from None
-            if isinstance(reply, ValueError):
-                raise self._died(f"external evaluator died: {reply}") from reply
             if not reply:
                 raise self._died("external evaluator closed its output")
             try:
+                # UTF-8 only (json.loads would guess UTF-16 and -32 from bytes);
                 # ValueError also covers an integer past Python's digit limit.
-                msg = json.loads(reply)
+                msg = json.loads(reply.decode())
             except (ValueError, RecursionError) as exc:  # or nested too deeply
                 raise ProtocolError(f"malformed response line: {reply!r}") from exc
             if not isinstance(msg, dict):

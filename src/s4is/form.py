@@ -8,7 +8,7 @@ evaluation it made, finite-difference probes included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -37,8 +37,8 @@ class MppResult:
     n_eval: int
     converged: bool
     iterations: int
-    trace_u: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    trace_g: np.ndarray = field(default_factory=lambda: np.empty(0))
+    trace_u: np.ndarray
+    trace_g: np.ndarray
 
 
 class _UspaceG:

@@ -1,8 +1,11 @@
 """External-process evaluator: JSON-lines protocol over stdio."""
 
+import codecs
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import textwrap
 import time
@@ -147,12 +150,12 @@ print({reply!r}.format(id=req["id"]), flush=True)
 
 
 class _StandInChild:
-    """The pipes of a child process that answers with ``reply``."""
+    """The pipes of a child process that answers with ``reply``, as bytes."""
 
     def __init__(self, reply):
-        self.stdin = io.StringIO()
-        self.stdout = io.StringIO(reply + "\n")
-        self.stderr = io.TextIOWrapper(io.BytesIO())
+        self.stdin = io.BytesIO()
+        self.stdout = io.BytesIO(reply + b"\n")
+        self.stderr = io.BytesIO()
 
 
 _JSON_VALUES = st.recursive(
@@ -164,12 +167,12 @@ _REPLY_OBJECTS = st.fixed_dictionaries(
     {"id": st.sampled_from([1, True, 1.0, "1", 2]) | _JSON_VALUES,
      "g": st.integers() | st.floats() | st.sampled_from([10**400, True]) | _JSON_VALUES},
     optional={"error": _JSON_VALUES})
-_REPLIES = st.one_of(
+_REPLIES = st.binary(max_size=40) | st.one_of(
     st.text(max_size=40),
     _JSON_VALUES.map(json.dumps),
     _REPLY_OBJECTS.map(json.dumps),
     st.sampled_from(["1e400", "-1e400", "1" * 5000, "1.5"]).map('{{"id": 1, "g": {}}}'.format),
-)
+).map(str.encode)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -185,6 +188,76 @@ def test_any_reply_line_gives_a_finite_g_or_a_typed_error(reply):
     assert type(g) is float and math.isfinite(g)
     reply_id = json.loads(reply)["id"]
     assert type(reply_id) is int and reply_id == 1  # the first request's id
+
+
+def test_reply_that_is_not_utf8_is_a_protocol_error(tmp_path):
+    cmd = _child(tmp_path, """\
+sys.stdout.buffer.write(b'{"id": 1, "g": 1.0, "note": "\\xff"}\\n')
+sys.stdout.flush()
+""")
+    problem = external_problem(cmd, TWO_NORMALS)
+    child = problem.components[0]
+    try:
+        with pytest.raises(ProtocolError, match="malformed response line"):
+            Evaluator(problem).g(np.zeros(2))
+    finally:
+        child.close()
+    assert child._proc.poll() is not None
+    assert child._proc.stdout.closed and child._proc.stderr.closed
+
+
+def test_reply_in_utf16_is_a_protocol_error(tmp_path):
+    # json.loads would take these bytes: it guesses UTF-16 from the NULs.
+    cmd = _child(tmp_path, """\
+line = json.dumps({"id": req["id"], "g": 1.0}) + "\\n"
+sys.stdout.buffer.write(line.encode("utf-16-be"))
+sys.stdout.flush()
+""")
+    problem = external_problem(cmd, TWO_NORMALS)
+    try:
+        with pytest.raises(ProtocolError, match="malformed response line"):
+            Evaluator(problem).g(np.zeros(2))
+    finally:
+        problem.components[0].close()
+
+
+# Run under an ASCII locale: the evaluator's outcome, as JSON on stdout.
+_ERROR_UNDER_ASCII_LOCALE = """\
+import json, locale, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from s4is.errors import S4isError
+from s4is.evaluation import Evaluator, external_problem
+from s4is.probability import Marginal, RandomVector
+marginals = RandomVector((Marginal("normal", 0.0, 1.0), Marginal("normal", 0.0, 1.0)))
+problem = external_problem([sys.executable, sys.argv[2]], marginals)
+try:
+    Evaluator(problem).g(np.zeros(2))
+    outcome = None
+except S4isError as exc:
+    outcome = [type(exc).__name__, str(exc)]
+finally:
+    problem.components[0].close()
+print(json.dumps({"encoding": locale.getpreferredencoding(False), "outcome": outcome}))
+"""
+
+
+def test_utf8_error_reply_is_read_whatever_the_locale(tmp_path):
+    cmd = _child(tmp_path, """\
+reply = {"id": req["id"], "error": "temp\\u00e9rature n\\u00e9gative"}
+sys.stdout.buffer.write(json.dumps(reply, ensure_ascii=False).encode("utf-8") + b"\\n")
+sys.stdout.flush()
+""")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(s4is.evaluation.__file__)))
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    proc = subprocess.run([sys.executable, "-c", _ERROR_UNDER_ASCII_LOCALE, src, cmd[1]],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    if codecs.lookup(result["encoding"]).name == "utf-8":
+        pytest.skip("the C locale's preferred encoding is UTF-8 here")
+    assert result["outcome"] == ["EvaluationError",
+                                 "external evaluator error: temp\u00e9rature n\u00e9gative"]
 
 
 def test_string_command_rejected():
