@@ -22,10 +22,10 @@ from .errors import ConfigError, S4isError, StageFailureError
 from .estimators import (failure_weights, is_estimate_from_weighted, reference_blocks,
                          relative_error)
 # Unused here, but bench/tracing.py patches this name and log_std_normal_pdf
-# in this module; both stay importable from it.
+# (which the oracle calls) in this module; both stay importable from it.
 from .estimators import is_estimate_from_log  # noqa: F401
 from .evaluation import Evaluator, ProblemSpec
-from .form import DEDUP_DISTANCE, start_points
+from .form import DEDUP_DISTANCE, spread, start_points
 from .pipeline import (S4isConfig, check_count, run_akis_baseline,
                        run_form_baseline, run_mcs_baseline, run_s4is)
 from .probability import (GaussianMixture, Marginal, RandomVector,
@@ -260,7 +260,8 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     :func:`s4is.form.start_points`; MPPs within ``DEDUP_DISTANCE`` of an
     earlier one are dropped. HL-RF is avoided here because it oscillates on
     some component geometries and a missed branch would bias the reference
-    low.
+    low. The search calls the components directly, so its calls are not
+    counted: ``n_eval`` is the n true-g calls of the sampling.
 
     The n component indices are drawn at once, then the samples are drawn,
     evaluated and weighted ``REFERENCE_BLOCK_ROWS`` rows at a time
@@ -278,7 +279,7 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
     n = check_count("sample count", n)
     d = problem.dim
     rv = problem.marginals
-    centers = []
+    found = []
     for comp in problem.components:
         def g_u(u, comp=comp):
             return float(comp(np.atleast_2d(rv.from_standard_normal(u)))[0])
@@ -289,15 +290,13 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
                 method="SLSQP",
                 constraints=[{"type": "ineq", "fun": lambda u: -g_u(u)}],
                 options={"maxiter": 200, "ftol": 1e-10})
-            u_star = res.x
-            if not res.success or g_u(u_star) > 1e-6:
+            if not res.success or g_u(res.x) > 1e-6:
                 continue
-            if all(np.linalg.norm(u_star - c) >= DEDUP_DISTANCE for c in centers):
-                centers.append(u_star)
-    if not centers:
+            found.append(res.x)
+    if not found:
         raise StageFailureError("no MPP found on any component")
     evaluator = Evaluator(problem)
-    gm = GaussianMixture(np.array(centers))
+    gm = GaussianMixture(np.array([found[i] for i in spread(found, DEDUP_DISTANCE)]))
     draw = gm.block_sampler(n, rng)
     # Made after the int64 indices are freed, so that it takes fresh pages.
     weighted = np.zeros(n)
@@ -306,7 +305,9 @@ def oracle_is_reference(problem: ProblemSpec, rng, n=1_000_000):
         failed = evaluator.g_batch(rv.from_standard_normal(u)) <= 0
         u = u[failed]
         weighted[block][failed] = failure_weights(log_std_normal_pdf(u) - gm.logpdf(u))
-    return is_estimate_from_weighted(weighted)
+    est = is_estimate_from_weighted(weighted)
+    est.n_eval = evaluator.ledger.count
+    return est
 
 
 @dataclass

@@ -3,7 +3,9 @@ for the most probable point in u-space, with finite-difference gradients
 central below ``_FORWARD_FD_DIM`` inputs (one-sided at a kink, where they
 cancel) and forward from there on, plus a multi-start variant that
 collects distinct MPPs. A search's trace holds the u and g of every
-evaluation it made, finite-difference probes included.
+evaluation it made, finite-difference probes included. :func:`spread` is
+the one rule for which found points count as distinct, for the multi-start
+MPPs, ``pipeline._thin_trace`` and ``benchmarks.oracle_is_reference``.
 """
 
 from __future__ import annotations
@@ -142,6 +144,18 @@ def start_points(d, rng):
     return [np.zeros(d)] + [rng.uniform(-4.0, 4.0, size=d) for _ in range(_N_STARTS - 1)]
 
 
+def spread(points, min_distance, limit=None):
+    """Indices, in input order, of the rows of ``points`` kept: each row at
+    least ``min_distance`` from every row kept before it, ``limit`` at most."""
+    kept = []
+    for i, p in enumerate(points):
+        if len(kept) == limit:
+            break
+        if all(np.linalg.norm(p - points[j]) >= min_distance for j in kept):
+            kept.append(i)
+    return kept
+
+
 def multi_start_mpps(evaluator: Evaluator, rng):
     """HL-RF from each of :func:`start_points`: the converged results sorted
     by beta, less those within ``DEDUP_DISTANCE`` of a lower-beta one."""
@@ -152,10 +166,6 @@ def multi_start_mpps(evaluator: Evaluator, rng):
         except StationaryPointError:
             continue
     converged = sorted([r for r in results if r.converged], key=lambda r: r.beta)
-    distinct = []
-    for r in converged:
-        if all(np.linalg.norm(r.u_star - q.u_star) >= DEDUP_DISTANCE for q in distinct):
-            distinct.append(r)
-    if not distinct:
+    if not converged:
         raise StageFailureError(f"none of {_N_STARTS} HL-RF starts converged")
-    return distinct
+    return [converged[i] for i in spread([r.u_star for r in converged], DEDUP_DISTANCE)]

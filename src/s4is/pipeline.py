@@ -18,7 +18,7 @@ from .errors import ConfigError, StageFailureError, StationaryPointError
 from .estimators import (ReliabilityEstimate, is_estimate_from_log, mcs_estimate,
                          reference_blocks)
 from .evaluation import Evaluator, ProblemSpec
-from .form import form_pf, hlrf_search, multi_start_mpps
+from .form import form_pf, hlrf_search, multi_start_mpps, spread
 from .learning import CandidatePool, PoolExhausted, lf1_scores, lf2_scores, min_distances, select_next
 from .probability import (HYPERCUBE_HALF_WIDTH, GaussianMixture, hypercube_density,
                           log_std_normal_pdf, sample_hypercube)
@@ -315,20 +315,13 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
 
 def _thin_trace(evaluator, results):
     """Support set of at most ``_TRACE_MAX_POINTS`` points of the HL-RF
-    traces of ``results``, pairwise at least ``_TRACE_MIN_SEP`` apart;
-    finite-difference probe points sit within the step of their iterate and
-    would otherwise ill-condition the kernel matrix. Points near the limit
-    state first."""
+    traces of ``results``, pairwise at least ``_TRACE_MIN_SEP`` apart
+    (:func:`s4is.form.spread`); finite-difference probe points sit within
+    the step of their iterate and would otherwise ill-condition the kernel
+    matrix. Points near the limit state first."""
     trace_u = np.vstack([r.trace_u for r in results])
-    trace_g = np.concatenate([r.trace_g for r in results])
-    order = np.argsort(np.abs(trace_g), kind="stable")
-    keep = []
-    for i in order:
-        if len(keep) >= _TRACE_MAX_POINTS:
-            break
-        if all(np.linalg.norm(trace_u[i] - trace_u[j]) >= _TRACE_MIN_SEP for j in keep):
-            keep.append(int(i))
-    keep.sort()
+    order = np.argsort(np.abs(np.concatenate([r.trace_g for r in results])), kind="stable")
+    keep = np.sort(order[spread(trace_u[order], _TRACE_MIN_SEP, _TRACE_MAX_POINTS)])
     # Every kept row was evaluated by the search: the ledger's cache answers.
     return _evaluate_support(evaluator, trace_u[keep])
 

@@ -266,6 +266,7 @@ def test_blockwise_oracle_equals_one_shot(n, monkeypatch):
     u = gm.sample(n, rng)
     want = is_estimate_from_log(_one_shot_failed(problem, u),
                                 log_std_normal_pdf(u) - gm.logpdf(u))
+    want.n_eval = n
     assert _fields(got) == _fields(want)
 
 
@@ -359,6 +360,11 @@ def test_oracle_holds_nine_bytes_per_sample_and_a_few_blocks(peak_bytes):
     block = 8 * REFERENCE_BLOCK_ROWS * problem.dim
     peak = peak_bytes(lambda: oracle_is_reference(problem, np.random.default_rng(1), n=n))
     assert peak < 9 * n + 16 * block
+
+
+def test_oracle_counts_each_sample_as_one_true_g_call():
+    est = oracle_is_reference(builtin_problem("example1"), np.random.default_rng(3), n=1000)
+    assert est.n_eval == 1000
 
 
 def test_oracle_raises_a_zero_density_in_the_block_where_it_occurs(monkeypatch):

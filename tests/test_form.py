@@ -9,7 +9,7 @@ from scipy import stats
 from s4is.benchmarks import builtin_problem
 from s4is.errors import StationaryPointError
 from s4is.evaluation import Evaluator, ProblemSpec
-from s4is.form import form_pf, hlrf_search, multi_start_mpps, start_points
+from s4is.form import form_pf, hlrf_search, multi_start_mpps, spread, start_points
 from s4is.probability import Marginal, RandomVector
 
 
@@ -134,6 +134,30 @@ def test_multi_start_dedups_symmetric_mpps():
     # sorted by beta
     betas = [r.beta for r in distinct]
     assert betas == sorted(betas)
+
+
+def test_spread_keeps_the_first_of_two_close_points():
+    points = np.array([[0.0, 0.0], [0.3, 0.0], [1.0, 0.0]])
+    assert spread(points, 0.5) == [0, 2]
+    assert spread(points[::-1], 0.5) == [0, 1]
+
+
+def test_spread_keeps_a_point_exactly_min_distance_away():
+    points = np.array([[0.0, 0.0], [0.5, 0.0]])
+    assert spread(points, 0.5) == [0, 1]
+    assert spread(points, np.nextafter(0.5, 1.0)) == [0]
+
+
+def test_spread_keeps_nothing_past_its_limit():
+    points = np.arange(10.0).reshape(5, 2)
+    assert spread(points, 1.0) == [0, 1, 2, 3, 4]
+    assert spread(points, 1.0, limit=3) == [0, 1, 2]
+    assert spread(points, 1.0, limit=0) == []
+
+
+def test_spread_of_no_points_is_empty():
+    assert spread(np.empty((0, 2)), 0.5) == []
+    assert spread([], 0.5, limit=3) == []
 
 
 def test_hlrf_nonstandard_marginals():

@@ -15,7 +15,7 @@ from s4is.clustering import kmeans
 from s4is.errors import StageFailureError
 from s4is.evaluation import (Evaluator, ExternalEvaluator, ProblemSpec,
                              external_problem)
-from s4is.form import hlrf_search, multi_start_mpps
+from s4is.form import hlrf_search, multi_start_mpps, spread
 from s4is.pipeline import (S4isConfig, run_akis_baseline, run_form_baseline,
                            run_mcs_baseline, run_s4is)
 from s4is.probability import (Marginal, RandomVector, hypercube_density,
@@ -29,6 +29,7 @@ def test_library_functions_take_exactly_the_parameters_callers_set():
     expected = {
         hlrf_search: ["evaluator", "start_u"],
         multi_start_mpps: ["evaluator", "rng"],
+        spread: ["points", "min_distance", "limit"],
         GpSurrogate: ["x", "y", "seed", "init_lengthscales"],
         fit_surrogate: ["points", "aggregate"],
         kmeans: ["points", "k", "rng"],

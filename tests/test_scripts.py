@@ -44,3 +44,12 @@ def test_sweep_all_prints_one_row_per_target():
         assert 0 <= int(out_of_band) <= int(n) and 0 <= int(flagged) <= int(n)
         assert float(sd) == 0.0 or int(n) > 1
         assert 0 < float(mean_n_eval) <= int(max_n_eval)
+
+
+def test_gate_exits_2_when_git_cannot_archive_the_revision():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "gate.py"), "no-such-revision"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done
+    assert done.stderr.startswith("git cannot archive no-such-revision: "), done.stderr
+    assert done.stdout == ""
