@@ -15,16 +15,17 @@ per-call array-API overhead.
 
 Short rows. numpy sums fewer than eight terms over an array's last axis
 one after another, from the first, but runs its inner loop over those few
-terms, a few elements at a time. :func:`log_std_normal_pdf` and
-:meth:`GaussianMixture.logpdf` therefore add d < 8 squared coordinates
-column by column, as the rows of the transposed (d, n) array, and the
-mixture adds its k < 8 component terms row by row over the (k, n) array:
-the same additions in the same order, so the same values bit for bit,
-with (n,)-long inner loops. From eight terms on numpy sums pairwise, and
-both keep numpy's own sum over the last axis. For the same reason
-:meth:`RandomVector.from_standard_normal` writes a long array of at most
-three columns one column at a time; wider or shorter arrays take one
-whole-array pass, which is faster there (2-core x86, numpy 2.4).
+terms, a few elements at a time. Over the first axis of a C-ordered array
+it adds whole rows in that same order, with long inner loops.
+:func:`log_std_normal_pdf` and :meth:`GaussianMixture.logpdf` therefore
+sum d < 8 squared coordinates over the first axis of a C-ordered (d, n)
+array, and the mixture sums its k < 8 component terms over the first axis
+of its (k, n) array: the same additions in the same order, so the same
+values bit for bit, with (n,)-long inner loops. From eight terms on numpy
+sums pairwise, and both keep numpy's own sum over the last axis. For the
+same reason :meth:`RandomVector.from_standard_normal` writes a long array
+of at most three columns one column at a time; wider or shorter arrays
+take one whole-array pass, which is faster there (2-core x86, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -176,21 +177,12 @@ class RandomVector:
         return theta[0] if squeezed else theta
 
 
-def _short_sum(rows):
-    """The rows of ``rows`` added one after another, from the first: numpy's
-    sum over a last axis of fewer than ``_PAIRWISE_MIN`` terms, bit for bit."""
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
-    return total
-
-
 def log_std_normal_pdf(u):
     """Log density of the d-variate standard normal, over the last axis."""
     u = np.asarray(u, dtype=float)
     d = u.shape[-1]
     if 0 < d < _PAIRWISE_MIN:
-        sq = _short_sum(np.square(np.moveaxis(u, -1, 0)))
+        sq = np.square(np.moveaxis(u, -1, 0), order="C").sum(axis=0)
     else:
         sq = np.sum(u * u, axis=-1)
     return -0.5 * (d * _LOG_2PI + sq)
@@ -237,8 +229,8 @@ class GaussianMixture:
 
     def _component_logpdfs(self, u2):
         """(k, n) log densities of the (n, d) points under each centre's
-        unit normal; short rows of squared coordinates are added column by
-        column (module docstring)."""
+        unit normal; short rows of squared coordinates are summed over the
+        first axis of their (d, n) array (module docstring)."""
         k, d = self.centers.shape
         a = np.empty((k, u2.shape[0]))
         if d < _PAIRWISE_MIN:
@@ -247,7 +239,7 @@ class GaussianMixture:
             for row, center in zip(a, self.centers):
                 np.subtract(cols, center[:, None], out=diff)
                 diff *= diff
-                row[:] = _short_sum(diff)
+                np.sum(diff, axis=0, out=row)
         else:
             for row, center in zip(a, self.centers):
                 diff = u2 - center
@@ -275,9 +267,9 @@ class GaussianMixture:
             e = a - a_max
             np.exp(e, out=e)
             e *= ~at_max
-            # The k terms of each point in scipy's order: row by row below
+            # The k terms of each point in scipy's order: a first-axis sum below
             # eight, else numpy's pairwise sum over the C-ordered (n, k) copy.
-            s = _short_sum(e) if k < _PAIRWISE_MIN else np.ascontiguousarray(e.T).sum(axis=1)
+            s = e.sum(axis=0) if k < _PAIRWISE_MIN else np.ascontiguousarray(e.T).sum(axis=1)
             s = np.where(s == 0, s, s / m)
             out = np.log1p(s) + np.log(m) + a_max
             # Where that is not finite (every term -inf, or NaN input),

@@ -195,12 +195,14 @@ def test_gm_logpdf_rejects_rows_of_another_width(width):
         gm.logpdf(np.zeros((4, 3, 2)))
 
 
-# d < 8 takes the column-by-column sum, d >= 8 numpy's sum over the last axis.
+# d < 8 takes the first-axis sum of the (d, n) squares, d >= 8 numpy's sum
+# over the last axis.
 @pytest.mark.parametrize("d", range(1, 13))
 def test_log_std_normal_pdf_equals_numpy_sum(d):
     rng = np.random.default_rng(d)
     u = rng.standard_normal((5001, d)) * rng.uniform(0.1, 30.0, d)
-    for v in (u, u[7], u[7:8], u[:, ::-1]):  # (n, d), (d,), (1, d), strided
+    # (n, d), (d,), (1, d), strided, leading shape (3, 1667), Fortran-ordered
+    for v in (u, u[7], u[7:8], u[:, ::-1], u.reshape(3, 1667, d), np.asfortranarray(u)):
         want = -0.5 * (d * math.log(2 * math.pi) + np.sum(v * v, axis=-1))
         got = log_std_normal_pdf(v)
         assert np.shape(got) == np.shape(want)
