@@ -28,7 +28,8 @@ class FitError(S4isError):
 
 class SupportPointError(S4isError, ValueError):
     """Invalid support points or GP training data: duplicate inputs,
-    arrays of unequal lengths or fewer than two points."""
+    arrays of the wrong shape or of unequal lengths, or fewer than two
+    points."""
 
 
 class DensitySupportError(S4isError):

@@ -196,12 +196,11 @@ class ExternalEvaluator:
             # Flushing a buffered request to a child that has exited; the
             # pipe is closed all the same.
             pass
-        if self._proc.poll() is None:
-            try:
-                self._proc.wait(timeout=_CLOSE_GRACE_S)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        try:
+            self._proc.wait(timeout=_CLOSE_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
         for reader, pipe in ((self._stdout_reader, self._proc.stdout),
                              (self._stderr_reader, self._proc.stderr)):
             reader.join(timeout=_STDERR_WAIT_S)

@@ -3,7 +3,8 @@
 Scores are computed for the whole pool at once (the nearest-support
 distances in row blocks); ``select_next`` takes the argmin over the
 not-yet-selected candidates with a lowest-index tie-break so results do not
-depend on evaluation order.
+depend on evaluation order, and returns None once every candidate is
+selected.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import S4isError
 from .surrogate import row_blocks
-
-
-class PoolExhausted(S4isError):
-    """Every candidate has already been promoted to a support point."""
 
 
 class CandidatePool:
@@ -56,14 +52,15 @@ def lf2_scores(abs_means, dmin, log_w, scale=1.0):
 
 
 def select_next(pool: CandidatePool, scores):
-    """Pick the argmin-scoring unselected candidate and mark it selected.
+    """Pick the argmin-scoring unselected candidate, mark it selected and
+    return its index; None when every candidate is already selected.
 
     ``scores`` covers the whole pool; ties break to the lowest candidate
     index.
     """
     unselected = np.flatnonzero(~pool.selected)
     if unselected.size == 0:
-        raise PoolExhausted("no unselected candidates remain")
+        return None
     scores = np.asarray(scores, dtype=float)[unselected]
     winner = int(unselected[int(np.argmin(scores))])
     pool.selected[winner] = True

@@ -19,7 +19,7 @@ from .estimators import (ReliabilityEstimate, is_estimate_from_log, mcs_estimate
                          reference_blocks)
 from .evaluation import Evaluator, ProblemSpec
 from .form import form_pf, hlrf_search, multi_start_mpps, spread
-from .learning import CandidatePool, PoolExhausted, lf1_scores, lf2_scores, min_distances, select_next
+from .learning import CandidatePool, lf1_scores, lf2_scores, min_distances, select_next
 from .probability import (HYPERCUBE_HALF_WIDTH, GaussianMixture, hypercube_density,
                           log_std_normal_pdf, sample_hypercube)
 from .surrogate import SupportPointSet, fit_surrogate, update_surrogate
@@ -212,9 +212,8 @@ def _refine(evaluator, model, support, pool, score, max_iter):
             break
         if len(pf_hist) == max_iter:
             break
-        try:
-            idx = select_next(pool, scores)
-        except PoolExhausted:
+        idx = select_next(pool, scores)
+        if idx is None:
             termination = "pool_exhausted"
             break
         support.extend(_evaluate_support(evaluator, cands[[idx]]))

@@ -13,8 +13,10 @@ L-BFGS-B fits the log-lengthscales with the analytic gradient of that
 likelihood, so one Cholesky factorisation serves both the value and the
 gradient. A GP is made from its data: ``GpSurrogate(x, y, seed,
 init_lengthscales)`` fits it, and ``GpSurrogate._at`` builds one at fixed
-hyperparameters for an append; both end in one fixed-hyperparameter step,
-``GpSurrogate._adopt``.
+hyperparameters for an append. Both check the data in one place,
+``GpSurrogate._set_data`` ((n, d) rows, at least two and all distinct,
+one finite output per row), before any likelihood evaluation, and both
+end in one fixed-hyperparameter step, ``GpSurrogate._adopt``.
 
 Each likelihood evaluation runs one LAPACK ``dpotrf`` and its ``dpotrs``
 solves directly, without scipy's ``cho_factor``/``cho_solve`` wrappers,
@@ -86,7 +88,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize._lbfgsb import setulb
 from scipy.spatial._distance_pybind import cdist_sqeuclidean
 
-from .errors import FitError, SupportPointError
+from .errors import ConfigError, FitError, SupportPointError
 
 _LS_BOUNDS = (1e-2, 1e3)
 _NUGGET_START = 1e-10
@@ -263,14 +265,22 @@ class GpSurrogate:
 
     def _set_data(self, x, y):
         """Validate and store the training data and its standardized
-        outputs, with no restart and no appended point yet."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        outputs, with no appended point yet: (n, d) rows ``x``, at least
+        two and all distinct, and one finite output per row in ``y``."""
+        x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if x.ndim != 2 or x.shape[1] == 0:
+            raise SupportPointError("training inputs must be (n, d) rows, d >= 1")
+        n = x.shape[0]
+        if y.shape != (n,):
+            raise SupportPointError("need one training output per input row")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise FitError("non-finite values in training data")
-        n = x.shape[0]
         if n < 2:
             raise SupportPointError("need at least 2 support points")
+        rows = x[np.lexsort(x.T)]  # equal rows are now neighbours
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
+            raise SupportPointError("duplicate inputs in training data")
         self.x = x
         self.isotropic = x.shape[1] >= _ISOTROPIC_DIM
         self._y_mean = float(y.mean())
@@ -285,10 +295,13 @@ class GpSurrogate:
         """Fit a GP to (x, y): maximise the likelihood from five L-BFGS-B
         starts, or from three when ``init_lengthscales`` gives the first."""
         self._set_data(x, y)
-        rows = self.x[np.lexsort(self.x.T)]  # equal rows are now neighbours
-        if (rows[1:] == rows[:-1]).all(axis=1).any():
-            raise SupportPointError("duplicate inputs in training data")
         n, d = self.x.shape
+        if init_lengthscales is not None:
+            init_lengthscales = np.asarray(init_lengthscales, dtype=float)
+            # A NaN fails both bounds.
+            if init_lengthscales.shape != (d,) or not np.all(
+                    (init_lengthscales > 0) & (init_lengthscales < np.inf)):
+                raise ConfigError(f"init_lengthscales must be {d} finite positive values")
         if self._constant:
             # Degenerate constant data: the trend absorbs everything.
             self.lengthscales = np.ones(d)
@@ -413,8 +426,9 @@ class GpSurrogate:
     @classmethod
     def _at(cls, x, y, log_ls, delta):
         """A GP on (x, y) at log-lengthscales ``log_ls`` and relative nugget
-        ``delta``, with no likelihood search and no duplicate check; None
-        when the outputs are constant or R is not positive definite."""
+        ``delta``, with no likelihood search; the data is checked as for a
+        fit. None when the outputs are constant or R is not positive
+        definite."""
         gp = cls.__new__(cls)
         gp._set_data(x, y)
         if gp._constant or not gp._adopt(log_ls, delta):
@@ -515,9 +529,6 @@ def _update(gp, x, y, seed):
     if x.shape[0] == n + 1 and gp.n_appended + 1 < _REFIT_EVERY:
         (mean,), (sd,) = gp.predict_mean(x[n:]), gp.predict_sd(x[n:])
         if abs(y[n] - mean) <= _SURPRISE_SD * sd:
-            # Only the new row can be a duplicate: the old ones are distinct.
-            if (gp.x == x[n]).all(axis=1).any():
-                raise SupportPointError("duplicate inputs in training data")
             grown = None if gp._constant else GpSurrogate._at(
                 x, y, np.log(gp.lengthscales), gp._delta)
             if grown is not None:

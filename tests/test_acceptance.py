@@ -351,6 +351,7 @@ def test_criterion_18_deterministic_reports(tmp_path):
 
     base = {"problem": {"builtin": {"name": "example1"}}, "seed": 3,
             "replicates": 1, "mcs": {"n": 50_000}}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(s4is.__file__)))
     for method in ("mcs", "form", "akis", "s4is"):
         cfg_path = tmp_path / f"{method}.json"
         cfg_path.write_text(json.dumps(dict(base, method=method)))
@@ -360,7 +361,7 @@ def test_criterion_18_deterministic_reports(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "s4is.cli", "run", "--config",
                  str(cfg_path), "--output", str(out)],
-                capture_output=True, text=True)
+                cwd=src, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1], f"{method} report not reproducible"

@@ -5,8 +5,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import s4is.surrogate
-from s4is.learning import (CandidatePool, PoolExhausted, lf1_scores,
-                           lf2_scores, min_distances, select_next)
+from s4is.learning import (CandidatePool, lf1_scores, lf2_scores,
+                           min_distances, select_next)
 from s4is.surrogate import row_blocks
 
 
@@ -97,6 +97,5 @@ def test_select_next_tie_breaks_to_lowest_index():
 def test_pool_exhaustion():
     pool = _pool(np.array([[0.0]]))
     select_next(pool, np.array([0.0]))
-    with pytest.raises(PoolExhausted):
-        select_next(pool, np.array([0.0]))
+    assert select_next(pool, np.array([0.0])) is None
     assert pool.selected.all()

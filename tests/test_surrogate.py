@@ -19,7 +19,7 @@ from scipy.spatial._distance_pybind import cdist_sqeuclidean
 from scipy.spatial.distance import cdist
 
 import s4is.surrogate
-from s4is.errors import FitError, S4isError, SupportPointError
+from s4is.errors import ConfigError, FitError, S4isError, SupportPointError
 from s4is.surrogate import (CompositeMinSurrogate, GpSurrogate,
                             SupportPointSet, fit_surrogate, update_surrogate)
 
@@ -104,13 +104,44 @@ def test_duplicate_inputs_rejected():
         GpSurrogate(x, np.array([1.0, 1.0, 2.0]))
 
 
+def _at_unit_lengthscales(x, y):
+    """A GP on (x, y) at unit lengthscales, with no likelihood search."""
+    return GpSurrogate._at(x, y, np.zeros(1), 1e-10)
+
+
 @pytest.mark.parametrize("x", [
     np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0], [0.0, 1.0]]),  # far apart
     np.array([[1.0, -0.0], [2.0, 3.0], [1.0, 0.0]]),  # -0.0 == 0.0
 ])
 def test_duplicate_rows_anywhere_are_rejected(x):
-    with pytest.raises(SupportPointError):
-        GpSurrogate(x, np.arange(len(x), dtype=float))
+    for make in (GpSurrogate, _at_unit_lengthscales):
+        with pytest.raises(SupportPointError):
+            make(x, np.arange(len(x), dtype=float))
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.arange(8.0), np.arange(8.0)),  # 1-D: not one row of 8 values
+    (np.zeros((5, 0)), np.arange(5.0)),  # no input columns
+    (np.eye(5), np.arange(6.0)),  # one output too many
+    (np.eye(5), np.ones(4)),  # one constant output too few
+    (np.eye(5), np.arange(5.0)[:, None]),  # a column of outputs, not (n,)
+])
+def test_training_data_of_the_wrong_shape_is_rejected(x, y, start_nlls):
+    for make in (GpSurrogate, _at_unit_lengthscales):
+        with pytest.raises(SupportPointError, match="row"):
+            make(x, y)
+    assert start_nlls == []
+
+
+@pytest.mark.parametrize("init", [
+    np.ones(3), np.ones(1), np.array([1.0, 0.0]), np.array([1.0, -2.0]),
+    np.array([np.nan, 1.0]), np.array([1.0, np.inf]),
+])
+def test_init_lengthscales_must_be_finite_positive_per_input(init, start_nlls):
+    x, y = _training_data()
+    with pytest.raises(ConfigError):
+        GpSurrogate(x, y, init_lengthscales=init)
+    assert start_nlls == []
 
 
 def test_distinct_rows_that_share_columns_fit():
