@@ -8,10 +8,13 @@ this checkout's ``scripts/reports.py`` and ``scripts/example3_g.py`` into
 that copy, since older revisions lack them. Then runs ``reports.py`` in
 both trees (REV's first) and compares every file the two runs wrote. Each
 file that differs, or that only one run wrote, is printed. Exits 0 when
-every file matches, 1 on any difference, and 2 when git cannot archive REV.
+every file matches, 1 on any difference, 2 when git cannot archive REV,
+and 3 when ``reports.py`` fails in either tree; stderr then names the tree
+and the script's exit status, and no files are compared.
 """
 
 import argparse
+import os
 import shutil
 import subprocess
 import sys
@@ -37,9 +40,13 @@ def archive(rev, dest):
 
 
 def write_reports(tree, out):
-    # Its progress goes to stderr, so stdout holds only the verdict.
-    subprocess.run([sys.executable, str(tree / "scripts" / "reports.py"), str(out)],
-                   stdout=sys.stderr, check=True)
+    """Run ``tree``'s reports.py, writing into ``out``; its exit status."""
+    # Its progress goes to stderr, so stdout holds only the verdict. It puts
+    # its tree's src/ on the path; an inherited PYTHONPATH could supply the
+    # package to a tree that lacks it, so it is dropped.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run([sys.executable, str(tree / "scripts" / "reports.py"), str(out)],
+                          stdout=sys.stderr, env=env).returncode
 
 
 def main(argv):
@@ -58,8 +65,12 @@ def main(argv):
         (other / "scripts").mkdir(exist_ok=True)
         for name in COPIED:
             shutil.copyfile(ROOT / "scripts" / name, other / "scripts" / name)
-        write_reports(other, tmp / "rev")
-        write_reports(ROOT, tmp / "this")
+        for tree, out, name in ((other, "rev", rev), (ROOT, "this", "this checkout")):
+            status = write_reports(tree, tmp / out)
+            if status != 0:
+                print(f"reports.py failed in {name} with exit status {status}",
+                      file=sys.stderr)
+                return 3
         theirs = {p.name: p.read_bytes() for p in (tmp / "rev").iterdir()}
         ours = {p.name: p.read_bytes() for p in (tmp / "this").iterdir()}
     names = sorted(theirs.keys() | ours.keys())

@@ -136,15 +136,9 @@ def _read_json(path):
         raise ConfigError(f"{path} is not valid JSON: {e}") from e
 
 
-def load_config(path):
-    """Read and schema-validate a run config; no performance function is
-    touched before this returns."""
-    raw = _read_json(path)
-    validate_config(raw)
-    return raw
-
-
 def validate_config(raw):
+    """Check a run config against the schema and build its S4isConfig;
+    no performance function is touched before this returns."""
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
     if error is not None:
         raise ConfigError(f"invalid config: {error.message}") from error
@@ -289,11 +283,11 @@ def _write(path, content):
 
 
 def cmd_run(args):
-    cfg = load_config(args.config)
-    for key in ("seed", "replicates", "method"):
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-    validate_config(cfg)  # the overrides obey the config schema too
+    cfg = _read_json(args.config)
+    if isinstance(cfg, dict):  # anything else fails the schema check below
+        cfg.update((key, getattr(args, key)) for key in ("seed", "replicates", "method")
+                   if getattr(args, key) is not None)
+    validate_config(cfg)  # once: the file's values with the flags over them
     out = cfg.get("output", {})
     path = args.output or out.get("path")
     fmt = args.format or out.get("format", "json")

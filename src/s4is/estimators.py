@@ -18,10 +18,12 @@ import numpy as np
 
 from .errors import DensitySupportError
 
-# Rows that every sample-sized loop takes at a time, so that its temporaries
-# keep this size whatever the sample count: the weights of
-# is_estimate_from_log, and the draws that the sample-based references
-# (crude MCS and the true-g oracle) transform and evaluate. At d = 10 one
+# Rows that the sample-sized loops over draws and weights take at a time, so
+# that their temporaries keep this size whatever the sample count: the
+# weights of is_estimate_from_log, and the draws that the sample-based
+# references (crude MCS and the true-g oracle) transform and evaluate. Pool
+# predictions and nearest-support distances take surrogate.row_blocks
+# instead, blocks of about 2**16 (rows x support) values. At d = 10 one
 # block of draws is 1.25 MiB, and crude MCS holds about 2.2 blocks at once
 # (tracemalloc), whatever n: the block under evaluation, its transform and
 # g's temporaries; it counts its failures. What stays O(n) is the IS

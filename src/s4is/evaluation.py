@@ -13,6 +13,7 @@ import collections
 import json
 import math
 import numbers
+import os
 import queue
 import subprocess
 import threading
@@ -134,11 +135,19 @@ class ExternalEvaluator:
     Another reads the child's reply lines into a queue, so that a reply
     can be waited for at most ``timeout_s`` seconds (None: no limit); a
     child that does not reply in time is killed.
+
+    ``command`` is a non-empty list or tuple of arguments, each a str,
+    bytes or path-like; anything else, a string included, raises
+    ConfigError before any child starts.
     """
 
     def __init__(self, command, timeout_s=None):
         if isinstance(command, str):
             raise ConfigError("external command must be a list of arguments, not a string")
+        if not (isinstance(command, (list, tuple)) and command
+                and all(isinstance(arg, (str, bytes, os.PathLike)) for arg in command)):
+            raise ConfigError(f"external command must be a non-empty list of str, bytes or "
+                              f"path-like arguments, got {command!r}")
         if timeout_s is not None and (isinstance(timeout_s, bool)
                                       or not isinstance(timeout_s, numbers.Real)
                                       or not 0 < timeout_s <= threading.TIMEOUT_MAX):
@@ -258,6 +267,10 @@ class ExternalEvaluator:
 def external_problem(command, marginals: RandomVector, timeout_s=None):
     """Wrap an external command as a single-component problem named
     "external"; its dimension is the number of marginals. ``timeout_s``
-    bounds the wait for each reply (None: no limit)."""
+    bounds the wait for each reply (None: no limit). ``marginals`` must be
+    a RandomVector; it is checked before the child starts."""
+    if not isinstance(marginals, RandomVector):
+        raise ConfigError(f"external marginals must be a RandomVector, "
+                          f"got {type(marginals).__name__}")
     return ProblemSpec("external", marginals, (ExternalEvaluator(command, timeout_s),),
                        "single")

@@ -205,8 +205,8 @@ def _refine(evaluator, model, support, pool, score, max_iter):
     while True:
         scores = score(model, means, dmin, pf_hist)
         if scores is None and model.n_appended:
-            reoptimise()
-            scores = score(model, means, dmin, pf_hist)
+            reoptimise()  # the model now has no appended point
+            continue
         if scores is None:
             termination = "converged"
             break
@@ -294,8 +294,10 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
     # selected from, until the CoV target or pool_growth_limit * n_c2 samples.
     est, log_w = report.final, pool.log_w
     grown = 0
-    while (not est.cov_defined or est.cov > config.cov_target) and \
-            grown + 1 < config.pool_growth_limit:
+    while not est.cov <= config.cov_target:  # an undefined (NaN) CoV misses it
+        if grown + 1 >= config.pool_growth_limit:
+            notes["cov_target_missed"] = True
+            break
         extra = _candidate_pool(rv, gm.sample(config.n_c2, rng), gm.logpdf)
         log_w = np.concatenate([log_w, extra.log_w])
         means = np.concatenate([means, model.predict_mean(extra.x)])
@@ -307,8 +309,6 @@ def stage2(problem: ProblemSpec, config: S4isConfig, rng, evaluator: Evaluator,
         report.pf_history.append(est.pf)
         report.cov_history.append(est.cov)
         report.n_eval_history.append(est.n_eval)
-    if not est.cov_defined or est.cov > config.cov_target:
-        notes["cov_target_missed"] = True
     return report, model
 
 

@@ -220,6 +220,23 @@ def test_bad_override_exits_2_without_evaluation(tmp_path, capsys, override):
     assert not sentinel.exists()
 
 
+@pytest.mark.parametrize("key, bad, override", [("seed", -1, "3"), ("replicates", 0, "1"),
+                                                ("method", "bogus", "mcs")])
+def test_override_replaces_a_bad_file_value(tmp_path, capsys, key, bad, override):
+    # The config is checked once, with the flags over the file's values.
+    payload = {"problem": {"builtin": {"name": "example1"}}, "method": "mcs",
+               "mcs": {"n": 1000}, key: bad}
+    assert main(["run", "--config", _config(tmp_path, payload), f"--{key}", override]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["method"] == "mcs"
+    assert key != "seed" or report["seed"] == 3
+
+
+def test_override_of_a_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    assert main(["run", "--config", _config(tmp_path, [1]), "--seed", "3"]) == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option", [["--replicates", "0"], ["--seed", "-1"]])
 def test_reproduce_bad_option_exits_2(capsys, option):
     assert main(["reproduce", "example5_d2", *option]) == 2

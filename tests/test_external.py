@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -352,3 +353,26 @@ def test_bad_timeout_is_a_config_error_before_any_child_starts(timeout_s):
                            side_effect=AssertionError("a child was started")):
         with pytest.raises(ConfigError, match="timeout_s"):
             external_problem(["no-child-is-started"], TWO_NORMALS, timeout_s=timeout_s)
+
+
+@pytest.mark.parametrize("command, marginals", [
+    ([], TWO_NORMALS), (["python3", 1.5], TWO_NORMALS), ([None], TWO_NORMALS),
+    (("python3", None), TWO_NORMALS), ({"python3": 1}, TWO_NORMALS),
+    (["no-child-is-started"], [Marginal("normal", 0.0, 1.0)]),
+], ids=["empty", "float-argument", "none-argument", "tuple-none", "dict", "marginal-list"])
+def test_bad_command_or_marginals_is_a_config_error_before_any_child_starts(command,
+                                                                           marginals):
+    with mock.patch.object(s4is.evaluation.subprocess, "Popen",
+                           side_effect=AssertionError("a child was started")):
+        with pytest.raises(ConfigError, match="external (command|marginals)"):
+            external_problem(command, marginals)
+
+
+def test_command_arguments_may_be_bytes_or_path_like(tmp_path):
+    script = Path(_child(tmp_path, WELL_BEHAVED)[1])
+    for command in ([sys.executable.encode(), script], (sys.executable, str(script))):
+        problem = external_problem(command, TWO_NORMALS)
+        try:
+            assert math.isfinite(Evaluator(problem).g(np.zeros(2)))
+        finally:
+            problem.components[0].close()

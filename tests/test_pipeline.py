@@ -104,6 +104,23 @@ def test_stage2_estimate_improves_on_stage1():
     assert res.estimate.cov <= 0.05 + 1e-9
 
 
+@pytest.mark.parametrize("limit, enlargements, cov, n_entries", [(1, 0, 0.1738, 4),
+                                                                 (2, 1, 0.1295, 5)])
+def test_pool_growth_stops_at_its_limit_with_the_target_missed(limit, enlargements, cov,
+                                                               n_entries):
+    # At limit 1 the growth loop stops on its first pass, before any
+    # enlargement; each enlargement appends one stage-2 entry.
+    res = run_s4is(builtin_problem("example4", c=5),
+                   S4isConfig(n_c2=200, max_iter2=4, pool_growth_limit=limit),
+                   np.random.default_rng(7))
+    notes = res.stage2.notes
+    assert notes["cov_target_missed"] is True
+    assert notes.get("pool_enlargements", 0) == enlargements
+    assert res.estimate.cov == pytest.approx(cov, abs=1e-4)
+    assert len(res.stage2.pf_history) == n_entries
+    assert res.stage2.final is res.estimate
+
+
 def test_highdim_uses_form_seeding():
     res = run_s4is(builtin_problem("example5", d=10), S4isConfig(),
                    np.random.default_rng(3))

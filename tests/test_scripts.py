@@ -53,3 +53,15 @@ def test_gate_exits_2_when_git_cannot_archive_the_revision():
     assert done.returncode == 2, done
     assert done.stderr.startswith("git cannot archive no-such-revision: "), done.stderr
     assert done.stdout == ""
+
+
+def test_gate_exits_3_when_a_report_run_fails():
+    # git's empty tree archives, but holds no package for reports.py to run.
+    empty_tree = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "gate.py"), empty_tree],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done
+    assert done.stderr.splitlines()[-1].startswith(
+        f"reports.py failed in {empty_tree} with exit status "), done.stderr
+    assert done.stdout == ""
